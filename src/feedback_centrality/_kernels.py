@@ -1,102 +1,4 @@
-"""Float-mode inner loops, numba-compiled when available.
+"""Kept only for ``NUMBA_ENABLED``, which the benchmark's environment stamp
+(``perfbench/environment.py``) reads.  The package does not use numba."""
 
-Every kernel here has identical semantics under numba and under the pure
-numpy/Python fallback.  The fallback is selected automatically when numba is
-not importable, or forced with ``FBCENT_NO_NUMBA=1`` — handy for debugging
-and for measuring the JIT speedup (see ``benchmarks/bench_kernels.py``).
-"""
-
-from __future__ import annotations
-
-import os
-
-import numpy as np
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-if _env_flag("FBCENT_NO_NUMBA"):
-    NUMBA_ENABLED = False
-else:
-    try:
-        from numba import njit
-
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover - exercised via the env flag instead
-        NUMBA_ENABLED = False
-
-if not NUMBA_ENABLED:
-
-    def njit(*args, **kwargs):
-        """No-op replacement for numba.njit."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-@njit(cache=True)
-def run_series(W, b, alpha, T):
-    """Iterate cur <- alpha * (W @ cur) from cur = b for T steps.
-
-    Returns (partial, cur): the elementwise sum of all T+1 states including
-    the initial one, and the final state.
-    """
-    cur = b.copy()
-    partial = b.copy()
-    for _ in range(T):
-        cur = alpha * (W @ cur)
-        partial = partial + cur
-    return partial, cur
-
-
-@njit(cache=True)
-def run_totals(W, b, alpha, T):
-    """Like run_series but records the state total at every step.
-
-    Returns (totals, cur) with totals[t] = sum of the state at step t,
-    t = 0..T.
-    """
-    cur = b.copy()
-    totals = np.empty(T + 1, dtype=np.float64)
-    totals[0] = cur.sum()
-    for t in range(T):
-        cur = alpha * (W @ cur)
-        totals[t + 1] = cur.sum()
-    return totals, cur
-
-
-@njit(cache=True)
-def power_iterate(A, shift, tol, max_iter):
-    """Power iteration on A + shift*I, 1-norm normalized.
-
-    The shift makes the iteration matrix primitive whenever A is irreducible
-    and nonnegative, so the iterates converge even for periodic A (pure
-    cycles).  Returns (x, lam, change, converged): the 1-normalized iterate,
-    the eigenvalue estimate for A itself, the last relative iterate change,
-    and whether the tolerance was met.
-
-    Convergence: max |x_new - x| <= tol * max(x_new).
-    """
-    n = A.shape[0]
-    x = np.full(n, 1.0 / n)
-    lam = 0.0
-    change = np.inf
-    for _ in range(max_iter):
-        y = A @ x + shift * x
-        s = y.sum()
-        if s <= 0.0:
-            # Zero matrix block: the Perron value is 0, any vector works.
-            return x, 0.0, 0.0, True
-        y = y / s
-        change = np.abs(y - x).max() / y.max()
-        x = y
-        lam = s - shift
-        if change <= tol:
-            return x, lam, change, True
-    return x, lam, change, False
+NUMBA_ENABLED = False

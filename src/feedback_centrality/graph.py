@@ -55,7 +55,10 @@ def parse_weight(token: str, mode: Mode) -> Weight:
         raise GraphFormatError(f"bad weight literal {token!r}") from exc
     if mode is Mode.RATIONAL:
         return value
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"weight literal {token!r} does not fit in a float") from None
 
 
 def format_weight(w: Weight) -> str:

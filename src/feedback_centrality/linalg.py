@@ -1,12 +1,16 @@
 """Numeric helpers: Perron pairs of non-negative matrices, refined dense
 solves, and exact Gaussian elimination over rationals.
 
-The Perron solver runs power iteration on A + sI with s = the largest column
-sum.  For an irreducible non-negative A that shifted matrix is primitive (its
-diagonal is positive), so the iteration converges geometrically even when A
-itself is periodic, and the shift cancels out of the eigenvalue.  The
-eigenvalue is then polished with the two-sided Rayleigh quotient, which is
-far more accurate than the iteration's own normalization constant.
+For an irreducible non-negative A the eigenvalue with the largest real part
+is the simple Perron root, and its right and left eigenvectors are
+one-signed (Perron-Frobenius).  Matrices of at most ``DENSE_EIG_LIMIT`` rows
+take both vectors from one dense ``numpy.linalg.eig`` call each.  Larger ones
+run power iteration on A + sI with s = the largest column sum, which is
+cheaper there than a dense eigendecomposition: the shifted matrix is
+primitive (its diagonal is positive), so the iteration converges
+geometrically even when A itself is periodic.  Either way the eigenvalue is
+then polished with the two-sided Rayleigh quotient, which is far more
+accurate than the iteration's own normalization constant.
 """
 
 from __future__ import annotations
@@ -15,25 +19,55 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import power_iterate
 from .errors import ConvergenceError, DomainError, SingularMatrixError
 
 #: Largest matrix the dense float solver accepts.
 DENSE_SOLVE_LIMIT = 512
 
+#: Largest matrix whose Perron vectors come from a dense eigensolve.  Dense
+#: ``eig`` beats shifted power iteration up to n of about 40-50 and loses
+#: badly beyond, so the limit sits below that crossover.
+DENSE_EIG_LIMIT = 32
+
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 200_000
 
 
-def _iterate(a: np.ndarray, shift: float, tol: float, max_iter: int) -> np.ndarray:
-    vec, _lam, change, converged = power_iterate(a, shift, tol, max_iter)
-    if not converged:
+def _eig_vector(a: np.ndarray) -> np.ndarray:
+    """Perron vector (sum 1) of an irreducible matrix by dense ``eig``."""
+    try:
+        vals, vecs = np.linalg.eig(a)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
+    vec = np.abs(vecs[:, np.argmax(vals.real)].real)
+    total = vec.sum()
+    if not (np.isfinite(total) and vec.min() > 0.0):
         raise ConvergenceError(
-            f"power iteration stalled at relative change {change:.3e} "
-            f"after {max_iter} steps",
-            residual=float(change),
+            "dense eigensolve gave a Perron vector with zero or non-finite entries"
         )
-    return vec
+    return vec / total
+
+
+def _power_vector(a: np.ndarray, shift: float, tol: float, max_iter: int) -> np.ndarray:
+    """Perron vector (sum 1) by power iteration on A + shift*I.
+
+    Convergence: max |x_new - x| <= tol * max(x_new).
+    """
+    n = a.shape[0]
+    x = np.full(n, 1.0 / n)
+    change = np.inf
+    for _ in range(max_iter):
+        y = a @ x + shift * x
+        y = y / y.sum()
+        change = np.abs(y - x).max() / y.max()
+        x = y
+        if change <= tol:
+            return x
+    raise ConvergenceError(
+        f"power iteration stalled at relative change {change:.3e} "
+        f"after {max_iter} steps",
+        residual=float(change),
+    )
 
 
 def perron_triple(
@@ -44,7 +78,10 @@ def perron_triple(
     Intended for irreducible matrices (adjacency of a strongly connected
     graph); there both vectors are strictly positive and the eigenvalue is
     simple.  Vectors are normalized to sum 1.  The zero matrix yields
-    uniform vectors and eigenvalue 0.
+    uniform vectors and eigenvalue 0.  ``tol`` and ``max_iter`` bound the
+    power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
+    ``ConvergenceError`` when a vector entry comes out zero or non-finite,
+    or the eigenvalue non-finite.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -53,22 +90,20 @@ def perron_triple(
     if a.min(initial=0.0) < 0:
         raise DomainError("matrix has negative entries")
     col_shift = float(a.sum(axis=0).max(initial=0.0))
-    row_shift = float(a.sum(axis=1).max(initial=0.0))
     if col_shift == 0.0:
         u = np.full(n, 1.0 / n)
         return u, u.copy(), 0.0
-    x = _iterate(a, col_shift, tol, max_iter)
-    y = _iterate(np.ascontiguousarray(a.T), row_shift, tol, max_iter)
+    if n <= DENSE_EIG_LIMIT:
+        x = _eig_vector(a)
+        y = _eig_vector(a.T)
+    else:
+        row_shift = float(a.sum(axis=1).max(initial=0.0))
+        x = _power_vector(a, col_shift, tol, max_iter)
+        y = _power_vector(np.ascontiguousarray(a.T), row_shift, tol, max_iter)
     lam = float((y @ (a @ x)) / (y @ x))
+    if not np.isfinite(lam):
+        raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam
-
-
-def perron_pair(
-    a: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
-) -> tuple[np.ndarray, float]:
-    """Right Perron vector (sum 1) and eigenvalue."""
-    x, _y, lam = perron_triple(a, tol, max_iter)
-    return x, lam
 
 
 def perron_value(

@@ -17,8 +17,8 @@ of the two undamped processes (alpha = 1, resp. alpha = 1/lambda) yield
 katz-prestige and eigenvector centrality.  ``verify_recursion`` checks the
 finite-horizon form of these identities exactly.
 
-Float paths run through the compiled kernels; rational-mode graphs are
-stepped in pure Python with exact arithmetic.
+Float paths step a numpy state vector through the step matrix;
+rational-mode graphs are stepped in pure Python with exact arithmetic.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._kernels import run_series, run_totals
 from .errors import DomainError
 from .graph import (
     Graph,
@@ -149,9 +148,14 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
 
     w = _step_matrix(g, kind)
     b = np.array([float(g.node_weight(v)) for v in order])
-    partial_vec, last_vec = run_series(w, b, float(alpha), steps)
+    a = float(alpha)
+    cur = b
+    partial_vec = b.copy()
+    for _ in range(steps):
+        cur = a * (w @ cur)
+        partial_vec += cur
     partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
-    last = {v: float(last_vec[i]) for i, v in enumerate(order)}
+    last = {v: float(cur[i]) for i, v in enumerate(order)}
     cesaro = {v: partial[v] / steps for v in order} if steps >= 1 else None
     return SeriesAccumulator(kind, alpha, steps, g.mode, partial, last, cesaro)
 
@@ -174,8 +178,12 @@ def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> li
         return totals
     w = _step_matrix(g, kind)
     b = np.array([float(g.node_weight(v)) for v in g.node_ids])
-    totals_vec, _last = run_totals(w, b, float(alpha), steps)
-    return [float(t) for t in totals_vec]
+    a = float(alpha)
+    totals = [float(b.sum())]
+    for _ in range(steps):
+        b = a * (w @ b)
+        totals.append(float(b.sum()))
+    return totals
 
 
 def geometric_tail_bound(

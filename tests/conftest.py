@@ -1,23 +1,10 @@
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from feedback_centrality import Mode, parse_graph
 
 GRAPH_DIR = Path(__file__).resolve().parent.parent / "graphs"
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Trigger JIT compilation once so timed tests measure math, not compile."""
-    from feedback_centrality._kernels import power_iterate, run_series, run_totals
-
-    w = np.zeros((2, 2))
-    b = np.ones(2)
-    run_series(w, b, 0.5, 1)
-    run_totals(w, b, 1.0, 1)
-    power_iterate(np.ones((2, 2)), 2.0, 1e-6, 100)
 
 
 def _load(name: str, mode: Mode):

@@ -79,6 +79,27 @@ class TestCentrality:
         code, _out, err = run(capsys, "centrality", "--input", str(bad), "--measure", "kp")
         assert code == 1 and "line 2" in err
 
+    def test_float_overflow_literal_is_an_error_line(self, capsys, tmp_path):
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n")
+        code, _out, err = run(
+            capsys, "centrality", "--input", str(big), "--measure", "pr", "--mode", "float"
+        )
+        assert code == 1
+        assert err.startswith("error:") and "line 3" in err
+        assert "Traceback" not in err
+
+    def test_unsolvable_perron_block_is_an_error_line(self, capsys, tmp_path):
+        # lambda = 1, but dense eig returns eigenvalues 0, 0 for this 2-cycle
+        # and a Perron vector with a zero entry: a typed error, not a crash
+        extreme = tmp_path / "extreme.dg"
+        extreme.write_text("node a 1\nnode b 1\nedge a b 1e-300\nedge b a 1e300\n")
+        code, _out, err = run(
+            capsys, "centrality", "--input", str(extreme), "--measure", "ev", "--mode", "float"
+        )
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _err = run(

@@ -62,6 +62,11 @@ class TestWeights:
         with pytest.raises(GraphFormatError):
             parse_weight("two", Mode.FLOAT)
 
+    def test_float_overflow_is_a_format_error(self):
+        with pytest.raises(GraphFormatError, match="1e400"):
+            parse_weight("1e400", Mode.FLOAT)
+        assert parse_weight("1e400", Mode.RATIONAL) == F(10) ** 400
+
     def test_format_round_trip(self):
         for w in (F(2, 13), F(5), F(-1, 3), 0.1, 1.5, float(F(1, 3))):
             assert parse_weight(format_weight(w),

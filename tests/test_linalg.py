@@ -5,8 +5,10 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from feedback_centrality import DomainError, SingularMatrixError
+from feedback_centrality import ConvergenceError, DomainError, SingularMatrixError
+from feedback_centrality import linalg
 from feedback_centrality.linalg import (
+    DENSE_EIG_LIMIT,
     gauss_rational,
     perron_triple,
     perron_value,
@@ -21,6 +23,20 @@ def random_irreducible(rng, n):
     for i in range(n):
         a[(i + 1) % n, i] = rng.uniform(0.2, 3.0)
     return a
+
+
+def cycle(n, w=2.0):
+    a = np.zeros((n, n))
+    for i in range(n):
+        a[(i + 1) % n, i] = w
+    return a
+
+
+def power_triple(a, monkeypatch):
+    """perron_triple forced onto shifted power iteration at any size."""
+    with monkeypatch.context() as m:
+        m.setattr(linalg, "DENSE_EIG_LIMIT", 0)
+        return perron_triple(a)
 
 
 class TestPerron:
@@ -42,16 +58,48 @@ class TestPerron:
         assert np.max(np.abs(a @ x - lam * x)) < 1e-9
         assert np.max(np.abs(a.T @ y - lam * y)) < 1e-9
 
+    @pytest.mark.parametrize("n", [DENSE_EIG_LIMIT + 1, 40, 64])
+    def test_power_path_matches_dense_eig(self, n):
+        rng = np.random.default_rng(n)
+        a = random_irreducible(rng, n)
+        x, y, lam = perron_triple(a)
+        xo, yo, lamo = dominant_eig(a)
+        assert lam == pytest.approx(lamo, rel=1e-10)
+        np.testing.assert_allclose(x, xo, atol=1e-8)
+        np.testing.assert_allclose(y, yo, atol=1e-8)
+
+    @pytest.mark.parametrize("n", range(1, DENSE_EIG_LIMIT + 1))
+    def test_eig_path_agrees_with_power_iteration(self, n, monkeypatch):
+        rng = np.random.default_rng(100 + n)
+        for a in (random_irreducible(rng, n), cycle(n)):
+            x, y, lam = perron_triple(a)
+            xp, yp, lamp = power_triple(a, monkeypatch)
+            assert lam == pytest.approx(lamp, rel=1e-10)
+            np.testing.assert_allclose(x, xp, atol=1e-8)
+            np.testing.assert_allclose(y, yp, atol=1e-8)
+
     def test_periodic_matrix_converges(self):
         # a pure cycle has several eigenvalues on the spectral circle; the
-        # diagonal shift inside the solver must still separate the Perron one
-        n = 10
-        a = np.zeros((n, n))
-        for i in range(n):
-            a[(i + 1) % n, i] = 2.0
-        x, y, lam = perron_triple(a)
-        assert lam == pytest.approx(2.0, rel=1e-10)
-        np.testing.assert_allclose(x, np.full(n, 1 / n), atol=1e-9)
+        # solver must still separate the Perron one, by largest real part on
+        # the eig path and by the diagonal shift on the power path
+        for n in (10, DENSE_EIG_LIMIT + 8):
+            x, y, lam = perron_triple(cycle(n))
+            assert lam == pytest.approx(2.0, rel=1e-10)
+            np.testing.assert_allclose(x, np.full(n, 1 / n), atol=1e-9)
+
+    def test_badly_scaled_two_cycle(self):
+        # lambda = sqrt(1e-20 * 1e20) = 1; shifted power iteration needs far
+        # more than its step cap here, one dense eigensolve does not
+        x, y, lam = perron_triple(np.array([[0.0, 1e20], [1e-20, 0.0]]))
+        assert lam == pytest.approx(1.0, rel=1e-12)
+        np.testing.assert_allclose(x, [1.0, 1e-20], rtol=1e-12)
+        np.testing.assert_allclose(y, [1e-20, 1.0], rtol=1e-12)
+
+    def test_underflowing_two_cycle_raises(self):
+        # lambda = 1 again, but dense eig loses the 1e-300 * 1e300 product
+        # and returns a Perron vector with a zero entry
+        with pytest.raises(ConvergenceError, match="zero or non-finite"):
+            perron_triple(np.array([[0.0, 1e300], [1e-300, 0.0]]))
 
     def test_zero_matrix(self):
         x, y, lam = perron_triple(np.zeros((3, 3)))

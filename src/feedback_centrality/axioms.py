@@ -34,9 +34,10 @@ from .graph import (
     Graph,
     GraphClass,
     Mode,
-    OUT_REGULAR_RTOL,
     Weight,
+    all_equal,
     classify,
+    coerce,
     delete_edge,
     graph_sum,
     is_strongly_connected,
@@ -166,12 +167,6 @@ class AxiomVerdict:
         return self.skipped_reason is not None
 
 
-class _Skip(Exception):
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
-
 def _relative_deviation(a: Weight, b: Weight) -> float:
     fa, fb = float(a), float(b)
     return abs(fa - fb) / max(1.0, abs(fa), abs(fb))
@@ -182,16 +177,6 @@ def _require(condition: bool, message: str) -> None:
         raise PreconditionError(message)
 
 
-def _degrees_all_equal(g: Graph, nodes: list[str]) -> bool:
-    degrees = [g.out_degree(v) for v in nodes]
-    if not degrees:
-        return True
-    if g.mode is Mode.RATIONAL:
-        return all(d == degrees[0] for d in degrees)
-    hi, lo = max(degrees), min(degrees)
-    return hi - lo <= OUT_REGULAR_RTOL * max(1.0, abs(hi))
-
-
 def is_constant_weight_cycle(g: Graph) -> bool:
     """Strongly connected, exactly one out-edge per node, all weights equal."""
     if len(g) == 0:
@@ -200,11 +185,7 @@ def is_constant_weight_cycle(g: Graph) -> bool:
         return False
     if not is_strongly_connected(g):
         return False
-    weights = [w for _u, _v, w in g.edges()]
-    if g.mode is Mode.RATIONAL:
-        return all(w == weights[0] for w in weights)
-    hi, lo = max(weights), min(weights)
-    return hi - lo <= OUT_REGULAR_RTOL * max(1.0, abs(hi))
+    return all_equal([w for _u, _v, w in g.edges()], g.mode)
 
 
 def _validate_instance(axiom: AxiomId, instance: AxiomInstance) -> None:
@@ -228,13 +209,13 @@ def _validate_instance(axiom: AxiomId, instance: AxiomInstance) -> None:
         _require(u in g and w in g, "node pair not in the graph")
         _require(u != w, "node pair must be distinct")
         _require(
-            _degrees_all_equal(g, [u, w]),
+            all_equal([g.out_degree(u), g.out_degree(w)], g.mode),
             "the combined pair must share one out-degree",
         )
         if axiom.variant is NCVariant.PLAIN:
             implicated = sorted({u, w} | successors(g, u) | successors(g, w))
             _require(
-                _degrees_all_equal(g, implicated),
+                all_equal([g.out_degree(v) for v in implicated], g.mode),
                 "the pair and all their successors must share one out-degree",
             )
         elif axiom.variant is NCVariant.SEMI_OUT_REGULAR:
@@ -260,20 +241,6 @@ def _validate_instance(axiom: AxiomId, instance: AxiomInstance) -> None:
         )
 
 
-def _admit(measure: Measure, g: Graph, role: str) -> None:
-    verdict = measure.admits(g)
-    if not verdict:
-        raise _Skip(f"{role} graph outside the measure's class: {verdict.reason}")
-
-
-def _coerce_factor(g: Graph, factor: Weight) -> Weight:
-    if g.mode is Mode.RATIONAL:
-        if isinstance(factor, float):
-            raise TypeError("rational-mode instance given a float factor")
-        return Fraction(factor)
-    return float(factor)
-
-
 def _evaluate(
     axiom: AxiomId, measure: Measure, instance: AxiomInstance
 ) -> list[tuple[Weight, Weight, str]]:
@@ -284,9 +251,6 @@ def _evaluate(
     if tag is AxiomTag.LOCALITY:
         h = instance.other
         combined = graph_sum(g, h)
-        _admit(measure, g, "source")
-        _admit(measure, h, "added")
-        _admit(measure, combined, "combined")
         fg = measure.compute(g)
         fh = measure.compute(h)
         fc = measure.compute(combined)
@@ -297,8 +261,6 @@ def _evaluate(
     if tag is AxiomTag.EDGE_DELETION:
         u, t = instance.edge
         reduced = delete_edge(g, u, t)
-        _admit(measure, g, "source")
-        _admit(measure, reduced, "reduced")
         f = measure.compute(g)
         fr = measure.compute(reduced)
         reach = successors(g, u)
@@ -306,10 +268,8 @@ def _evaluate(
 
     if tag is AxiomTag.NODE_COMBINATION:
         u, w = instance.nodes
-        _admit(measure, g, "source")
         f = measure.compute(g)
         combined = proportional_combine(g, u, w, f[u], f[w])
-        _admit(measure, combined, "combined")
         fc = measure.compute(combined)
         pairs = [(fc[w], f[u] + f[w], w)]
         pairs.extend((fc[v], f[v], v) for v in g.node_ids if v not in (u, w))
@@ -317,18 +277,14 @@ def _evaluate(
 
     if tag is AxiomTag.EDGE_MULTIPLICATION:
         scaled = edge_multiplication(g, instance.node, instance.factor)
-        _admit(measure, g, "source")
-        _admit(measure, scaled, "scaled")
         f = measure.compute(g)
         fs = measure.compute(scaled)
         return [(fs[v], f[v], v) for v in g.node_ids]
 
     if tag is AxiomTag.EDGE_COMPENSATION:
         u = instance.node
-        x = _coerce_factor(g, instance.factor)
+        x = coerce(g.mode, instance.factor, "factor")
         compensated = edge_compensation(g, u, x)
-        _admit(measure, g, "source")
-        _admit(measure, compensated, "compensated")
         f = measure.compute(g)
         fc = measure.compute(compensated)
         pairs = [(fc[u] * x, f[u], u)]
@@ -336,13 +292,11 @@ def _evaluate(
         return pairs
 
     if tag is AxiomTag.BASELINE:
-        _admit(measure, g, "source")
         f = measure.compute(g)
         z = instance.node
         return [(f[z], g.node_weight(z), z)]
 
     if tag is AxiomTag.CYCLE:
-        _admit(measure, g, "source")
         f = measure.compute(g)
         average = g.total_node_weight() / len(g)
         return [(f[v], average, v) for v in g.node_ids]
@@ -367,10 +321,6 @@ def check_axiom(
 
     try:
         pairs = _evaluate(axiom, measure, instance)
-    except _Skip as skip:
-        return AxiomVerdict(
-            axiom, measure, instance, 0.0, effective_tol, False, skip.reason
-        )
     except DomainError as exc:
         return AxiomVerdict(
             axiom, measure, instance, 0.0, effective_tol, False, str(exc)
@@ -453,12 +403,11 @@ def _scc_block(
 
 def _rescale_out_degrees(g: Graph, target: Weight) -> Graph:
     """Scale every node's out-edges so each non-sink's out-degree is ``target``."""
-    out = Graph(g.mode)
-    for v, wt in g.node_weights().items():
-        out.add_node(v, wt)
-    for u, v, wt in g.edges():
-        out.add_edge(u, v, wt * target / g.out_degree(u))
-    return out
+    return Graph.build(
+        g.node_weights().items(),
+        ((u, v, wt * target / g.out_degree(u)) for u, v, wt in g.edges()),
+        g.mode,
+    )
 
 
 def _partition_sizes(n: int, parts: int, rng: random.Random) -> list[int]:
@@ -631,13 +580,12 @@ def _family_for(tag: AxiomTag, kind: MeasureKind) -> Family:
     return Family.GENERAL
 
 
-def _scale_edges(g: Graph, factor: float) -> Graph:
-    out = Graph(g.mode)
-    for v, wt in g.node_weights().items():
-        out.add_node(v, wt)
-    for u, v, wt in g.edges():
-        out.add_edge(u, v, wt * factor)
-    return out
+def _scale_edges(g: Graph, factor: Weight) -> Graph:
+    return Graph.build(
+        g.node_weights().items(),
+        ((u, v, wt * factor) for u, v, wt in g.edges()),
+        g.mode,
+    )
 
 
 def _fit_for_katz(g: Graph, alpha: float, headroom: float) -> Graph:
@@ -656,12 +604,11 @@ def _fit_for_katz(g: Graph, alpha: float, headroom: float) -> Graph:
 
 
 def _relabel(g: Graph, prefix: str) -> Graph:
-    out = Graph(g.mode)
-    for v, wt in g.node_weights().items():
-        out.add_node(prefix + v, wt)
-    for u, v, wt in g.edges():
-        out.add_edge(prefix + u, prefix + v, wt)
-    return out
+    return Graph.build(
+        ((prefix + v, wt) for v, wt in g.node_weights().items()),
+        ((prefix + u, prefix + v, wt) for u, v, wt in g.edges()),
+        g.mode,
+    )
 
 
 def _pick_factor(rng: random.Random, mode: Mode) -> Weight:
@@ -744,8 +691,8 @@ def _build_instance(
 
     if tag is AxiomTag.BASELINE:
         name = _fresh_name(g, "iso")
-        g = g.copy()
-        g.add_node(name, _draw_weight(spec, rng))
+        nodes = [*g.node_weights().items(), (name, _draw_weight(spec, rng))]
+        g = Graph.build(nodes, g.edges(), g.mode)
         return AxiomInstance(g, node=name)
 
     if tag is AxiomTag.CYCLE:
@@ -888,14 +835,11 @@ def satisfaction_matrix(
 
 
 def _remove_node(g: Graph, victim: str) -> Graph:
-    out = Graph(g.mode)
-    for v, wt in g.node_weights().items():
-        if v != victim:
-            out.add_node(v, wt)
-    for u, v, wt in g.edges():
-        if victim not in (u, v):
-            out.add_edge(u, v, wt)
-    return out
+    return Graph.build(
+        ((v, wt) for v, wt in g.node_weights().items() if v != victim),
+        ((u, v, wt) for u, v, wt in g.edges() if victim not in (u, v)),
+        g.mode,
+    )
 
 
 def _protected_nodes(axiom: AxiomId, instance: AxiomInstance) -> set[str]:

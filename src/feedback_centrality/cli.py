@@ -180,13 +180,13 @@ def _cmd_simulate(args, parser) -> int:
         parser.error("--steps must be non-negative")
     series = sum_series(g, kind, alpha, args.steps)
 
-    tail_max = None
+    tail_max = tail_omitted = None
     try:
         tail = geometric_tail_bound(g, kind, alpha, args.steps)
         tail_max = _fmt6(max(tail.values(), default=0.0))
-    except DomainError:
-        pass
-    recursion = None
+    except DomainError as exc:
+        tail_omitted = str(exc)
+    recursion = recursion_omitted = None
     try:
         check = verify_recursion(g, kind, alpha, args.steps)
         recursion = {
@@ -195,8 +195,8 @@ def _cmd_simulate(args, parser) -> int:
             "max_residual": _fmt6(check.max_residual),
             "max_prediction_mismatch": _fmt6(check.max_mismatch),
         }
-    except DomainError:
-        pass
+    except DomainError as exc:
+        recursion_omitted = str(exc)
 
     diagnostics = {
         "process": kind.value,
@@ -209,7 +209,9 @@ def _cmd_simulate(args, parser) -> int:
             else None
         ),
         "tail_bound_max": tail_max,
+        "tail_bound_omitted": tail_omitted,
         "recursion": recursion,
+        "recursion_omitted": recursion_omitted,
     }
     arguments = {
         "input": args.input,

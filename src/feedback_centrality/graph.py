@@ -16,6 +16,7 @@ fixed at construction and preserved by every transform.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -23,14 +24,13 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DomainError, GraphFormatError
+from .linalg import perron_triple
 
 Weight = Union[Fraction, float]
 
-#: Relative tolerance for float-mode out-degree equality comparisons.
-OUT_REGULAR_RTOL = 1e-9
-
-#: Relative tolerance when comparing component eigenvalues for class checks.
-EIGENVALUE_RTOL = 1e-9
+#: Relative tolerance of float-mode equality (out-degrees, edge weights,
+#: component eigenvalues); rational mode compares exactly.
+EQUAL_RTOL = 1e-9
 
 #: Katz admissibility margin: alpha * lambda must stay <= 1 - this.
 KATZ_MARGIN = 1e-6
@@ -41,6 +41,30 @@ class Mode(enum.Enum):
 
     RATIONAL = "rational"
     FLOAT = "float"
+
+
+def zero(mode: Mode) -> Weight:
+    return Fraction(0) if mode is Mode.RATIONAL else 0.0
+
+
+def coerce(mode: Mode, value: Weight, what: str) -> Weight:
+    """``value`` as a number of ``mode``; a float never enters rational mode."""
+    if mode is Mode.RATIONAL:
+        if isinstance(value, float):
+            raise TypeError(f"rational-mode graph given a float {what}")
+        return Fraction(value)
+    return float(value)
+
+
+def all_equal(values: list[Weight], mode: Mode) -> bool:
+    """Whether the values agree: exactly in rational mode, and within
+    ``EQUAL_RTOL`` of the larger magnitude in float mode.  True when empty."""
+    if not values:
+        return True
+    if mode is Mode.RATIONAL:
+        return all(v == values[0] for v in values)
+    hi, lo = max(values), min(values)
+    return hi - lo <= EQUAL_RTOL * max(abs(hi), abs(lo))
 
 
 def parse_weight(token: str, mode: Mode) -> Weight:
@@ -120,11 +144,10 @@ class Graph:
         self._outdeg = None
 
     def _coerce(self, weight: Weight) -> Weight:
-        if self.mode is Mode.RATIONAL:
-            if isinstance(weight, float):
-                raise TypeError("rational-mode graph given a float weight")
-            return Fraction(weight)
-        return float(weight)
+        weight = coerce(self.mode, weight, "weight")
+        if self.mode is Mode.FLOAT and not math.isfinite(weight):
+            raise GraphFormatError(f"weight {weight!r} is not finite")
+        return weight
 
     @classmethod
     def build(
@@ -160,8 +183,7 @@ class Graph:
         return dict(self._weights)
 
     def total_node_weight(self) -> Weight:
-        zero: Weight = Fraction(0) if self.mode is Mode.RATIONAL else 0.0
-        return sum(self._weights.values(), zero)
+        return sum(self._weights.values(), zero(self.mode))
 
     @property
     def num_edges(self) -> int:
@@ -192,9 +214,9 @@ class Graph:
         """Total weight of v's outgoing edges (self-loop included), 0 if none."""
         self._require_node(v)
         if self._outdeg is None:
-            zero: Weight = Fraction(0) if self.mode is Mode.RATIONAL else 0.0
+            start = zero(self.mode)
             self._outdeg = {
-                u: sum(targets.values(), zero) for u, targets in self._out.items()
+                u: sum(targets.values(), start) for u, targets in self._out.items()
             }
         return self._outdeg[v]
 
@@ -207,24 +229,13 @@ class Graph:
 
     # -- copies and simple derived graphs ---------------------------------
 
-    def copy(self) -> "Graph":
-        g = Graph(self.mode)
-        for v, w in self._weights.items():
-            g.add_node(v, w)
-        for (u, v), w in self._edges.items():
-            g.add_edge(u, v, w)
-        return g
-
     def to_float(self) -> "Graph":
-        """A FLOAT-mode copy (identity if already float)."""
-        if self.mode is Mode.FLOAT:
-            return self.copy()
-        g = Graph(Mode.FLOAT)
-        for v, w in self._weights.items():
-            g.add_node(v, float(w))
-        for (u, v), w in self._edges.items():
-            g.add_edge(u, v, float(w))
-        return g
+        """A FLOAT-mode copy (a plain copy if already float)."""
+        return Graph.build(
+            ((v, float(w)) for v, w in self._weights.items()),
+            ((u, v, float(w)) for u, v, w in self.edges()),
+            Mode.FLOAT,
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -254,63 +265,52 @@ def graph_sum(g: Graph, h: Graph) -> Graph:
     clash = set(g.node_ids) & set(h.node_ids)
     if clash:
         raise DomainError(f"node-id collision in graph sum: {sorted(clash)!r}")
-    out = g.copy()
-    for v, w in h.node_weights().items():
-        out.add_node(v, w)
-    for u, v, w in h.edges():
-        out.add_edge(u, v, w)
-    return out
+    return Graph.build(
+        [*g.node_weights().items(), *h.node_weights().items()],
+        [*g.edges(), *h.edges()],
+        g.mode,
+    )
 
 
 def opposite_graph(g: Graph) -> Graph:
     """Reverse every edge; node and edge weights unchanged."""
-    out = Graph(g.mode)
-    for v, w in g.node_weights().items():
-        out.add_node(v, w)
-    for u, v, w in g.edges():
-        out.add_edge(v, u, w)
-    return out
+    return Graph.build(
+        g.node_weights().items(), ((v, u, w) for u, v, w in g.edges()), g.mode
+    )
 
 
 def delete_edge(g: Graph, u: str, v: str) -> Graph:
     """Remove exactly the edge (u, v); nodes are never deleted."""
     if not g.has_edge(u, v):
         raise DomainError(f"unknown edge {u!r} -> {v!r}")
-    out = Graph(g.mode)
-    for n, w in g.node_weights().items():
-        out.add_node(n, w)
-    for a, b, w in g.edges():
-        if (a, b) != (u, v):
-            out.add_edge(a, b, w)
-    return out
+    return Graph.build(
+        g.node_weights().items(),
+        ((a, b, w) for a, b, w in g.edges() if (a, b) != (u, v)),
+        g.mode,
+    )
+
+
+def _reach(g: Graph, v: str, neighbours) -> set[str]:
+    g._require_node(v)
+    seen: set[str] = set()
+    frontier = [t for t, _ in neighbours(v)]
+    while frontier:
+        node = frontier.pop()
+        if node in seen:
+            continue
+        seen.add(node)
+        frontier.extend(t for t, _ in neighbours(node) if t not in seen)
+    return seen
 
 
 def successors(g: Graph, v: str) -> set[str]:
     """S(v): nodes reachable from v by a walk of length >= 1."""
-    g._require_node(v)
-    seen: set[str] = set()
-    frontier = [t for t, _ in g.out_edges(v)]
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(t for t, _ in g.out_edges(node) if t not in seen)
-    return seen
+    return _reach(g, v, g.out_edges)
 
 
 def predecessors(g: Graph, v: str) -> set[str]:
     """P(v): nodes that reach v by a walk of length >= 1."""
-    g._require_node(v)
-    seen: set[str] = set()
-    frontier = [s for s, _ in g.in_edges(v)]
-    while frontier:
-        node = frontier.pop()
-        if node in seen:
-            continue
-        seen.add(node)
-        frontier.extend(s for s, _ in g.in_edges(node) if s not in seen)
-    return seen
+    return _reach(g, v, g.in_edges)
 
 
 @dataclass
@@ -395,19 +395,11 @@ def is_strongly_connected(g: Graph) -> bool:
 def out_regularity(g: Graph) -> Weight | None:
     """The common out-degree x > 0 if the graph is x-out-regular, else None.
 
-    Exact comparison in rational mode, relative 1e-9 in float mode.
+    Out-degrees are compared with ``all_equal``.
     """
-    if len(g) == 0:
-        return None
     degrees = [g.out_degree(v) for v in g.node_ids]
-    if g.mode is Mode.RATIONAL:
-        x = degrees[0]
-        if x > 0 and all(d == x for d in degrees):
-            return x
-        return None
-    hi, lo = max(degrees), min(degrees)
-    if hi > 0 and hi - lo <= OUT_REGULAR_RTOL * max(1.0, hi):
-        return hi
+    if degrees and all_equal(degrees, g.mode) and max(degrees) > 0:
+        return max(degrees)
     return None
 
 
@@ -415,17 +407,13 @@ def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
     """(is semi-out-regular, common non-sink out-degree r).
 
     Semi-out-regular: some r > 0 has every out-degree in {0, r}.  An edgeless
-    graph qualifies vacuously (r is None then).
+    graph qualifies vacuously, and r is None then or when the graph does not
+    qualify.
     """
     positive = [g.out_degree(v) for v in g.node_ids if g._out[v]]
-    if not positive:
-        return True, None
-    if g.mode is Mode.RATIONAL:
-        r = positive[0]
-        return all(d == r for d in positive), r
-    hi, lo = max(positive), min(positive)
-    ok = hi - lo <= OUT_REGULAR_RTOL * max(1.0, hi)
-    return ok, hi if ok else None
+    if not all_equal(positive, g.mode):
+        return False, None
+    return True, max(positive, default=None)
 
 
 # -- matrices ---------------------------------------------------------------
@@ -461,6 +449,23 @@ def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     return a
 
 
+def in_flow(g: Graph, x: dict[str, Weight], distributed: bool) -> dict[str, Weight]:
+    """Per node v, the sum over in-edges (u, v) of c(u, v) * x[u], each term
+    divided by outdeg(u) when ``distributed``: the feedback term that every
+    measure and walk shares, exact in rational mode."""
+    start = zero(g.mode)
+    out: dict[str, Weight] = {}
+    for v in g.node_ids:
+        acc = start
+        for u, w in g.in_edges(v):
+            term = w * x[u]
+            if distributed:
+                term /= g.out_degree(u)
+            acc += term
+        out[v] = acc
+    return out
+
+
 # -- graph classes -----------------------------------------------------------
 
 
@@ -487,27 +492,55 @@ class GraphClass:
 
 
 @dataclass
+class SpectralData:
+    """Per-strongly-connected-component Perron data, condensation order.
+
+    Right and left vectors are float, strictly positive on their component
+    (uniform placeholders for loop-free singletons, which have value 0),
+    normalized to sum 1.
+    """
+
+    components: list[list[str]]
+    values: list[float]
+    right_vectors: list[np.ndarray]
+    left_vectors: list[np.ndarray]
+    lam: float
+
+
+def spectral_data(g: Graph, part: ComponentPartition | None = None) -> SpectralData:
+    """Perron triple of every strongly connected component's induced subgraph.
+
+    ``part`` is g's partition when the caller already has it.  A singleton's
+    value is its loop weight, or 0 without a loop.
+    """
+    if part is None:
+        part = strongly_connected_components(g)
+    vals: list[float] = []
+    rights: list[np.ndarray] = []
+    lefts: list[np.ndarray] = []
+    for comp, strong in zip(part.components, part.strongly_connected):
+        if len(comp) == 1:
+            x, y = np.ones(1), np.ones(1)
+            lam = float(g.edge_weight(comp[0], comp[0])) if strong else 0.0
+        else:
+            x, y, lam = perron_triple(adjacency_matrix(g, comp))
+        vals.append(lam)
+        rights.append(x)
+        lefts.append(y)
+    return SpectralData(part.components, vals, rights, lefts, max(vals, default=0.0))
+
+
+@dataclass
 class ClassVerdict:
+    """A class membership verdict.  EV and KATZ verdicts carry the spectral
+    data they were decided on (None when the structure check failed first)."""
+
     ok: bool
     reason: str | None = None
-    lam: float | None = None
+    spectra: SpectralData | None = None
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _component_eigenvalues(g: Graph, part: ComponentPartition) -> list[float]:
-    from .linalg import perron_value
-
-    lams = []
-    for comp, strong in zip(part.components, part.strongly_connected):
-        if len(comp) == 1 and not strong:
-            lams.append(0.0)
-        elif len(comp) == 1:
-            lams.append(float(g.edge_weight(comp[0], comp[0])))
-        else:
-            lams.append(perron_value(adjacency_matrix(g, comp)))
-    return lams
 
 
 def principal_eigenvalue(g: Graph) -> tuple[list[float], float]:
@@ -516,9 +549,8 @@ def principal_eigenvalue(g: Graph) -> tuple[list[float], float]:
     Components that are loop-free singletons report 0; singletons with a
     self-loop report the loop weight.
     """
-    part = strongly_connected_components(g)
-    lams = _component_eigenvalues(g, part)
-    return lams, max(lams, default=0.0)
+    data = spectral_data(g)
+    return data.values, data.lam
 
 
 def _check_kp_structure(g: Graph, part: ComponentPartition) -> str | None:
@@ -535,7 +567,7 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
     """Membership test with a human-readable diagnostic.
 
     ALL: every graph.  KP: disjoint union of strongly connected graphs.
-    EV: KP plus equal component eigenvalues (relative 1e-9).  KATZ(alpha):
+    EV: KP plus equal component eigenvalues (``all_equal``).  KATZ(alpha):
     alpha * lambda <= 1 - 1e-6 for the global principal eigenvalue.
     """
     if cls.tag is ClassTag.ALL:
@@ -551,28 +583,26 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
         reason = _check_kp_structure(g, part)
         if reason is not None:
             return ClassVerdict(False, reason)
-        lams = _component_eigenvalues(g, part)
-        lam = max(lams, default=0.0)
-        if lams and lam - min(lams) > EIGENVALUE_RTOL * max(1.0, lam):
+        data = spectral_data(g, part)
+        if not all_equal(data.values, Mode.FLOAT):
             return ClassVerdict(
                 False,
                 "component principal eigenvalues differ: "
-                f"{min(lams):.12g} vs {lam:.12g}",
-                lam,
+                f"{min(data.values):.12g} vs {data.lam:.12g}",
+                data,
             )
-        return ClassVerdict(True, None, lam)
+        return ClassVerdict(True, None, data)
 
     if cls.tag is ClassTag.KATZ:
-        lams = _component_eigenvalues(g, part)
-        lam = max(lams, default=0.0)
+        data = spectral_data(g, part)
         alpha = float(cls.alpha)  # type: ignore[arg-type]
-        if alpha * lam > 1.0 - KATZ_MARGIN:
+        if alpha * data.lam > 1.0 - KATZ_MARGIN:
             return ClassVerdict(
                 False,
-                f"alpha * lambda = {alpha * lam:.12g} exceeds the 1 - {KATZ_MARGIN:g} margin",
-                lam,
+                f"alpha * lambda = {alpha * data.lam:.12g} exceeds the 1 - {KATZ_MARGIN:g} margin",
+                data,
             )
-        return ClassVerdict(True, None, lam)
+        return ClassVerdict(True, None, data)
 
     raise DomainError(f"unknown class {cls.tag!r}")
 

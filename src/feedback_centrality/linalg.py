@@ -48,38 +48,36 @@ def _eig_vector(a: np.ndarray) -> np.ndarray:
     return vec / total
 
 
-def _power_vector(a: np.ndarray, shift: float, tol: float, max_iter: int) -> np.ndarray:
+def _power_vector(a: np.ndarray, shift: float) -> np.ndarray:
     """Perron vector (sum 1) by power iteration on A + shift*I.
 
-    Convergence: max |x_new - x| <= tol * max(x_new).
+    Convergence: max |x_new - x| <= POWER_TOL * max(x_new).
     """
     n = a.shape[0]
     x = np.full(n, 1.0 / n)
     change = np.inf
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = a @ x + shift * x
         y = y / y.sum()
         change = np.abs(y - x).max() / y.max()
         x = y
-        if change <= tol:
+        if change <= POWER_TOL:
             return x
     raise ConvergenceError(
         f"power iteration stalled at relative change {change:.3e} "
-        f"after {max_iter} steps",
+        f"after {POWER_MAX_ITER} steps",
         residual=float(change),
     )
 
 
-def perron_triple(
-    a: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
-) -> tuple[np.ndarray, np.ndarray, float]:
+def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Right vector, left vector, and eigenvalue of a non-negative matrix.
 
     Intended for irreducible matrices (adjacency of a strongly connected
     graph); there both vectors are strictly positive and the eigenvalue is
     simple.  Vectors are normalized to sum 1.  The zero matrix yields
-    uniform vectors and eigenvalue 0.  ``tol`` and ``max_iter`` bound the
-    power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
+    uniform vectors and eigenvalue 0.  ``POWER_TOL`` and ``POWER_MAX_ITER``
+    bound the power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
     ``ConvergenceError`` when a vector entry comes out zero or non-finite,
     or the eigenvalue non-finite.
     """
@@ -98,19 +96,12 @@ def perron_triple(
         y = _eig_vector(a.T)
     else:
         row_shift = float(a.sum(axis=1).max(initial=0.0))
-        x = _power_vector(a, col_shift, tol, max_iter)
-        y = _power_vector(np.ascontiguousarray(a.T), row_shift, tol, max_iter)
+        x = _power_vector(a, col_shift)
+        y = _power_vector(np.ascontiguousarray(a.T), row_shift)
     lam = float((y @ (a @ x)) / (y @ x))
     if not np.isfinite(lam):
         raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam
-
-
-def perron_value(
-    a: np.ndarray, tol: float = POWER_TOL, max_iter: int = POWER_MAX_ITER
-) -> float:
-    """Perron eigenvalue of a non-negative (irreducible) matrix."""
-    return perron_triple(a, tol, max_iter)[2]
 
 
 def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:

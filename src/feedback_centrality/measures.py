@@ -34,13 +34,18 @@ from .graph import (
     Graph,
     GraphClass,
     Mode,
+    SpectralData,  # noqa: F401 - re-exported; defined with spectral_data in graph
     Weight,
     adjacency_matrix,
     classify,
+    coerce,
+    in_flow,
+    spectral_data,
     strongly_connected_components,
     transition_matrix,
+    zero,
 )
-from .linalg import gauss_rational, perron_triple, solve_refined
+from .linalg import gauss_rational, solve_refined
 
 
 class MeasureKind(enum.Enum):
@@ -75,46 +80,7 @@ class CentralityVector:
         return np.array([float(self.values[v]) for v in order])
 
     def total(self) -> Weight:
-        zero: Weight = Fraction(0) if self.mode is Mode.RATIONAL else 0.0
-        return sum(self.values.values(), zero)
-
-
-@dataclass
-class SpectralData:
-    """Per-strongly-connected-component Perron data, condensation order.
-
-    Right and left vectors are float, strictly positive on their component
-    (uniform placeholders for loop-free singletons, which have value 0),
-    normalized to sum 1.
-    """
-
-    components: list[list[str]]
-    values: list[float]
-    right_vectors: list[np.ndarray]
-    left_vectors: list[np.ndarray]
-    lam: float
-
-    def component_index(self, v: str) -> int:
-        for i, comp in enumerate(self.components):
-            if v in comp:
-                return i
-        raise DomainError(f"unknown node {v!r}")
-
-
-def spectral_data(g: Graph) -> SpectralData:
-    """Perron triple of every strongly connected component's induced subgraph."""
-    part = strongly_connected_components(g)
-    comps: list[list[str]] = []
-    vals: list[float] = []
-    rights: list[np.ndarray] = []
-    lefts: list[np.ndarray] = []
-    for comp in part.components:
-        x, y, lam = perron_triple(adjacency_matrix(g, comp))
-        comps.append(comp)
-        vals.append(lam)
-        rights.append(x)
-        lefts.append(y)
-    return SpectralData(comps, vals, rights, lefts, max(vals, default=0.0))
+        return sum(self.values.values(), zero(self.mode))
 
 
 # -- measure object -----------------------------------------------------------
@@ -169,11 +135,6 @@ class Measure:
         return eigenvector_centrality(g)
 
 
-def _check_alpha_mode(g: Graph, alpha: Weight) -> None:
-    if g.mode is Mode.RATIONAL and isinstance(alpha, float):
-        raise TypeError("rational-mode computation given a float decay parameter")
-
-
 def _node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
     return np.array([float(g.node_weight(v)) for v in order])
 
@@ -181,30 +142,28 @@ def _node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
 # -- linear-system measures ---------------------------------------------------
 
 
-def _rational_transition(g: Graph, order: list[str]) -> list[list[Fraction]]:
+def _rational_matrix(
+    g: Graph, order: list[str], distributed: bool
+) -> list[list[Fraction]]:
+    """Exact counterpart of ``transition_matrix`` (distributed) or
+    ``adjacency_matrix``."""
     pos = {v: i for i, v in enumerate(order)}
     m = [[Fraction(0)] * len(order) for _ in order]
     for u, v, w in g.edges():
         if u in pos and v in pos:
-            m[pos[v]][pos[u]] = Fraction(w) / Fraction(g.out_degree(u))
+            m[pos[v]][pos[u]] = (
+                Fraction(w) / Fraction(g.out_degree(u)) if distributed else Fraction(w)
+            )
     return m
 
 
-def _rational_adjacency(g: Graph, order: list[str]) -> list[list[Fraction]]:
-    pos = {v: i for i, v in enumerate(order)}
-    m = [[Fraction(0)] * len(order) for _ in order]
-    for u, v, w in g.edges():
-        if u in pos and v in pos:
-            m[pos[v]][pos[u]] = Fraction(w)
-    return m
-
-
-def _solve_damped(g: Graph, alpha: Weight, m_rational, m_float) -> CentralityVector:
-    """Solve (I - alpha * M) x = b in the graph's numeric mode."""
+def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVector:
+    """Solve (I - alpha * M) x = b in the graph's numeric mode, M the
+    transition matrix when ``distributed``, else the adjacency."""
     order = g.node_ids
     if g.mode is Mode.RATIONAL:
         a = Fraction(alpha)
-        m = m_rational(g, order)
+        m = _rational_matrix(g, order, distributed)
         rows = [
             [
                 (Fraction(1) if i == j else Fraction(0)) - a * m[i][j]
@@ -215,6 +174,7 @@ def _solve_damped(g: Graph, alpha: Weight, m_rational, m_float) -> CentralityVec
         rhs = [Fraction(g.node_weight(v)) for v in order]
         x = gauss_rational(rows, rhs)
         return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
+    m_float = transition_matrix if distributed else adjacency_matrix
     k = np.eye(len(order)) - float(alpha) * m_float(g, order)
     x = solve_refined(k, _node_weight_vector(g, order))
     return CentralityVector({v: float(x[i]) for i, v in enumerate(order)}, Mode.FLOAT)
@@ -226,10 +186,10 @@ def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
     M is the out-degree-normalized adjacency; sink nodes pass nothing on.
     Defined for every graph.
     """
-    _check_alpha_mode(g, alpha)
+    coerce(g.mode, alpha, "decay parameter")
     if not 0 <= alpha < 1:
         raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
-    return _solve_damped(g, alpha, _rational_transition, transition_matrix)
+    return _solve_damped(g, alpha, distributed=True)
 
 
 def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
@@ -239,13 +199,13 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
     the graph's largest component eigenvalue; the Neumann series diverges at
     the boundary and the solve becomes meaningless past it.
     """
-    _check_alpha_mode(g, alpha)
+    coerce(g.mode, alpha, "decay parameter")
     if alpha < 0:
         raise DomainError(f"katz needs alpha >= 0, got {alpha}")
     verdict = classify(g, GraphClass(ClassTag.KATZ, alpha))
     if not verdict:
         raise DomainError(f"graph is outside the katz class: {verdict.reason}")
-    return _solve_damped(g, alpha, _rational_adjacency, adjacency_matrix)
+    return _solve_damped(g, alpha, distributed=False)
 
 
 def katz_prestige(g: Graph) -> CentralityVector:
@@ -262,10 +222,7 @@ def katz_prestige(g: Graph) -> CentralityVector:
     part = strongly_connected_components(g)
     out: dict[str, Weight] = {}
     for comp in part.components:
-        comp_weight = sum(
-            (g.node_weight(v) for v in comp),
-            Fraction(0) if g.mode is Mode.RATIONAL else 0.0,
-        )
+        comp_weight = sum((g.node_weight(v) for v in comp), zero(g.mode))
         for v, share in zip(comp, _stationary_distribution(g, comp)):
             out[v] = share * comp_weight
     return CentralityVector({v: out[v] for v in g.node_ids}, g.mode)
@@ -282,7 +239,7 @@ def _stationary_distribution(g: Graph, comp: list[str]) -> list[Weight]:
     if n == 1:
         return [Fraction(1) if g.mode is Mode.RATIONAL else 1.0]
     if g.mode is Mode.RATIONAL:
-        m = _rational_transition(g, comp)
+        m = _rational_matrix(g, comp, distributed=True)
         rows = [
             [(Fraction(1) if i == j else Fraction(0)) - m[i][j] for j in range(n)]
             for i in range(n - 1)
@@ -315,7 +272,7 @@ def eigenvector_centrality(g: Graph) -> CentralityVector:
     verdict = classify(g, GraphClass(ClassTag.EV))
     if not verdict:
         raise DomainError(f"graph is outside the eigenvector class: {verdict.reason}")
-    data = spectral_data(g)
+    data = verdict.spectra
     out: dict[str, float] = {}
     for comp, x, y in zip(data.components, data.right_vectors, data.left_vectors):
         b = _node_weight_vector(g, comp)
@@ -342,34 +299,23 @@ def recursion_residual(
     kind = measure.kind
     if kind is MeasureKind.EIGENVECTOR:
         data = spectral_data(g)
-        lam_of = {
-            v: data.values[i]
-            for i, comp in enumerate(data.components)
-            for v in comp
-        }
+        lam_of = {v: lam for comp, lam in zip(data.components, data.values) for v in comp}
+        floats = {v: float(x) for v, x in values.items()}
+        flow = in_flow(g, floats, distributed=False)
         res: dict[str, Weight] = {}
         for v in g.node_ids:
             lam = lam_of[v]
             if lam <= 0:
                 raise DomainError(f"component of {v!r} has eigenvalue 0")
-            acc = 0.0
-            for u, w in g.in_edges(v):
-                acc += float(w) * float(values[u])
-            res[v] = float(values[v]) - acc / lam
+            res[v] = floats[v] - flow[v] / lam
         return res
 
     distributed = kind in (MeasureKind.PAGERANK, MeasureKind.KATZ_PRESTIGE)
-    damped = kind in PARAMETRIC_KINDS
+    flow = in_flow(g, values, distributed)
     res = {}
     for v in g.node_ids:
-        zero: Weight = Fraction(0) if g.mode is Mode.RATIONAL else 0.0
-        acc = zero
-        for u, w in g.in_edges(v):
-            term = w * values[u]
-            if distributed:
-                term /= g.out_degree(u)
-            acc += term
-        if damped:
+        acc = flow[v]
+        if kind in PARAMETRIC_KINDS:
             acc = measure.alpha * acc + g.node_weight(v)
         res[v] = values[v] - acc
     return res

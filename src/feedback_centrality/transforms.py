@@ -26,10 +26,12 @@ from .graph import (
     Graph,
     Mode,
     Weight,
+    coerce,
     opposite_graph,
     out_regularity,
     semi_out_regularity,
     strongly_connected_components,
+    zero,
 )
 from .measures import (
     PARAMETRIC_KINDS,
@@ -40,18 +42,6 @@ from .measures import (
 
 #: Default ceiling for the integer scale of an impact multigraph.
 DEFAULT_SCALE_CAP = 10**6
-
-
-def _coerce_scalar(g: Graph, value: Weight, what: str) -> Weight:
-    if g.mode is Mode.RATIONAL:
-        if isinstance(value, float):
-            raise TypeError(f"rational-mode graph given a float {what}")
-        return Fraction(value)
-    return float(value)
-
-
-def _zero(mode: Mode) -> Weight:
-    return Fraction(0) if mode is Mode.RATIONAL else 0.0
 
 
 # -- proportional combining ---------------------------------------------------
@@ -73,8 +63,8 @@ def proportional_combine(
     g._require_node(w)
     if u == w:
         raise DomainError(f"cannot combine node {u!r} with itself")
-    vu = _coerce_scalar(g, value_u, "combining value")
-    vw = _coerce_scalar(g, value_w, "combining value")
+    vu = coerce(g.mode, value_u, "combining value")
+    vw = coerce(g.mode, value_w, "combining value")
     if vu < 0 or vw < 0:
         raise DomainError("combining values must be non-negative")
     total = vu + vw
@@ -83,12 +73,6 @@ def proportional_combine(
     share_u = vu / total
     share_w = vw / total
 
-    out = Graph(g.mode)
-    for n, wt in g.node_weights().items():
-        if n == u:
-            continue
-        out.add_node(n, wt + g.node_weight(u) if n == w else wt)
-
     merged: dict[tuple[str, str], Weight] = {}
     for a, b, wt in g.edges():
         if a == u:
@@ -96,11 +80,16 @@ def proportional_combine(
         elif a == w:
             wt = wt * share_w
         key = (w if a == u else a, w if b == u else b)
-        merged[key] = merged.get(key, _zero(g.mode)) + wt
-    for (a, b), wt in merged.items():
-        if wt != 0:
-            out.add_edge(a, b, wt)
-    return out
+        merged[key] = merged.get(key, zero(g.mode)) + wt
+    return Graph.build(
+        (
+            (n, wt + g.node_weight(u) if n == w else wt)
+            for n, wt in g.node_weights().items()
+            if n != u
+        ),
+        ((a, b, wt) for (a, b), wt in merged.items() if wt != 0),
+        g.mode,
+    )
 
 
 def combine_groups(
@@ -132,15 +121,14 @@ def combine_groups(
 def edge_multiplication(g: Graph, u: str, factor: Weight) -> Graph:
     """Scale every out-edge of u (self-loop included) by a positive factor."""
     g._require_node(u)
-    factor = _coerce_scalar(g, factor, "factor")
+    factor = coerce(g.mode, factor, "factor")
     if factor <= 0:
         raise DomainError(f"edge multiplication needs a factor > 0, got {factor}")
-    out = Graph(g.mode)
-    for n, wt in g.node_weights().items():
-        out.add_node(n, wt)
-    for a, b, wt in g.edges():
-        out.add_edge(a, b, wt * factor if a == u else wt)
-    return out
+    return Graph.build(
+        g.node_weights().items(),
+        ((a, b, wt * factor if a == u else wt) for a, b, wt in g.edges()),
+        g.mode,
+    )
 
 
 def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
@@ -154,19 +142,22 @@ def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
     by scaling u's value only.
     """
     g._require_node(u)
-    factor = _coerce_scalar(g, factor, "factor")
+    factor = coerce(g.mode, factor, "factor")
     if factor <= 0:
         raise DomainError(f"edge compensation needs a factor > 0, got {factor}")
-    out = Graph(g.mode)
-    for n, wt in g.node_weights().items():
-        out.add_node(n, wt / factor if n == u else wt)
-    for a, b, wt in g.edges():
+
+    def compensated(a: str, b: str, wt: Weight) -> Weight:
         if a == u and b != u:
-            wt = wt * factor
-        elif b == u and a != u:
-            wt = wt / factor
-        out.add_edge(a, b, wt)
-    return out
+            return wt * factor
+        if b == u and a != u:
+            return wt / factor
+        return wt
+
+    return Graph.build(
+        ((n, wt / factor if n == u else wt) for n, wt in g.node_weights().items()),
+        ((a, b, compensated(a, b, wt)) for a, b, wt in g.edges()),
+        g.mode,
+    )
 
 
 # -- regularization -----------------------------------------------------------
@@ -179,12 +170,11 @@ def out_degree_normalize(g: Graph) -> Graph:
     measures are untouched: the transition matrix is unchanged entry by
     entry.
     """
-    out = Graph(g.mode)
-    for n, wt in g.node_weights().items():
-        out.add_node(n, wt)
-    for a, b, wt in g.edges():
-        out.add_edge(a, b, wt / g.out_degree(a))
-    return out
+    return Graph.build(
+        g.node_weights().items(),
+        ((a, b, wt / g.out_degree(a)) for a, b, wt in g.edges()),
+        g.mode,
+    )
 
 
 def ec_regularize(g: Graph) -> Graph:
@@ -207,12 +197,11 @@ def ec_regularize(g: Graph) -> Graph:
             "regularization needs positive reverse eigenvector values; "
             "some component has zero total node weight"
         )
-    out = Graph(Mode.FLOAT)
-    for n, wt in g.node_weights().items():
-        out.add_node(n, wt * r[n])
-    for a, b, wt in g.edges():
-        out.add_edge(a, b, wt * r[b] / r[a])
-    return out
+    return Graph.build(
+        ((n, wt * r[n]) for n, wt in g.node_weights().items()),
+        ((a, b, wt * r[b] / r[a]) for a, b, wt in g.edges()),
+        Mode.FLOAT,
+    )
 
 
 # -- impacts and the cycle pipeline -------------------------------------------
@@ -442,10 +431,10 @@ def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
         x, y, z = (float(t) for t in (spec.source_value, spec.edge_weight, spec.out_degree))
     g = Graph(mode)
     g.add_node("src", x)
-    g.add_node("tgt", _zero(mode))
+    g.add_node("tgt", zero(mode))
     rest = z - y
     if rest > 0:
-        g.add_node("rest", _zero(mode))
+        g.add_node("rest", zero(mode))
     g.add_edge("src", "tgt", y)
     if rest > 0:
         g.add_edge("src", "rest", rest)

@@ -31,19 +31,20 @@ import numpy as np
 
 from .errors import DomainError
 from .graph import (
+    KATZ_MARGIN,
     Graph,
     Mode,
     Weight,
     adjacency_matrix,
-    is_strongly_connected,
+    coerce,
+    in_flow,
     principal_eigenvalue,
+    spectral_data,
+    strongly_connected_components,
     transition_matrix,
 )
-from .linalg import perron_triple, solve_refined
+from .linalg import solve_refined
 from .measures import Measure, MeasureKind
-
-#: Katz-side admissibility margin, matching the graph-class margin.
-PARALLEL_MARGIN = 1e-6
 
 
 class ProcessKind(enum.Enum):
@@ -84,11 +85,12 @@ class SeriesAccumulator:
     cesaro: dict[str, Weight] | None
 
 
-def _check_alpha(g: Graph, alpha: Weight) -> None:
-    if g.mode is Mode.RATIONAL and isinstance(alpha, float):
-        raise TypeError("rational-mode process given a float decay parameter")
+def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> None:
+    coerce(g.mode, alpha, "decay parameter")
     if alpha < 0:
         raise DomainError(f"decay parameter must be non-negative, got {alpha}")
+    if steps < 0:
+        raise DomainError("step count must be >= 0")
 
 
 def _step_matrix(g: Graph, kind: ProcessKind) -> np.ndarray:
@@ -108,31 +110,20 @@ def _step_matrix(g: Graph, kind: ProcessKind) -> np.ndarray:
 
 
 def initial_state(g: Graph, kind: ProcessKind, alpha: Weight) -> ProcessState:
-    _check_alpha(g, alpha)
+    _check_args(g, alpha)
     return ProcessState(kind, alpha, 0, g.node_weights())
 
 
 def step(g: Graph, state: ProcessState) -> ProcessState:
     """Advance one step in the graph's numeric mode (exact for rational)."""
-    distributed = state.kind is ProcessKind.DISTRIBUTED
-    zero: Weight = Fraction(0) if g.mode is Mode.RATIONAL else 0.0
-    nxt: dict[str, Weight] = {}
-    for v in g.node_ids:
-        acc = zero
-        for u, w in g.in_edges(v):
-            share = w * state.amounts[u]
-            if distributed:
-                share /= g.out_degree(u)
-            acc += share
-        nxt[v] = state.alpha * acc
+    flow = in_flow(g, state.amounts, state.kind is ProcessKind.DISTRIBUTED)
+    nxt = {v: state.alpha * acc for v, acc in flow.items()}
     return ProcessState(state.kind, state.alpha, state.t + 1, nxt)
 
 
 def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> SeriesAccumulator:
     """Run the process for ``steps`` steps, accumulating the partial sum."""
-    _check_alpha(g, alpha)
-    if steps < 0:
-        raise DomainError("step count must be >= 0")
+    _check_args(g, alpha, steps)
     order = g.node_ids
 
     if g.mode is Mode.RATIONAL:
@@ -166,9 +157,7 @@ def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> li
     For the distributed process with alpha = 1 on a sink-free graph this
     sequence is constant — exactly so in rational mode.
     """
-    _check_alpha(g, alpha)
-    if steps < 0:
-        raise DomainError("step count must be >= 0")
+    _check_args(g, alpha, steps)
     if g.mode is Mode.RATIONAL:
         state = initial_state(g, kind, alpha)
         totals = [state.total()]
@@ -199,7 +188,7 @@ def geometric_tail_bound(
     majorizes the step (alpha*A^T z = z - 1 <= theta*z with theta =
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
     """
-    _check_alpha(g, alpha)
+    _check_args(g, alpha)
     order = g.node_ids
     b = np.array([float(g.node_weight(v)) for v in order])
 
@@ -211,20 +200,24 @@ def geometric_tail_bound(
         return {v: tail for v in order}
 
     a = float(alpha)
-    _lams, lam = principal_eigenvalue(g)
-    if a * lam > 1.0 - PARALLEL_MARGIN:
+    part = strongly_connected_components(g)
+    data = spectral_data(g, part)
+    if a * data.lam > 1.0 - KATZ_MARGIN:
         raise DomainError(
-            f"parallel tail bound needs alpha * lambda <= 1 - {PARALLEL_MARGIN:g}, "
-            f"got {a * lam:.12g}"
+            f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
+            f"got {a * data.lam:.12g}"
         )
     if a == 0.0:
         return {v: 0.0 for v in order}
 
-    if is_strongly_connected(g):
-        _x, y, lam_exact = perron_triple(adjacency_matrix(g))
-        rate = a * lam_exact
-        scale = rate ** (steps + 1) / (1.0 - rate) * float(y @ b)
-        return {v: scale / float(y[i]) for i, v in enumerate(order)}
+    if len(part.components) == 1 and part.strongly_connected[0]:
+        # The component lists the nodes in discovery order, not node order.
+        comp, y = data.components[0], data.left_vectors[0]
+        rate = a * data.lam
+        b_comp = np.array([float(g.node_weight(v)) for v in comp])
+        scale = rate ** (steps + 1) / (1.0 - rate) * float(y @ b_comp)
+        y_of = dict(zip(comp, y))
+        return {v: scale / float(y_of[v]) for v in order}
 
     at = adjacency_matrix(g).T
     z = solve_refined(np.eye(len(order)) - a * at, np.ones(len(order)))
@@ -268,9 +261,7 @@ def verify_recursion(
     * parallel, alpha*lambda within 1e-6 of 1     -> eigenvector, cesaro
     * anything else -> DomainError
     """
-    _check_alpha(g, alpha)
-    if steps < 0:
-        raise DomainError("step count must be >= 0")
+    _check_args(g, alpha, steps)
 
     if kind is ProcessKind.DISTRIBUTED:
         if alpha < 1:
@@ -286,10 +277,10 @@ def verify_recursion(
     else:
         _lams, lam = principal_eigenvalue(g)
         product = float(alpha) * lam
-        if product <= 1.0 - PARALLEL_MARGIN:
+        if product <= 1.0 - KATZ_MARGIN:
             measure = Measure(MeasureKind.KATZ, alpha)
             use_cesaro = False
-        elif abs(product - 1.0) <= PARALLEL_MARGIN:
+        elif abs(product - 1.0) <= KATZ_MARGIN:
             measure = Measure(MeasureKind.EIGENVECTOR)
             use_cesaro = True
         else:
@@ -305,18 +296,11 @@ def verify_recursion(
 
     vector = series.cesaro if use_cesaro else series.partial_sum
     assert vector is not None
-    distributed = kind is ProcessKind.DISTRIBUTED
+    flow = in_flow(g, vector, kind is ProcessKind.DISTRIBUTED)
 
     residual: dict[str, Weight] = {}
     for v in order:
-        zero: Weight = Fraction(0) if g.mode is Mode.RATIONAL else 0.0
-        acc = zero
-        for u, w in g.in_edges(v):
-            share = w * vector[u]
-            if distributed:
-                share /= g.out_degree(u)
-            acc += share
-        defect = vector[v] - alpha * acc
+        defect = vector[v] - alpha * flow[v]
         if not use_cesaro:
             defect -= g.node_weight(v)
         residual[v] = defect

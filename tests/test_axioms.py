@@ -259,6 +259,16 @@ class TestCycle:
         verdict = check_axiom(AxiomId(AxiomTag.CYCLE), PR_HALF, AxiomInstance(graph=tri_cycle()))
         assert not verdict.passed
 
+    def test_tiny_unequal_weights_are_not_constant(self):
+        g = Graph.build(
+            [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+            [("a", "b", 1e-12), ("b", "c", 3e-12), ("c", "a", 2e-12)],
+            Mode.FLOAT,
+        )
+        assert not is_constant_weight_cycle(g)
+        with pytest.raises(PreconditionError, match="cycle"):
+            check_axiom(AxiomId(AxiomTag.CYCLE), EV, AxiomInstance(graph=g))
+
     def test_non_cycles_are_malformed(self):
         bent = tri_cycle()
         bent.add_edge("a", "c", F(7))

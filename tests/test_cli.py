@@ -89,6 +89,18 @@ class TestCentrality:
         assert err.startswith("error:") and "line 3" in err
         assert "Traceback" not in err
 
+    def test_overflowing_transform_is_an_error_line(self, capsys, tmp_path):
+        # 1e300 * 1e10 overflows to inf, which no graph may carry
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e300\n")
+        code, out, err = run(
+            capsys, "transform", "em", "--input", str(big), "--mode", "float",
+            "--node", "a", "--factor", "1e10",
+        )
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "not finite" in err
+        assert "Traceback" not in err
+
     def test_unsolvable_perron_block_is_an_error_line(self, capsys, tmp_path):
         # lambda = 1, but dense eig returns eigenvalues 0, 0 for this 2-cycle
         # and a Perron vector with a zero entry: a typed error, not a crash
@@ -122,7 +134,32 @@ class TestSimulate:
         assert diag["recursion"]["limit_measure"] == "pagerank(0.85)"
         assert diag["recursion"]["series_field"] == "partial_sum"
         assert diag["tail_bound_max"] is not None
+        assert diag["tail_bound_omitted"] is None and diag["recursion_omitted"] is None
         assert float(diag["initial_total"]) == 1.0
+
+    def test_undamped_run_says_why_the_tail_bound_is_missing(self, capsys):
+        doc = run_json(
+            capsys, "simulate", "--input", DEMO5, "--mode", "float",
+            "--process", "distributed", "--alpha", "1", "--steps", "20",
+        )
+        diag = doc["diagnostics"]
+        keys = list(diag)
+        assert keys.index("tail_bound_omitted") == keys.index("tail_bound_max") + 1
+        assert keys.index("recursion_omitted") == keys.index("recursion") + 1
+        assert diag["tail_bound_max"] is None
+        assert diag["tail_bound_omitted"] == "distributed tail bound needs alpha < 1"
+        assert diag["recursion"]["limit_measure"] == "katz-prestige"
+        assert diag["recursion_omitted"] is None
+
+    def test_unmatched_decay_says_why_the_recursion_is_missing(self, capsys):
+        doc = run_json(
+            capsys, "simulate", "--input", DEMO5, "--mode", "float",
+            "--process", "parallel", "--alpha", "1", "--steps", "5",
+        )
+        diag = doc["diagnostics"]
+        assert diag["recursion"] is None
+        assert "matches no measure" in diag["recursion_omitted"]
+        assert "alpha * lambda" in diag["tail_bound_omitted"]
 
     def test_zero_steps_has_no_cesaro(self, capsys):
         doc = run_json(

@@ -17,6 +17,8 @@ from feedback_centrality import (
     adjacency_matrix,
     classify,
     delete_edge,
+    edge_multiplication,
+    eigenvector_centrality,
     format_weight,
     graph_sum,
     is_strongly_connected,
@@ -112,6 +114,21 @@ class TestGraphContainer:
         g = Graph(Mode.RATIONAL)
         with pytest.raises(TypeError):
             g.add_node("a", 0.5)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_float_weights_rejected(self, bad):
+        g = Graph(Mode.FLOAT)
+        with pytest.raises(GraphFormatError, match="not finite"):
+            g.add_node("a", bad)
+        g.add_node("a", 1.0)
+        with pytest.raises(GraphFormatError, match="not finite"):
+            g.add_edge("a", "a", bad)
+        assert g.num_edges == 0
+
+    def test_overflowing_rebuild_rejected(self):
+        g = build([("a", 1.0), ("b", 1.0)], [("a", "b", 1e300)], Mode.FLOAT)
+        with pytest.raises(GraphFormatError, match="not finite"):
+            edge_multiplication(g, "a", 1e10)
 
     def test_equality_ignores_insertion_order(self):
         g1 = build([("a", F(1)), ("b", F(1))], [("a", "b", F(1)), ("b", "a", F(2))])
@@ -236,6 +253,22 @@ class TestRegularity:
         ok, degree = semi_out_regularity(g)
         assert ok and degree == 2
 
+    def test_float_equality_is_relative_at_small_scale(self):
+        # out-degrees 1e-12, 3e-12, 2e-12 differ by a factor of 3; an
+        # absolute floor of 1e-9 used to call them equal
+        g = build(
+            [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+            [("a", "b", 1e-12), ("b", "c", 3e-12), ("c", "a", 2e-12)],
+            Mode.FLOAT,
+        )
+        assert out_regularity(g) is None
+        assert semi_out_regularity(g) == (False, None)
+        scaled = build(
+            [("a", 1.0), ("b", 1.0)], [("a", "b", 1e-12), ("b", "a", 1e-12 * (1 + 1e-12))],
+            Mode.FLOAT,
+        )
+        assert out_regularity(scaled) == 1e-12 * (1 + 1e-12)
+
     def test_semi_out_regularity_mixed_degrees(self):
         g = build(
             [("a", F(1)), ("b", F(1)), ("c", F(1))],
@@ -295,6 +328,17 @@ class TestClassification:
             [("a", "a", F(2)), ("b", "b", F(2))],
         )
         assert classify(g2, GraphClass(ClassTag.EV)).ok
+
+    def test_spectral_class_compares_small_eigenvalues_relatively(self):
+        g = build(
+            [("a", 1.0), ("b", 1.0)],
+            [("a", "a", 1e-12), ("b", "b", 3e-12)],
+            Mode.FLOAT,
+        )
+        verdict = classify(g, GraphClass(ClassTag.EV))
+        assert not verdict.ok and "differ" in verdict.reason
+        with pytest.raises(DomainError, match="eigenvector class"):
+            eigenvector_centrality(g)
 
     def test_decay_class_margin(self):
         g = build([("a", F(1))], [("a", "a", F(2))])  # spectral radius 2

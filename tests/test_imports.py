@@ -1,5 +1,7 @@
-"""Import-time guard: the package and its CLI load on numpy alone."""
+"""Import-time guards: the package and its CLI load on numpy alone, and
+every function the benchmark traces exists where the tracer looks for it."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -20,3 +22,12 @@ def test_import_pulls_in_neither_numba_nor_scipy():
         env=dict(os.environ, PYTHONPATH=str(SRC)),
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_traced_functions_resolve():
+    from perfbench.tracer import PACKAGE, traced_names
+
+    for qualname in traced_names():
+        mod_name, fn = qualname.split(".")
+        module = importlib.import_module(f"{PACKAGE}.{mod_name}")
+        assert callable(getattr(module, fn, None)), qualname

@@ -11,7 +11,6 @@ from feedback_centrality.linalg import (
     DENSE_EIG_LIMIT,
     gauss_rational,
     perron_triple,
-    perron_value,
     solve_refined,
 )
 from .oracles import dominant_eig
@@ -111,10 +110,6 @@ class TestPerron:
             perron_triple(np.array([[-1.0]]))
         with pytest.raises(DomainError):
             perron_triple(np.zeros((2, 3)))
-
-    def test_perron_value_shortcut(self):
-        a = np.array([[0.0, 1.0], [4.0, 0.0]])
-        assert perron_value(a) == pytest.approx(2.0, rel=1e-10)
 
 
 class TestSolveRefined:

@@ -1,5 +1,6 @@
 """The four measures: exact values, oracle agreement, class guards."""
 
+import sys
 from fractions import Fraction as F
 
 import numpy as np
@@ -162,6 +163,33 @@ class TestEigenvector:
         g.add_edge("b", "b", 2.0)
         with pytest.raises(DomainError):
             eigenvector_centrality(g)
+
+    def test_one_perron_solve_per_component(self, monkeypatch):
+        # two 2-cycles and a loop, all with eigenvalue 2: the class check's
+        # spectra are reused, and the singleton needs no solve at all
+        from feedback_centrality import linalg
+
+        original = linalg.perron_triple
+        sizes = []
+
+        def counting(a, *rest):
+            sizes.append(a.shape[0])
+            return original(a, *rest)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("feedback_centrality") and (
+                getattr(module, "perron_triple", None) is original
+            ):
+                monkeypatch.setattr(module, "perron_triple", counting)
+        g = Graph.build(
+            [(v, 1.0) for v in "abcde"],
+            [("a", "b", 2.0), ("b", "a", 2.0), ("c", "d", 2.0), ("d", "c", 2.0),
+             ("e", "e", 2.0)],
+            Mode.FLOAT,
+        )
+        values = eigenvector_centrality(g)
+        assert sizes == [2, 2]
+        assert values.values == pytest.approx(dict.fromkeys("abcde", 1.0), rel=1e-12)
 
 
 class TestMeasureFrontend:

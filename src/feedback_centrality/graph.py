@@ -230,12 +230,20 @@ class Graph:
     # -- copies and simple derived graphs ---------------------------------
 
     def to_float(self) -> "Graph":
-        """A FLOAT-mode copy (a plain copy if already float)."""
-        return Graph.build(
-            ((v, float(w)) for v, w in self._weights.items()),
-            ((u, v, float(w)) for u, v, w in self.edges()),
-            Mode.FLOAT,
-        )
+        """A FLOAT-mode copy (a plain copy if already float).
+
+        Raises ``GraphFormatError`` when a weight does not fit in a float.
+        """
+        try:
+            return Graph.build(
+                ((v, float(w)) for v, w in self._weights.items()),
+                ((u, v, float(w)) for u, v, w in self.edges()),
+                Mode.FLOAT,
+            )
+        except OverflowError:
+            raise GraphFormatError(
+                "graph has a weight that does not fit in a float"
+            ) from None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -423,14 +431,20 @@ def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     """Dense float adjacency A with A[i, j] = weight of edge order[j] -> order[i].
 
     Rows index the *target*: (A @ x)[v] sums c(u, v) * x[u] over predecessors
-    u of v, which is the shape every recursion here uses.
+    u of v, which is the shape every recursion here uses.  Raises
+    ``GraphFormatError`` when an edge weight does not fit in a float.
     """
     order = order if order is not None else g.node_ids
     pos = {v: i for i, v in enumerate(order)}
     a = np.zeros((len(order), len(order)))
-    for u, v, w in g.edges():
-        if u in pos and v in pos:
-            a[pos[v], pos[u]] = float(w)
+    try:
+        for u, v, w in g.edges():
+            if u in pos and v in pos:
+                a[pos[v], pos[u]] = float(w)
+    except OverflowError:
+        raise GraphFormatError(
+            f"weight of edge {u!r} -> {v!r} does not fit in a float"
+        ) from None
     return a
 
 

@@ -1,5 +1,6 @@
 """Numeric helpers: Perron pairs of non-negative matrices, refined dense
-solves, and exact Gaussian elimination over rationals.
+solves, and exact solves of rational systems by fraction-free (Bareiss)
+elimination on integers.
 
 For an irreducible non-negative A the eigenvalue with the largest real part
 is the simple Perron root, and its right and left eigenvectors are
@@ -16,6 +17,7 @@ accurate than the iteration's own normalization constant.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 import numpy as np
 
@@ -128,41 +130,50 @@ def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def gauss_rational(
-    a: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction]:
-    """Exact solve of a square rational system by Gaussian elimination.
+def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
+    """Exact solve of a square rational system by fraction-free elimination.
 
-    Pivots on the first non-zero entry in each column (exact arithmetic
-    needs no magnitude pivoting), so the result is deterministic.
+    Entries may be anything ``Fraction`` accepts (floats convert exactly).
+    Each augmented row is scaled to integers by the LCM of its denominators;
+    Bareiss elimination then updates the rows below pivot p as
+    (a*p - f*b) // p_prev, exact by Sylvester's identity, so no step takes a
+    gcd.  Pivots on the first non-zero entry in each column (exact
+    arithmetic needs no magnitude pivoting), so the result is deterministic.
+    The last pivot d is a determinant, so d * x is an integer vector that
+    back substitution finds without fractions.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(rhs) != n:
         raise DomainError("system dimensions do not match")
-    m = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(a, rhs)]
+    m = []
+    for row, r in zip(a, rhs):
+        row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*row, r)]
+        scale = lcm(*(v.denominator for v in row))
+        m.append([v.numerator * (scale // v.denominator) for v in row])
 
+    prev = 1
     for col in range(n):
-        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        pivot_row = next((r for r in range(col, n) if m[r][col]), None)
         if pivot_row is None:
             raise SingularMatrixError(f"no pivot in column {col}")
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
-        prow = m[col]
-        pivot = prow[col]
-        for r in range(col + 1, n):
-            factor = m[r][col]
-            if factor:
-                factor /= pivot
-                row = m[r]
-                for c in range(col, n + 1):
-                    row[c] -= factor * prow[c]
+        p = m[col][col]
+        tail = m[col][col + 1 :]
+        for row in m[col + 1 :]:
+            f, rest = row[col], row[col + 1 :]
+            if f:
+                row[col + 1 :] = [(v * p - f * b) // prev for v, b in zip(rest, tail)]
+            else:
+                row[col + 1 :] = [v * p // prev for v in rest]
+        prev = p
 
-    x = [Fraction(0)] * n
+    y = [0] * n
     for r in range(n - 1, -1, -1):
-        acc = m[r][n]
         row = m[r]
+        acc = prev * row[n]
         for c in range(r + 1, n):
             if row[c]:
-                acc -= row[c] * x[c]
-        x[r] = acc / row[r]
-    return x
+                acc -= row[c] * y[c]
+        y[r] = acc // row[r]
+    return [Fraction(v, prev) for v in y]

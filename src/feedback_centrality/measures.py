@@ -142,19 +142,19 @@ def _node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
 # -- linear-system measures ---------------------------------------------------
 
 
-def _rational_matrix(
-    g: Graph, order: list[str], distributed: bool
-) -> list[list[Fraction]]:
-    """Exact counterpart of ``transition_matrix`` (distributed) or
-    ``adjacency_matrix``."""
+def _rational_system(
+    g: Graph, order: list[str], alpha: Weight, distributed: bool
+) -> list[list[Weight]]:
+    """Exact rows of I - alpha * M over ``order``, M the transition matrix
+    (distributed) or the adjacency, built from the edge list: one update per
+    edge inside ``order``, each divided by the node's full out-degree in g."""
     pos = {v: i for i, v in enumerate(order)}
-    m = [[Fraction(0)] * len(order) for _ in order]
+    rows: list[list[Weight]] = [[int(u == v) for u in order] for v in order]
     for u, v, w in g.edges():
         if u in pos and v in pos:
-            m[pos[v]][pos[u]] = (
-                Fraction(w) / Fraction(g.out_degree(u)) if distributed else Fraction(w)
-            )
-    return m
+            c = alpha * w
+            rows[pos[v]][pos[u]] -= c / g.out_degree(u) if distributed else c
+    return rows
 
 
 def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVector:
@@ -162,17 +162,8 @@ def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVecto
     transition matrix when ``distributed``, else the adjacency."""
     order = g.node_ids
     if g.mode is Mode.RATIONAL:
-        a = Fraction(alpha)
-        m = _rational_matrix(g, order, distributed)
-        rows = [
-            [
-                (Fraction(1) if i == j else Fraction(0)) - a * m[i][j]
-                for j in range(len(order))
-            ]
-            for i in range(len(order))
-        ]
-        rhs = [Fraction(g.node_weight(v)) for v in order]
-        x = gauss_rational(rows, rhs)
+        rows = _rational_system(g, order, alpha, distributed)
+        x = gauss_rational(rows, [g.node_weight(v) for v in order])
         return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
     m_float = transition_matrix if distributed else adjacency_matrix
     k = np.eye(len(order)) - float(alpha) * m_float(g, order)
@@ -239,14 +230,9 @@ def _stationary_distribution(g: Graph, comp: list[str]) -> list[Weight]:
     if n == 1:
         return [Fraction(1) if g.mode is Mode.RATIONAL else 1.0]
     if g.mode is Mode.RATIONAL:
-        m = _rational_matrix(g, comp, distributed=True)
-        rows = [
-            [(Fraction(1) if i == j else Fraction(0)) - m[i][j] for j in range(n)]
-            for i in range(n - 1)
-        ]
-        rows.append([Fraction(1)] * n)
-        rhs = [Fraction(0)] * (n - 1) + [Fraction(1)]
-        return gauss_rational(rows, rhs)
+        rows = _rational_system(g, comp, 1, distributed=True)
+        rows[n - 1] = [1] * n
+        return gauss_rational(rows, [0] * (n - 1) + [1])
     k = np.eye(n) - transition_matrix(g, comp)
     k[n - 1, :] = 1.0
     rhs = np.zeros(n)

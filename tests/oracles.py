@@ -3,8 +3,9 @@
 Everything here recomputes results through a different route than the
 library: explicit walk enumeration instead of state-vector iteration, dense
 numpy eigendecomposition instead of power iteration, least-squares
-stationary vectors instead of the replaced-row solve, and networkx for
-component structure.  Tests compare the two routes; neither side borrows
+stationary vectors instead of the replaced-row solve, Gaussian elimination
+over ``Fraction`` instead of fraction-free integer elimination, and networkx
+for component structure.  Tests compare the two routes; neither side borrows
 code from the other.
 """
 
@@ -15,7 +16,7 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from feedback_centrality import Graph, Mode, Weight
+from feedback_centrality import DomainError, Graph, Mode, SingularMatrixError, Weight
 
 
 def _zero(g: Graph) -> Weight:
@@ -158,3 +159,43 @@ def damped_oracle(g: Graph, alpha: float, distributed: bool) -> dict[str, float]
     b = np.array([float(g.node_weight(v)) for v in order])
     x = np.linalg.solve(np.eye(n) - alpha * w, b)
     return {v: float(x[idx[v]]) for v in order}
+
+
+def fraction_gauss(
+    a: list[list[Fraction]], rhs: list[Fraction]
+) -> list[Fraction]:
+    """Exact solve of a square rational system by Gaussian elimination.
+
+    Pivots on the first non-zero entry in each column (exact arithmetic
+    needs no magnitude pivoting), so the result is deterministic.
+    """
+    n = len(a)
+    if any(len(row) != n for row in a) or len(rhs) != n:
+        raise DomainError("system dimensions do not match")
+    m = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(a, rhs)]
+
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if m[r][col] != 0), None)
+        if pivot_row is None:
+            raise SingularMatrixError(f"no pivot in column {col}")
+        if pivot_row != col:
+            m[col], m[pivot_row] = m[pivot_row], m[col]
+        prow = m[col]
+        pivot = prow[col]
+        for r in range(col + 1, n):
+            factor = m[r][col]
+            if factor:
+                factor /= pivot
+                row = m[r]
+                for c in range(col, n + 1):
+                    row[c] -= factor * prow[c]
+
+    x = [Fraction(0)] * n
+    for r in range(n - 1, -1, -1):
+        acc = m[r][n]
+        row = m[r]
+        for c in range(r + 1, n):
+            if row[c]:
+                acc -= row[c] * x[c]
+        x[r] = acc / row[r]
+    return x

@@ -89,6 +89,27 @@ class TestCentrality:
         assert err.startswith("error:") and "line 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("centrality", "--measure", "pr"),
+            ("centrality", "--measure", "kp"),
+            ("centrality", "--measure", "katz", "--alpha", "1/10"),
+            ("classify",),
+        ],
+        ids=["pr", "kp", "katz", "classify"],
+    )
+    def test_rational_weight_beyond_float_range_is_an_error_line(
+        self, capsys, tmp_path, argv
+    ):
+        # exact in rational mode, but the spectral diagnostics need floats
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n")
+        code, out, err = run(capsys, *argv, "--input", str(big))
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "does not fit in a float" in err
+        assert "Traceback" not in err
+
     def test_overflowing_transform_is_an_error_line(self, capsys, tmp_path):
         # 1e300 * 1e10 overflows to inf, which no graph may carry
         big = tmp_path / "big.dg"

@@ -294,6 +294,13 @@ class TestMatrices:
         m = transition_matrix(g)
         assert m[:, 1].sum() == 0.0
 
+    def test_rational_weight_beyond_float_range_is_a_format_error(self):
+        g = build([("a", F(1)), ("b", F(1))], [("a", "b", F(10) ** 400), ("b", "a", F(1))])
+        with pytest.raises(GraphFormatError, match="edge 'a' -> 'b' does not fit"):
+            adjacency_matrix(g)
+        with pytest.raises(GraphFormatError, match="does not fit in a float"):
+            g.to_float()
+
 
 class TestClassification:
     def test_all_class_admits_everything(self, demo5):

@@ -1,9 +1,11 @@
-"""Perron solver and the two Gaussian-elimination paths."""
+"""Perron solver, the refined float solve and exact rational elimination."""
 
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from feedback_centrality import ConvergenceError, DomainError, SingularMatrixError
 from feedback_centrality import linalg
@@ -13,7 +15,7 @@ from feedback_centrality.linalg import (
     perron_triple,
     solve_refined,
 )
-from .oracles import dominant_eig
+from .oracles import dominant_eig, fraction_gauss
 
 
 def random_irreducible(rng, n):
@@ -136,6 +138,27 @@ class TestSolveRefined:
             solve_refined(a, np.ones(2))
 
 
+@st.composite
+def rational_systems(draw):
+    """Square rational systems with n = 1..12: negative entries, zeros (so
+    leading pivots are often zero and force row swaps), some rows
+    integer-only, and sometimes a row that is a combination of two others."""
+    n = draw(st.integers(1, 12))
+    nums = draw(st.lists(st.integers(-9, 9), min_size=n * n + n, max_size=n * n + n))
+    dens = draw(st.lists(st.integers(1, 12), min_size=n * n + n, max_size=n * n + n))
+    integer_rows = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    cells = [F(p, q) for p, q in zip(nums, dens)]
+    a = [
+        [F(p.numerator) if integer_rows[i] else p for p in cells[i * n : i * n + n]]
+        for i in range(n)
+    ]
+    if n >= 3 and draw(st.integers(0, 3)) == 0:
+        i, j, k = draw(st.permutations(range(n)))[:3]
+        s, t = cells[n * n], cells[n * n + 1]
+        a[k] = [s * u + t * v for u, v in zip(a[i], a[j])]
+    return a, cells[n * n :]
+
+
 class TestGaussRational:
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_solutions(self, seed):
@@ -151,13 +174,51 @@ class TestGaussRational:
         assert x == x_true
 
     def test_pivoting_handles_zero_leading_entry(self):
-        a = [[F(0), F(1)], [F(1), F(0)]]
-        assert gauss_rational(a, [F(3), F(5)]) == [F(5), F(3)]
+        # every entry type the solver accepts; a float converts exactly
+        for entry, b, x in (
+            (int, 5, F(5)),
+            (F, F(5, 7), F(5, 7)),
+            (float, 0.1, F(0.1)),
+            (str, "5/7", F(5, 7)),
+        ):
+            a = [[entry(0), entry(1)], [entry(1), entry(0)]]
+            assert gauss_rational(a, [entry(3), b]) == [x, F(3)]
 
     def test_singular_raises(self):
-        a = [[F(1), F(2)], [F(2), F(4)]]
-        with pytest.raises(SingularMatrixError):
-            gauss_rational(a, [F(1), F(1)])
+        for entry in (int, F, float, str):
+            a = [[entry(1), entry(2)], [entry(2), entry(4)]]
+            with pytest.raises(SingularMatrixError):
+                gauss_rational(a, [entry(1), entry(1)])
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([[F(1), F(2)]], [F(1)]),
+            ([[F(1), F(2)], [F(3)]], [F(1), F(1)]),
+            ([[F(1), F(0)], [F(0), F(1)]], [F(1)]),
+        ],
+        ids=["not-square", "ragged", "short-rhs"],
+    )
+    def test_mismatched_dimensions_raise(self, a, b):
+        with pytest.raises(DomainError, match="dimensions"):
+            gauss_rational(a, b)
+
+    @given(rational_systems())
+    @settings(max_examples=150, deadline=None)
+    @example(([[F(0), F(2)], [F(-3, 2), F(1)]], [F(1), F(-1)]))  # zero leading pivot
+    @example(([[F(0), F(0), F(1)], [F(0), F(1), F(1)], [F(1), F(1), F(1)]],
+              [F(1), F(2), F(3)]))  # a swap in every column
+    @example(([[F(2), F(-4)], [F(-1), F(2)]], [F(1), F(1)]))  # rank-deficient
+    @example(([[F(3), F(5)], [F(7), F(-2)]], [F(4), F(0)]))  # integer rows
+    def test_matches_fraction_elimination(self, system):
+        a, b = system
+        try:
+            expected = fraction_gauss(a, b)
+        except SingularMatrixError as exc:
+            with pytest.raises(SingularMatrixError, match=str(exc)):
+                gauss_rational(a, b)
+            return
+        assert gauss_rational(a, b) == expected
 
     def test_agrees_with_float_solver(self):
         rng = np.random.default_rng(3)

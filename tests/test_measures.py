@@ -1,11 +1,12 @@
 """The four measures: exact values, oracle agreement, class guards."""
 
+import math
 import sys
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from feedback_centrality import (
     DomainError,
@@ -15,14 +16,18 @@ from feedback_centrality import (
     Measure,
     MeasureKind,
     Mode,
+    adjacency_matrix,
     eigenvector_centrality,
     generate,
     katz_centrality,
     katz_prestige,
     pagerank,
+    principal_eigenvalue,
     recursion_residual,
     spectral_data,
+    transition_matrix,
 )
+from feedback_centrality.measures import _rational_system
 from .oracles import damped_oracle, ev_oracle, stationary_oracle
 from .strategies import rational_graphs, strongly_connected_graphs
 
@@ -37,6 +42,25 @@ def two_cycle(mode=Mode.RATIONAL):
     g.add_node("b", one)
     g.add_edge("a", "b", one)
     g.add_edge("b", "a", one)
+    return g
+
+
+def looped_components(cross: bool) -> Graph:
+    """Strongly connected components {a, b}, {c, d, e} and {f}, with
+    self-loops on a, d and f; ``cross`` adds edges a -> c, b -> e, e -> f
+    between them."""
+    g = Graph(Mode.RATIONAL)
+    for v, b in zip("abcdef", (F(1, 2), F(1), F(2), F(1, 3), F(0), F(3))):
+        g.add_node(v, b)
+    edges = [
+        ("a", "a", F(1, 2)), ("a", "b", F(2)), ("b", "a", F(1, 3)),
+        ("c", "d", F(1)), ("d", "e", F(1, 2)), ("e", "c", F(3)), ("d", "d", F(2)),
+        ("f", "f", F(1, 3)),
+    ]
+    if cross:
+        edges += [("a", "c", F(1)), ("b", "e", F(1, 2)), ("e", "f", F(2))]
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
     return g
 
 
@@ -67,9 +91,22 @@ class TestStationary:
             assert float(ours[v]) == pytest.approx(ref[v], abs=1e-9)
 
     def test_exact_recursion_defect_is_zero(self, demo5):
-        values = katz_prestige(demo5)
-        residual = recursion_residual(demo5, Measure(MeasureKind.KATZ_PRESTIGE), values.values)
-        assert all(r == 0 for r in residual.values())
+        for g in (demo5, looped_components(False)):
+            values = katz_prestige(g)
+            residual = recursion_residual(g, Measure(MeasureKind.KATZ_PRESTIGE), values.values)
+            assert all(r == 0 for r in residual.values())
+
+    @pytest.mark.parametrize("distributed", [True, False])
+    def test_component_system_divides_by_full_out_degree(self, distributed):
+        # a and b also have edges leaving {a, b}: the exact system over the
+        # component keeps the float matrices' full out-degree divisor
+        g = looped_components(True)
+        alpha = F(1, 3)
+        m = transition_matrix if distributed else adjacency_matrix
+        for order in (["a", "b"], g.node_ids):
+            rows = _rational_system(g, order, alpha, distributed)
+            expected = np.eye(len(order)) - float(alpha) * m(g, order)
+            np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=1e-15)
 
 
 class TestDamped:
@@ -124,10 +161,17 @@ class TestDamped:
 
     @given(rational_graphs(max_nodes=5, positive_bias=True))
     @settings(max_examples=60, deadline=None)
+    @example(looped_components(True))
     def test_exact_recursion_defect_is_zero(self, g):
-        values = pagerank(g, F(3, 10))
-        residual = recursion_residual(g, Measure(MeasureKind.PAGERANK, F(3, 10)), values.values)
-        assert all(r == 0 for r in residual.values())
+        lam = principal_eigenvalue(g)[1]
+        katz_alpha = F(1, 2 * max(1, math.ceil(lam)))  # alpha * lambda <= 1/2
+        for measure in (
+            Measure(MeasureKind.PAGERANK, F(3, 10)),
+            Measure(MeasureKind.KATZ, katz_alpha),
+        ):
+            values = measure.compute(g)
+            residual = recursion_residual(g, measure, values.values)
+            assert all(r == 0 for r in residual.values())
 
 
 class TestEigenvector:

@@ -683,6 +683,10 @@ def _build_instance(
         return AxiomInstance(g, edge=chosen)
 
     if tag is AxiomTag.NODE_COMBINATION:
+        if len(g) < 2:
+            raise DomainError(
+                f"node combination needs a graph of at least 2 nodes, the corpus drew {len(g)}"
+            )
         u, w = rng.sample(g.node_ids, 2)
         return AxiomInstance(g, nodes=(u, w))
 
@@ -743,7 +747,6 @@ def run_cell(
     trials: int,
     tol: float,
     rng: random.Random,
-    shrink: bool = True,
 ) -> CellResult:
     attempts = admissible = passed = failed = skipped = 0
     max_dev = 0.0
@@ -767,11 +770,8 @@ def run_cell(
             continue
         failed += 1
         if witness is None:
-            shrunk = (
-                shrink_instance(axiom, measure, instance, tol) if shrink else instance
-            )
-            witness = shrunk
-            witness_verdict = check_axiom(axiom, measure, shrunk, tol)
+            witness = shrink_instance(axiom, measure, instance, tol)
+            witness_verdict = check_axiom(axiom, measure, witness, tol)
 
     if admissible == 0:
         status = CellStatus.SKIPPED
@@ -802,7 +802,6 @@ def satisfaction_matrix(
     trials: int = 200,
     tol: float = AXIOM_TOL,
     seed: int = 0,
-    shrink: bool = True,
     axioms: list[AxiomId] | None = None,
     measures: dict[MeasureKind, Measure] | None = None,
 ) -> MatrixReport:
@@ -825,13 +824,14 @@ def satisfaction_matrix(
     for axiom in axioms:
         for kind, measure in measures.items():
             rng = random.Random(f"{seed}/{axiom.label()}/{kind.value}")
-            cells[(axiom.tag, kind)] = run_cell(
-                axiom, measure, corpus_map, trials, tol, rng, shrink
-            )
+            cells[(axiom.tag, kind)] = run_cell(axiom, measure, corpus_map, trials, tol, rng)
     return MatrixReport(cells, trials, tol, seed)
 
 
 # -- witness shrinking ---------------------------------------------------------
+
+#: Accepted removals after which ``shrink_instance`` stops.
+SHRINK_MAX_STEPS = 200
 
 
 def _remove_node(g: Graph, victim: str) -> Graph:
@@ -876,18 +876,17 @@ def shrink_instance(
     measure: Measure,
     instance: AxiomInstance,
     tol: float = AXIOM_TOL,
-    max_steps: int = 200,
 ) -> AxiomInstance:
     """Greedy minimization of a failing instance.
 
     Repeatedly tries single node/edge removals, keeping any that leave the
     instance well-formed, admissible, and still failing; stops after
-    ``max_steps`` accepted removals or a full pass with no progress.
+    ``SHRINK_MAX_STEPS`` accepted removals or a full pass with no progress.
     """
     current = instance
     steps = 0
     progress = True
-    while progress and steps < max_steps:
+    while progress and steps < SHRINK_MAX_STEPS:
         progress = False
         for candidate in _shrink_candidates(axiom, current):
             try:

@@ -102,9 +102,12 @@ class Graph:
     and matrix layouts follow it, which keeps every downstream computation
     deterministic.  Treat instances as immutable once built — transforms
     return new graphs.
+
+    Derived structure (out-degrees, SCC partition, spectral data) is computed
+    once and shared, read-only like the graph; ``add_node``/``add_edge`` clear it.
     """
 
-    __slots__ = ("mode", "_weights", "_edges", "_out", "_in", "_outdeg")
+    __slots__ = ("mode", "_weights", "_edges", "_out", "_in", "_memo")
 
     def __init__(self, mode: Mode = Mode.RATIONAL):
         self.mode = mode
@@ -112,7 +115,7 @@ class Graph:
         self._edges: dict[tuple[str, str], Weight] = {}
         self._out: dict[str, dict[str, Weight]] = {}
         self._in: dict[str, dict[str, Weight]] = {}
-        self._outdeg: dict[str, Weight] | None = None
+        self._memo: dict = {}
 
     # -- construction ----------------------------------------------------
 
@@ -127,7 +130,7 @@ class Graph:
         self._weights[v] = weight
         self._out[v] = {}
         self._in[v] = {}
-        self._outdeg = None
+        self._memo.clear()
 
     def add_edge(self, u: str, v: str, weight: Weight) -> None:
         for endpoint in (u, v):
@@ -141,7 +144,15 @@ class Graph:
         self._edges[(u, v)] = weight
         self._out[u][v] = weight
         self._in[v][u] = weight
-        self._outdeg = None
+        self._memo.clear()
+
+    def _derived(self, compute):
+        """``compute(self)``, computed on first request and shared after that."""
+        try:
+            return self._memo[compute]
+        except KeyError:
+            value = self._memo[compute] = compute(self)
+            return value
 
     def _coerce(self, weight: Weight) -> Weight:
         weight = coerce(self.mode, weight, "weight")
@@ -211,14 +222,10 @@ class Graph:
         return list(self._in[v].items())
 
     def out_degree(self, v: str) -> Weight:
-        """Total weight of v's outgoing edges (self-loop included), 0 if none."""
+        """Total weight of v's outgoing edges (self-loop included), 0 if none;
+        ``GraphFormatError`` when a float one overflows."""
         self._require_node(v)
-        if self._outdeg is None:
-            start = zero(self.mode)
-            self._outdeg = {
-                u: sum(targets.values(), start) for u, targets in self._out.items()
-            }
-        return self._outdeg[v]
+        return self._derived(_out_degrees)[v]
 
     def sinks(self) -> list[str]:
         return [v for v in self._weights if not self._out[v]]
@@ -261,6 +268,16 @@ class Graph:
         return (
             f"<Graph mode={self.mode.value} nodes={len(self)} edges={self.num_edges}>"
         )
+
+
+def _out_degrees(g: Graph) -> dict[str, Weight]:
+    start = zero(g.mode)
+    degrees = {u: sum(targets.values(), start) for u, targets in g._out.items()}
+    if g.mode is Mode.FLOAT:
+        for u, d in degrees.items():
+            if not math.isfinite(d):
+                raise GraphFormatError(f"out-degree of node {u!r} does not fit in a float")
+    return degrees
 
 
 # -- module-level operations ----------------------------------------------
@@ -324,7 +341,7 @@ def predecessors(g: Graph, v: str) -> set[str]:
 @dataclass
 class ComponentPartition:
     """SCC partition, components listed in condensation topological order
-    (sources of the condensation first).
+    (sources of the condensation first).  Shared by every caller: read-only.
 
     ``strongly_connected[i]`` is False exactly for loop-free singletons.
     """
@@ -333,12 +350,14 @@ class ComponentPartition:
     index_of: dict[str, int]
     strongly_connected: list[bool]
 
-    def component_of(self, v: str) -> list[str]:
-        return self.components[self.index_of[v]]
-
 
 def strongly_connected_components(g: Graph) -> ComponentPartition:
-    """Tarjan's algorithm, iterative, deterministic by insertion order."""
+    """Tarjan's algorithm, iterative, deterministic by insertion order; run
+    once per graph."""
+    return g._derived(_tarjan)
+
+
+def _tarjan(g: Graph) -> ComponentPartition:
     index: dict[str, int] = {}
     lowlink: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -511,7 +530,7 @@ class SpectralData:
 
     Right and left vectors are float, strictly positive on their component
     (uniform placeholders for loop-free singletons, which have value 0),
-    normalized to sum 1.
+    normalized to sum 1.  Shared by every caller: read-only.
     """
 
     components: list[list[str]]
@@ -521,14 +540,17 @@ class SpectralData:
     lam: float
 
 
-def spectral_data(g: Graph, part: ComponentPartition | None = None) -> SpectralData:
-    """Perron triple of every strongly connected component's induced subgraph.
+def spectral_data(g: Graph) -> SpectralData:
+    """Perron triple of every strongly connected component's induced subgraph,
+    computed once per graph.
 
-    ``part`` is g's partition when the caller already has it.  A singleton's
-    value is its loop weight, or 0 without a loop.
+    A singleton's value is its loop weight, or 0 without a loop.
     """
-    if part is None:
-        part = strongly_connected_components(g)
+    return g._derived(_perron_pass)
+
+
+def _perron_pass(g: Graph) -> SpectralData:
+    part = strongly_connected_components(g)
     vals: list[float] = []
     rights: list[np.ndarray] = []
     lefts: list[np.ndarray] = []
@@ -546,12 +568,10 @@ def spectral_data(g: Graph, part: ComponentPartition | None = None) -> SpectralD
 
 @dataclass
 class ClassVerdict:
-    """A class membership verdict.  EV and KATZ verdicts carry the spectral
-    data they were decided on (None when the structure check failed first)."""
+    """A class membership verdict."""
 
     ok: bool
     reason: str | None = None
-    spectra: SpectralData | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -564,7 +584,7 @@ def principal_eigenvalue(g: Graph) -> tuple[list[float], float]:
     self-loop report the loop weight.
     """
     data = spectral_data(g)
-    return data.values, data.lam
+    return list(data.values), data.lam
 
 
 def _check_kp_structure(g: Graph, part: ComponentPartition) -> str | None:
@@ -597,26 +617,24 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
         reason = _check_kp_structure(g, part)
         if reason is not None:
             return ClassVerdict(False, reason)
-        data = spectral_data(g, part)
+        data = spectral_data(g)
         if not all_equal(data.values, Mode.FLOAT):
             return ClassVerdict(
                 False,
                 "component principal eigenvalues differ: "
                 f"{min(data.values):.12g} vs {data.lam:.12g}",
-                data,
             )
-        return ClassVerdict(True, None, data)
+        return ClassVerdict(True)
 
     if cls.tag is ClassTag.KATZ:
-        data = spectral_data(g, part)
+        data = spectral_data(g)
         alpha = float(cls.alpha)  # type: ignore[arg-type]
         if alpha * data.lam > 1.0 - KATZ_MARGIN:
             return ClassVerdict(
                 False,
                 f"alpha * lambda = {alpha * data.lam:.12g} exceeds the 1 - {KATZ_MARGIN:g} margin",
-                data,
             )
-        return ClassVerdict(True, None, data)
+        return ClassVerdict(True)
 
     raise DomainError(f"unknown class {cls.tag!r}")
 

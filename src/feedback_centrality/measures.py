@@ -67,7 +67,10 @@ class CentralityVector:
     mode: Mode
 
     def __getitem__(self, v: str) -> Weight:
-        return self.values[v]
+        try:
+            return self.values[v]
+        except KeyError:
+            raise DomainError(f"unknown node {v!r}") from None
 
     def __iter__(self):
         return iter(self.values)
@@ -210,9 +213,8 @@ def katz_prestige(g: Graph) -> CentralityVector:
     verdict = classify(g, GraphClass(ClassTag.KP))
     if not verdict:
         raise DomainError(f"graph is outside the katz-prestige class: {verdict.reason}")
-    part = strongly_connected_components(g)
     out: dict[str, Weight] = {}
-    for comp in part.components:
+    for comp in strongly_connected_components(g).components:
         comp_weight = sum((g.node_weight(v) for v in comp), zero(g.mode))
         for v, share in zip(comp, _stationary_distribution(g, comp)):
             out[v] = share * comp_weight
@@ -258,7 +260,7 @@ def eigenvector_centrality(g: Graph) -> CentralityVector:
     verdict = classify(g, GraphClass(ClassTag.EV))
     if not verdict:
         raise DomainError(f"graph is outside the eigenvector class: {verdict.reason}")
-    data = verdict.spectra
+    data = spectral_data(g)
     out: dict[str, float] = {}
     for comp, x, y in zip(data.components, data.right_vectors, data.left_vectors):
         b = _node_weight_vector(g, comp)

@@ -109,7 +109,9 @@ def combine_groups(
         if not members:
             raise DomainError(f"group {key!r} is empty")
         rep = members[0]
+        cur._require_node(rep)
         for member in members[1:]:
+            cur._require_node(member)
             cur = proportional_combine(cur, member, rep, vals[member], vals[rep])
             vals[rep] = vals[rep] + vals.pop(member)
     return cur, vals

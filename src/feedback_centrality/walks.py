@@ -40,7 +40,6 @@ from .graph import (
     in_flow,
     principal_eigenvalue,
     spectral_data,
-    strongly_connected_components,
     transition_matrix,
 )
 from .linalg import solve_refined
@@ -200,8 +199,7 @@ def geometric_tail_bound(
         return {v: tail for v in order}
 
     a = float(alpha)
-    part = strongly_connected_components(g)
-    data = spectral_data(g, part)
+    data = spectral_data(g)
     if a * data.lam > 1.0 - KATZ_MARGIN:
         raise DomainError(
             f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
@@ -210,7 +208,8 @@ def geometric_tail_bound(
     if a == 0.0:
         return {v: 0.0 for v in order}
 
-    if len(part.components) == 1 and part.strongly_connected[0]:
+    if len(data.components) == 1 and data.lam > 0:
+        # One component with a cycle through it: g is strongly connected.
         # The component lists the nodes in discovery order, not node order.
         comp, y = data.components[0], data.left_vectors[0]
         rate = a * data.lam

@@ -1,6 +1,7 @@
 """End-to-end CLI coverage through main(), asserting on the JSON documents."""
 
 import json
+import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -109,6 +110,22 @@ class TestCentrality:
         assert code == 1 and out == ""
         assert err.startswith("error:") and "does not fit in a float" in err
         assert "Traceback" not in err
+
+    def test_overflowing_float_out_degree_is_an_error_line(self, capsys, tmp_path):
+        # every weight fits in a float, but a's out-degree 2e308 does not
+        big = tmp_path / "big.dg"
+        big.write_text(
+            "node a 1\nnode b 1\nedge a b 1e308\nedge a a 1e308\nedge b a 1\n"
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "centrality", "--input", str(big), "--measure", "pr",
+                "--mode", "float",
+            )
+        assert code == 1 and out == ""
+        assert err == "error: out-degree of node 'a' does not fit in a float\n"
+        assert caught == []
 
     def test_overflowing_transform_is_an_error_line(self, capsys, tmp_path):
         # 1e300 * 1e10 overflows to inf, which no graph may carry
@@ -275,6 +292,28 @@ class TestTransforms:
         with pytest.raises(SystemExit) as exc:
             main(["transform", "combine", "--input", DEMO5, "--nodes", "v1,v2"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("transform", "combine", "--input", DEMO5, "--nodes", "a,b",
+              "--measure", "pr"), "unknown node 'a'"),
+            (("transform", "combine-groups", "--input", DEMO5, "--groups", "GROUPS"),
+             "unknown node 'zz'"),
+            (("check-axioms", "--min-size", "1", "--max-size", "2", "--trials", "2"),
+             "at least 2 nodes"),
+        ],
+        ids=["combine-by-measure", "combine-groups", "check-axioms-min-size"],
+    )
+    def test_bad_input_is_an_error_line_not_a_traceback(
+        self, capsys, tmp_path, argv, message
+    ):
+        groups = tmp_path / "g.groups"
+        groups.write_text("group v1 v1\ngroup zz v1\n")
+        argv = [str(groups) if a == "GROUPS" else a for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and message in err
 
     def test_regularize_defaults_to_float(self, capsys):
         code, out, _err = run(capsys, "transform", "regularize", "--input", DEMO5)

@@ -30,6 +30,7 @@ from feedback_centrality import (
     principal_eigenvalue,
     semi_out_regularity,
     serialize_graph,
+    spectral_data,
     strongly_connected_components,
     successors,
     transition_matrix,
@@ -129,6 +130,44 @@ class TestGraphContainer:
         g = build([("a", 1.0), ("b", 1.0)], [("a", "b", 1e300)], Mode.FLOAT)
         with pytest.raises(GraphFormatError, match="not finite"):
             edge_multiplication(g, "a", 1e10)
+
+    def test_overflowing_float_out_degree_rejected(self):
+        # each weight is finite, their sum is not
+        g = build(
+            [("a", 1.0), ("b", 1.0)],
+            [("a", "b", 1e308), ("a", "a", 1e308), ("b", "a", 1.0)],
+            Mode.FLOAT,
+        )
+        with pytest.raises(GraphFormatError, match="out-degree of node 'a'"):
+            g.out_degree("b")
+        with pytest.raises(GraphFormatError):
+            transition_matrix(g)
+
+    def test_mutation_refreshes_derived_structure(self):
+        # every memoised query is asked first, then the graph changes under it
+        g = build([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1.0)], Mode.FLOAT)
+        kp = GraphClass(ClassTag.KP)
+        assert g.out_degree("c") == 0
+        assert len(strongly_connected_components(g).components) == 3
+        assert spectral_data(g).lam == 0.0
+        assert principal_eigenvalue(g) == ([0.0, 0.0, 0.0], 0.0)
+        assert not classify(g, kp)
+
+        g.add_edge("c", "a", 2.0)  # the path closes into a cycle
+        assert g.out_degree("c") == 2.0
+        assert [sorted(c) for c in strongly_connected_components(g).components] == [
+            ["a", "b", "c"]
+        ]
+        assert spectral_data(g).lam == pytest.approx(2 ** (1 / 3), rel=1e-9)
+        assert principal_eigenvalue(g)[1] == pytest.approx(2 ** (1 / 3), rel=1e-9)
+        assert classify(g, kp)
+
+        g.add_node("d", 1.0)  # a loop-free singleton leaves the KP class
+        assert g.out_degree("d") == 0
+        assert len(strongly_connected_components(g).components) == 2
+        assert len(spectral_data(g).values) == 2
+        assert len(principal_eigenvalue(g)[0]) == 2
+        assert not classify(g, kp)
 
     def test_equality_ignores_insertion_order(self):
         g1 = build([("a", F(1)), ("b", F(1))], [("a", "b", F(1)), ("b", "a", F(2))])
@@ -357,3 +396,10 @@ class TestClassification:
         lams, lam = principal_eigenvalue(demo5_float)
         assert lams == [pytest.approx(2.0, rel=1e-9)]
         assert lam == pytest.approx(2.0, rel=1e-9)
+
+    def test_principal_eigenvalue_returns_a_list_of_its_own(self, demo5_float):
+        lams, _lam = principal_eigenvalue(demo5_float)
+        lams[0] = -1.0
+        lams.append(5.0)
+        assert principal_eigenvalue(demo5_float)[0] == [pytest.approx(2.0, rel=1e-9)]
+        assert spectral_data(demo5_float).values == [pytest.approx(2.0, rel=1e-9)]

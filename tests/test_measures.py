@@ -208,9 +208,9 @@ class TestEigenvector:
         with pytest.raises(DomainError):
             eigenvector_centrality(g)
 
-    def test_one_perron_solve_per_component(self, monkeypatch):
-        # two 2-cycles and a loop, all with eigenvalue 2: the class check's
-        # spectra are reused, and the singleton needs no solve at all
+    @pytest.fixture
+    def perron_sizes(self, monkeypatch):
+        """The row counts of every perron_triple call made while the test runs."""
         from feedback_centrality import linalg
 
         original = linalg.perron_triple
@@ -225,6 +225,11 @@ class TestEigenvector:
                 getattr(module, "perron_triple", None) is original
             ):
                 monkeypatch.setattr(module, "perron_triple", counting)
+        return sizes
+
+    def test_one_perron_solve_per_component(self, perron_sizes):
+        # two 2-cycles and a loop, all with eigenvalue 2: the class check's
+        # spectra are reused, and the singleton needs no solve at all
         g = Graph.build(
             [(v, 1.0) for v in "abcde"],
             [("a", "b", 2.0), ("b", "a", 2.0), ("c", "d", 2.0), ("d", "c", 2.0),
@@ -232,8 +237,34 @@ class TestEigenvector:
             Mode.FLOAT,
         )
         values = eigenvector_centrality(g)
-        assert sizes == [2, 2]
+        assert perron_sizes == [2, 2]
         assert values.values == pytest.approx(dict.fromkeys("abcde", 1.0), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("centrality", "--measure", "ev"),
+            ("centrality", "--measure", "katz", "--alpha", "0.1"),
+            ("centrality", "--measure", "kp"),
+            ("classify", "--alpha", "0.1"),
+        ],
+        ids=["ev", "katz", "kp", "classify"],
+    )
+    def test_one_perron_solve_per_component_per_cli_request(
+        self, perron_sizes, tmp_path, capsys, argv
+    ):
+        # the measure, its class check, the residual and the diagnostics all
+        # share the graph's one spectral pass
+        from feedback_centrality.cli import main
+
+        path = tmp_path / "g.dg"
+        path.write_text(
+            "".join(f"node {v} 1\n" for v in "abcde")
+            + "edge a b 2\nedge b a 2\nedge c d 2\nedge d c 2\nedge e e 2\n"
+        )
+        assert main([*argv, "--input", str(path), "--mode", "float"]) == 0
+        capsys.readouterr()
+        assert perron_sizes == [2, 2]
 
 
 class TestMeasureFrontend:

@@ -509,14 +509,8 @@ def _check_family(family: Family, g: Graph) -> None:
         raise DomainError(f"generated graph fails the {family.value} predicate")
 
 
-def default_corpus(
-    size_range: tuple[int, int] = (3, 25),
-    weight_range: tuple[float, float] = (0.25, 3.0),
-) -> list[GeneratorSpec]:
-    return [
-        GeneratorSpec(family, size_range=size_range, weight_range=weight_range)
-        for family in Family
-    ]
+def default_corpus(size_range: tuple[int, int] = (3, 25)) -> list[GeneratorSpec]:
+    return [GeneratorSpec(family, size_range=size_range) for family in Family]
 
 
 # -- the satisfaction matrix ---------------------------------------------------

@@ -41,6 +41,7 @@ from .graph import (
     Mode,
     Weight,
     classify,
+    coerce,
     format_weight,
     is_strongly_connected,
     opposite_graph,
@@ -158,7 +159,9 @@ def _cmd_centrality(args, parser) -> int:
         "class": _class_entry(measure.admits(g)),
         "component_eigenvalues": [_fmt6(x) for x in lams],
         "spectral_radius": _fmt6(lam),
-        "max_recursion_residual": _fmt6(max(abs(float(r)) for r in residual.values())),
+        "max_recursion_residual": _fmt6(
+            max((abs(float(r)) for r in residual.values()), default=0.0)
+        ),
         "value_total": format_weight(values.total()),
     }
     arguments = {
@@ -397,10 +400,8 @@ def _cmd_transform(args, parser) -> int:
         groups = _read_groups(args.groups)
         if args.value is not None:
             common = parse_weight(args.value, mode)
-        elif mode is Mode.RATIONAL:
-            common = Fraction(1, len(g))
         else:
-            common = 1.0 / len(g)
+            common = coerce(mode, Fraction(1, len(g) or 1), "value")  # 1/n; no nodes, nothing to fill
         values = {v: common for v in g.node_ids}
         out, _values = combine_groups(g, groups, values)
     else:  # pragma: no cover - argparse restricts choices

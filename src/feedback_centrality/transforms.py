@@ -50,71 +50,67 @@ DEFAULT_SCALE_CAP = 10**6
 def proportional_combine(
     g: Graph, u: str, w: str, value_u: Weight, value_w: Weight
 ) -> Graph:
-    """Merge node u into node w, splitting their outgoing weight by value.
-
-    u's out-edges are scaled by value_u/(value_u+value_w) and w's by the
-    complementary share; every edge endpoint at u is then re-addressed to w
-    (edges between the pair become a self-loop at w), parallel results are
-    summed, and anything scaled to zero is dropped.  w absorbs u's node
-    weight.  The values must be non-negative and not both zero — combining
-    carries no meaning for a pair with no weight to split.
-    """
-    g._require_node(u)
-    g._require_node(w)
+    """Merge node u into node w, splitting their outgoing weight by value: the
+    two-node case of ``combine_groups``."""
+    g._require_node(u)  # an unknown u is reported before u == w
     if u == w:
         raise DomainError(f"cannot combine node {u!r} with itself")
-    vu = coerce(g.mode, value_u, "combining value")
-    vw = coerce(g.mode, value_w, "combining value")
-    if vu < 0 or vw < 0:
-        raise DomainError("combining values must be non-negative")
-    total = vu + vw
-    if total == 0:
-        raise DomainError("combining values must not both be zero")
-    share_u = vu / total
-    share_w = vw / total
-
-    merged: dict[tuple[str, str], Weight] = {}
-    for a, b, wt in g.edges():
-        if a == u:
-            wt = wt * share_u
-        elif a == w:
-            wt = wt * share_w
-        key = (w if a == u else a, w if b == u else b)
-        merged[key] = merged.get(key, zero(g.mode)) + wt
-    return Graph.build(
-        (
-            (n, wt + g.node_weight(u) if n == w else wt)
-            for n, wt in g.node_weights().items()
-            if n != u
-        ),
-        ((a, b, wt) for (a, b), wt in merged.items() if wt != 0),
-        g.mode,
-    )
+    return combine_groups(g, {w: [w, u]}, {u: value_u, w: value_w})[0]
 
 
 def combine_groups(
     g: Graph, groups: dict[str, list[str]], values: dict[str, Weight]
 ) -> tuple[Graph, dict[str, Weight]]:
-    """Fold each group of nodes into its first member, summing values.
+    """Fold each group of nodes into its first member, in one pass.
 
-    Groups are processed in mapping order, members in list order; the
-    surviving node keeps the first member's id and ends up holding the
-    group's total value.  Returns the combined graph and the value of every
-    surviving node (group representatives updated, other nodes passed
-    through when present in ``values``).
+    Groups are disjoint.  Each member's out-edges are scaled by its share v/V
+    of the group's total value V (values non-negative, V positive); edge
+    endpoints are then re-addressed to their group's first member, parallel
+    results summed and zeros dropped.  The first member keeps its id and
+    place, absorbs the group's node weight and holds V among the returned
+    values; other nodes, and one-node groups, pass through unchanged.
     """
-    vals = dict(values)
-    cur = g
+    first: dict[str, str] = {}
+    share: dict[str, Weight] = {}
+    totals: dict[str, Weight] = {}
     for key, members in groups.items():
         if not members:
             raise DomainError(f"group {key!r} is empty")
-        rep = members[0]
-        cur._require_node(rep)
-        for member in members[1:]:
-            cur._require_node(member)
-            cur = proportional_combine(cur, member, rep, vals[member], vals[rep])
-            vals[rep] = vals[rep] + vals.pop(member)
-    return cur, vals
+        for m in members:
+            g._require_node(m)
+            if m in first:
+                raise DomainError(f"node {m!r} is listed twice in the groups")
+            first[m] = members[0]
+        if len(members) == 1:
+            continue
+        missing = next((m for m in members if m not in values), None)
+        if missing is not None:
+            raise DomainError(f"no combining value for node {missing!r}")
+        vals = [coerce(g.mode, values[m], "combining value") for m in members]
+        if min(vals) < 0:
+            raise DomainError("combining values must be non-negative")
+        total = totals[members[0]] = sum(vals, zero(g.mode))
+        if total == 0:
+            both = "both" if len(members) == 2 else "all"
+            raise DomainError(f"combining values must not {both} be zero")
+        share.update((m, v / total) for m, v in zip(members, vals))
+
+    weights = g.node_weights()
+    for m, rep in first.items():
+        if m != rep:
+            weights[rep] = weights[rep] + weights.pop(m)
+    merged: dict[tuple[str, str], Weight] = {}
+    for a, b, wt in g.edges():
+        if a in share:
+            wt = wt * share[a]
+        key = (first.get(a, a), first.get(b, b))
+        merged[key] = merged.get(key, zero(g.mode)) + wt
+    combined = Graph.build(
+        weights.items(),
+        ((a, b, wt) for (a, b), wt in merged.items() if wt != 0),
+        g.mode,
+    )
+    return combined, {v: totals.get(v, x) for v, x in values.items() if first.get(v, v) == v}
 
 
 # -- per-node edge scaling ----------------------------------------------------
@@ -318,9 +314,7 @@ class CycleSynthesis:
     multigraph: ImpactMultigraph
 
 
-def synthesize_cycle_graph(
-    g: Graph, max_scale: int = DEFAULT_SCALE_CAP
-) -> CycleSynthesis:
+def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
     """Unroll an out-regular graph into constant-weight cycles.
 
     Walks an Euler circuit of the impact multigraph in each strongly
@@ -335,7 +329,7 @@ def synthesize_cycle_graph(
             "cycle synthesis needs an out-regular graph; apply out-degree "
             "normalization first"
         )
-    mg = build_impact_multigraph(g, max_scale)
+    mg = build_impact_multigraph(g)
     part = strongly_connected_components(g)
 
     counts: dict[str, int] = {v: 0 for v in g.node_ids}

@@ -32,10 +32,13 @@ import numpy as np
 from .errors import DomainError
 from .graph import (
     KATZ_MARGIN,
+    ClassTag,
     Graph,
+    GraphClass,
     Mode,
     Weight,
     adjacency_matrix,
+    classify,
     coerce,
     in_flow,
     principal_eigenvalue,
@@ -200,7 +203,7 @@ def geometric_tail_bound(
 
     a = float(alpha)
     data = spectral_data(g)
-    if a * data.lam > 1.0 - KATZ_MARGIN:
+    if not classify(g, GraphClass(ClassTag.KATZ, a)):
         raise DomainError(
             f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
             f"got {a * data.lam:.12g}"
@@ -256,7 +259,7 @@ def verify_recursion(
 
     * distributed, alpha < 1      -> pagerank(alpha), partial sum
     * distributed, alpha = 1      -> katz-prestige, cesaro average
-    * parallel, alpha*lambda <= 1 - 1e-6          -> katz(alpha), partial sum
+    * parallel, g in the KATZ(alpha) class        -> katz(alpha), partial sum
     * parallel, alpha*lambda within 1e-6 of 1     -> eigenvector, cesaro
     * anything else -> DomainError
     """
@@ -276,7 +279,7 @@ def verify_recursion(
     else:
         _lams, lam = principal_eigenvalue(g)
         product = float(alpha) * lam
-        if product <= 1.0 - KATZ_MARGIN:
+        if classify(g, GraphClass(ClassTag.KATZ, alpha)):
             measure = Measure(MeasureKind.KATZ, alpha)
             use_cesaro = False
         elif abs(product - 1.0) <= KATZ_MARGIN:

@@ -4,8 +4,9 @@ Everything here recomputes results through a different route than the
 library: explicit walk enumeration instead of state-vector iteration, dense
 numpy eigendecomposition instead of power iteration, least-squares
 stationary vectors instead of the replaced-row solve, Gaussian elimination
-over ``Fraction`` instead of fraction-free integer elimination, and networkx
-for component structure.  Tests compare the two routes; neither side borrows
+over ``Fraction`` instead of fraction-free integer elimination, node groups
+folded one pair at a time instead of in one pass, and networkx for component
+structure.  Tests compare the two routes; neither side borrows
 code from the other.
 """
 
@@ -17,6 +18,7 @@ import networkx as nx
 import numpy as np
 
 from feedback_centrality import DomainError, Graph, Mode, SingularMatrixError, Weight
+from feedback_centrality.graph import coerce, zero
 
 
 def _zero(g: Graph) -> Weight:
@@ -199,3 +201,67 @@ def fraction_gauss(
                 acc -= row[c] * x[c]
         x[r] = acc / row[r]
     return x
+
+
+def pairwise_combine(
+    g: Graph, u: str, w: str, value_u: Weight, value_w: Weight
+) -> Graph:
+    """Merge node u into node w, splitting their outgoing weight by value.
+
+    u's out-edges are scaled by value_u/(value_u+value_w) and w's by the
+    complementary share; every edge endpoint at u is then re-addressed to w
+    (edges between the pair become a self-loop at w), parallel results are
+    summed, and anything scaled to zero is dropped.  w absorbs u's node
+    weight.  The values must be non-negative and not both zero — combining
+    carries no meaning for a pair with no weight to split.
+    """
+    g._require_node(u)
+    g._require_node(w)
+    if u == w:
+        raise DomainError(f"cannot combine node {u!r} with itself")
+    vu = coerce(g.mode, value_u, "combining value")
+    vw = coerce(g.mode, value_w, "combining value")
+    if vu < 0 or vw < 0:
+        raise DomainError("combining values must be non-negative")
+    total = vu + vw
+    if total == 0:
+        raise DomainError("combining values must not both be zero")
+    share_u = vu / total
+    share_w = vw / total
+
+    merged: dict[tuple[str, str], Weight] = {}
+    for a, b, wt in g.edges():
+        if a == u:
+            wt = wt * share_u
+        elif a == w:
+            wt = wt * share_w
+        key = (w if a == u else a, w if b == u else b)
+        merged[key] = merged.get(key, zero(g.mode)) + wt
+    return Graph.build(
+        (
+            (n, wt + g.node_weight(u) if n == w else wt)
+            for n, wt in g.node_weights().items()
+            if n != u
+        ),
+        ((a, b, wt) for (a, b), wt in merged.items() if wt != 0),
+        g.mode,
+    )
+
+
+def sequential_combine(
+    g: Graph, groups: dict[str, list[str]], values: dict[str, Weight]
+) -> tuple[Graph, dict[str, Weight]]:
+    """Fold each group into its first member one member at a time, each fold
+    a ``pairwise_combine`` that rebuilds the graph."""
+    vals = dict(values)
+    cur = g
+    for key, members in groups.items():
+        if not members:
+            raise DomainError(f"group {key!r} is empty")
+        rep = members[0]
+        cur._require_node(rep)
+        for member in members[1:]:
+            cur._require_node(member)
+            cur = pairwise_combine(cur, member, rep, vals[member], vals[rep])
+            vals[rep] = vals[rep] + vals.pop(member)
+    return cur, vals

@@ -150,6 +150,23 @@ class TestCentrality:
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("--measure", "pr"),
+            ("--measure", "kp"),
+            ("--measure", "katz", "--alpha", "0.1"),
+            ("--measure", "ev", "--mode", "float"),
+        ],
+        ids=["pr", "kp", "katz", "ev-float"],
+    )
+    def test_graph_without_nodes_gives_an_empty_document(self, capsys, tmp_path, args):
+        empty = tmp_path / "empty.dg"
+        empty.write_text("")
+        doc = run_json(capsys, "centrality", "--input", str(empty), *args)
+        assert doc["values"] == {}
+        assert doc["diagnostics"]["max_recursion_residual"] == "0"
+
     def test_output_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"
         code, out, _err = run(
@@ -302,15 +319,28 @@ class TestTransforms:
              "unknown node 'zz'"),
             (("check-axioms", "--min-size", "1", "--max-size", "2", "--trials", "2"),
              "at least 2 nodes"),
+            (("transform", "combine-groups", "--input", "EMPTY", "--groups", "GROUPS"),
+             "unknown node 'v1'"),
+            (("transform", "combine-groups", "--input", "EMPTY", "--groups", "GROUPS",
+              "--mode", "float"), "unknown node 'v1'"),
         ],
-        ids=["combine-by-measure", "combine-groups", "check-axioms-min-size"],
+        ids=[
+            "combine-by-measure",
+            "combine-groups",
+            "check-axioms-min-size",
+            "combine-groups-no-nodes",
+            "combine-groups-no-nodes-float",
+        ],
     )
     def test_bad_input_is_an_error_line_not_a_traceback(
         self, capsys, tmp_path, argv, message
     ):
         groups = tmp_path / "g.groups"
         groups.write_text("group v1 v1\ngroup zz v1\n")
-        argv = [str(groups) if a == "GROUPS" else a for a in argv]
+        empty = tmp_path / "empty.dg"
+        empty.write_text("")
+        paths = {"GROUPS": str(groups), "EMPTY": str(empty)}
+        argv = [paths.get(a, a) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error:") and message in err

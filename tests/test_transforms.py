@@ -1,8 +1,11 @@
 """Graph surgeries: combines, edge scalings, the cycle pipeline, profits."""
 
+import random
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import assume, given, settings
 
 from feedback_centrality import (
     DomainError,
@@ -31,8 +34,12 @@ from feedback_centrality import (
     profit_value,
     proportional_combine,
     recombine,
+    serialize_graph,
     synthesize_cycle_graph,
 )
+
+from .oracles import pairwise_combine, sequential_combine
+from .strategies import rational_graphs
 
 THIRTEENTHS = {"v1": F(2, 13), "v2": F(3, 13), "v3": F(3, 13), "v4": F(4, 13), "v5": F(1, 13)}
 
@@ -45,6 +52,42 @@ def triangle():
     g.add_edge("u", "a", F(2))
     g.add_edge("w", "a", F(4))
     g.add_edge("u", "w", F(2))
+    return g
+
+
+GROUP_VALUES = (F(0), F(1, 3), F(1, 2), F(1), F(2))
+
+
+def _outcome(combine, *args) -> str:
+    try:
+        return serialize_graph(combine(*args))
+    except DomainError as exc:
+        return f"error: {exc}"
+
+
+@st.composite
+def groupings(draw):
+    """A rational graph, disjoint groups of one to three of its nodes (some
+    nodes left out) and a combining value for every node."""
+    g = draw(rational_graphs(min_nodes=2, max_nodes=9))
+    order = draw(st.permutations(g.node_ids))
+    groups: dict[str, list[str]] = {}
+    start = 0
+    for size in draw(st.lists(st.integers(1, 3), max_size=len(order))):
+        members = order[start : start + size]
+        if members:
+            groups[members[0]] = members
+        start += size
+    values = {v: draw(st.sampled_from(GROUP_VALUES)) for v in g.node_ids}
+    return g, groups, values
+
+
+def four_cycle() -> Graph:
+    g = Graph(Mode.RATIONAL)
+    for n in "abcd":
+        g.add_node(n, F(1))
+    for s, t in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]:
+        g.add_edge(s, t, F(1))
     return g
 
 
@@ -70,12 +113,23 @@ class TestProportionalCombine:
         with pytest.raises(DomainError):
             proportional_combine(g, "u", "u", F(1), F(1))
 
+    @given(rational_graphs(min_nodes=2, max_nodes=7), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_pair_matches_the_pairwise_fold_byte_for_byte(self, g, data):
+        nodes = st.sampled_from(g.node_ids)
+        u, w = data.draw(nodes), data.draw(nodes)
+        if data.draw(st.booleans()):
+            g = g.to_float()
+            value = st.floats(0.0, 8.0) | st.sampled_from([0.0, 1.0, 1 / 3])
+        else:
+            value = st.sampled_from(GROUP_VALUES + (F(-1),))
+        vu, vw = data.draw(value), data.draw(value)
+        assert _outcome(proportional_combine, g, u, w, vu, vw) == _outcome(
+            pairwise_combine, g, u, w, vu, vw
+        )
+
     def test_combine_groups_folds_in_order(self):
-        g = Graph(Mode.RATIONAL)
-        for n in "abcd":
-            g.add_node(n, F(1))
-        for s, t in [("a", "b"), ("b", "c"), ("c", "d"), ("d", "a")]:
-            g.add_edge(s, t, F(1))
+        g = four_cycle()
         values = {n: F(1, 4) for n in "abcd"}
         combined, vals = combine_groups(g, {"a": ["a", "b"], "c": ["c", "d"]}, values)
         assert combined.node_ids == ["a", "c"]
@@ -86,6 +140,65 @@ class TestProportionalCombine:
         g = triangle()
         with pytest.raises(DomainError, match="empty"):
             combine_groups(g, {"u": []}, {})
+
+
+class TestCombineGroups:
+    @given(groupings())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_sequential_fold_exactly(self, case):
+        g, groups, values = case
+        # The sequential fold refuses a group whose first two values are zero.
+        assume(all(values[m[0]] + values[m[1]] > 0 for m in groups.values() if len(m) > 1))
+        expected, expected_values = sequential_combine(g, groups, values)
+        combined, combined_values = combine_groups(g, groups, values)
+        assert combined == expected
+        assert combined.node_ids == expected.node_ids
+        assert list(combined_values.items()) == list(expected_values.items())
+        # The fold drops a zero-scaled edge before its later folds; one pass
+        # keeps its key in place.  With no zero share, edge order agrees too.
+        if all(values[m] != 0 for grp in groups.values() if len(grp) > 1 for m in grp):
+            assert list(combined.edges()) == list(expected.edges())
+
+    def test_builds_exactly_one_graph(self, monkeypatch):
+        g = four_cycle()
+        built = []
+        init = Graph.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Graph, "__init__", counting_init)
+        combined, _vals = combine_groups(
+            g, {"a": ["a", "b", "c"], "d": ["d"]}, {n: F(1) for n in "abcd"}
+        )
+        assert built == [combined]
+
+    @pytest.mark.parametrize(
+        "groups, named",
+        [
+            ({"a": ["a", "b"], "c": ["c", "a"]}, "a"),
+            ({"a": ["a", "b"], "c": ["c", "b"]}, "b"),
+            ({"a": ["a", "b", "a"]}, "a"),
+        ],
+        ids=["first-member-again", "folded-member-again", "twice-in-one-group"],
+    )
+    def test_a_node_in_two_groups_is_named(self, groups, named):
+        with pytest.raises(DomainError, match=f"node '{named}' is listed twice"):
+            combine_groups(four_cycle(), groups, {n: F(1) for n in "abcd"})
+
+    def test_a_group_needs_only_a_positive_total(self):
+        values = {"a": F(0), "b": F(0), "c": F(2), "d": F(1)}
+        combined, vals = combine_groups(four_cycle(), {"a": ["a", "b", "c"]}, values)
+        assert list(combined.edges()) == [("a", "d", F(1)), ("d", "a", F(1))]
+        assert combined.node_weight("a") == F(3)
+        assert vals == {"a": F(2), "d": F(1)}
+        with pytest.raises(DomainError, match="must not all be zero"):
+            combine_groups(four_cycle(), {"a": ["a", "b", "c"]}, dict.fromkeys("abcd", F(0)))
+
+    def test_a_member_without_a_value_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="no combining value for node 'b'"):
+            combine_groups(four_cycle(), {"a": ["a", "b"]}, {"a": F(1)})
 
 
 class TestEdgeScalings:
@@ -230,6 +343,25 @@ class TestCycleSynthesis:
         combined, values = recombine(synth)
         assert combined == demo6
         assert values == katz_prestige(demo6).values
+
+    def test_scale_954_round_trip_is_exact(self):
+        names = [f"v{i}" for i in range(10)]
+        rng = random.Random(10)
+        g = Graph(Mode.RATIONAL)
+        for v in names:
+            g.add_node(v, F(1, 10))
+        for i, v in enumerate(names):
+            g.add_edge(v, names[(i + 1) % 10], F(1))
+        for v in names:
+            target = names[rng.randrange(10)]
+            if not g.has_edge(v, target):
+                g.add_edge(v, target, F(1))
+        g = out_degree_normalize(g)
+        synth = synthesize_cycle_graph(g)
+        assert synth.scale == 954
+        combined, values = recombine(synth)
+        assert combined == g
+        assert values == katz_prestige(g).values
 
     def test_rejects_irregular_graphs_with_a_hint(self):
         g = Graph(Mode.RATIONAL)

@@ -362,22 +362,24 @@ class GeneratorSpec:
     """Deterministic random-graph recipe.
 
     Weights come either from ``weight_grid`` (rational values — the graph is
-    built in rational mode) or uniformly from ``weight_range`` (float mode).
-    The family's structural predicate is re-checked after generation.
+    built in rational mode) or uniformly from ``FLOAT_WEIGHT_RANGE`` (float
+    mode).  The family's structural predicate is re-checked after generation.
     """
 
     family: Family
     size_range: tuple[int, int] = (3, 25)
     weight_grid: tuple[Fraction, ...] | None = None
-    weight_range: tuple[float, float] = (0.25, 3.0)
     seed: int = 0
+
+
+#: Bounds of the uniform draw for generated float weights (rounded to 4 places).
+FLOAT_WEIGHT_RANGE = (0.25, 3.0)
 
 
 def _draw_weight(spec: GeneratorSpec, rng: random.Random) -> Weight:
     if spec.weight_grid is not None:
         return rng.choice(spec.weight_grid)
-    lo, hi = spec.weight_range
-    return round(rng.uniform(lo, hi), 4)
+    return round(rng.uniform(*FLOAT_WEIGHT_RANGE), 4)
 
 
 def _mode_of(spec: GeneratorSpec) -> Mode:

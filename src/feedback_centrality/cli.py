@@ -397,13 +397,9 @@ def _cmd_transform(args, parser) -> int:
             vu, vw = computed[u], computed[w]
         out = proportional_combine(g, u, w, vu, vw)
     elif op == "combine-groups":
-        groups = _read_groups(args.groups)
-        if args.value is not None:
-            common = parse_weight(args.value, mode)
-        else:
-            common = coerce(mode, Fraction(1, len(g) or 1), "value")  # 1/n; no nodes, nothing to fill
-        values = {v: common for v in g.node_ids}
-        out, _values = combine_groups(g, groups, values)
+        # equal values: each member's share of its group is 1/|group|
+        values = dict.fromkeys(g.node_ids, coerce(mode, 1, "value"))
+        out, _values = combine_groups(g, _read_groups(args.groups), values)
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown transform {op!r}")
 
@@ -469,16 +465,14 @@ def build_parser() -> argparse.ArgumentParser:
         "euler-construct",
         help="synthesize the equivalent constant-weight cycle graph",
     )
-    p.add_argument("--input", required=True)
     p.add_argument(
-        "--mode", choices=["rational", "float"], default="rational",
-        help="construction is exact; rational is the only mode that succeeds",
+        "--input", required=True, help="graph description file, read in rational mode"
     )
     p.add_argument("--output", required=True, help="cycle graph file to write")
     p.add_argument(
         "--groups", help="grouping sidecar to write (default: <output>.groups)"
     )
-    p.set_defaults(handler=_cmd_euler_construct)
+    p.set_defaults(handler=_cmd_euler_construct, mode="rational")
 
     p = sub.add_parser("transform", help="graph rewrites")
     ops = p.add_subparsers(dest="op", required=True)
@@ -509,8 +503,11 @@ def build_parser() -> argparse.ArgumentParser:
         "regularize",
         help="rescale by opposite-graph eigenvector values to equalize out-degrees",
     )
-    _add_io(t, mode_default="float")
-    t.set_defaults(handler=_cmd_transform)
+    t.add_argument(
+        "--input", required=True, help="graph description file, read in float mode"
+    )
+    t.add_argument("--output", help="write the result to this file instead of stdout")
+    t.set_defaults(handler=_cmd_transform, mode="float")
 
     t = ops.add_parser("combine", help="merge one node into another proportionally")
     _add_io(t)
@@ -525,9 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_io(t)
     t.add_argument("--groups", required=True, help="grouping sidecar file")
-    t.add_argument(
-        "--value", help="combining value for every node (default: 1/n)"
-    )
     t.set_defaults(handler=_cmd_transform)
 
     return parser

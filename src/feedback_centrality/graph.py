@@ -422,12 +422,10 @@ def is_strongly_connected(g: Graph) -> bool:
 def out_regularity(g: Graph) -> Weight | None:
     """The common out-degree x > 0 if the graph is x-out-regular, else None.
 
-    Out-degrees are compared with ``all_equal``.
+    That is ``semi_out_regularity``'s r when no node is a sink.
     """
-    degrees = [g.out_degree(v) for v in g.node_ids]
-    if degrees and all_equal(degrees, g.mode) and max(degrees) > 0:
-        return max(degrees)
-    return None
+    _semi, r = semi_out_regularity(g)
+    return r if r is not None and all(g._out[v] for v in g.node_ids) else None
 
 
 def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:

@@ -78,10 +78,6 @@ class CentralityVector:
     def __len__(self) -> int:
         return len(self.values)
 
-    def array(self, order: list[str] | None = None) -> np.ndarray:
-        order = order if order is not None else list(self.values)
-        return np.array([float(self.values[v]) for v in order])
-
     def total(self) -> Weight:
         return sum(self.values.values(), zero(self.mode))
 

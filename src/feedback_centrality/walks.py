@@ -44,6 +44,7 @@ from .graph import (
     principal_eigenvalue,
     spectral_data,
     transition_matrix,
+    zero,
 )
 from .linalg import solve_refined
 from .measures import Measure, MeasureKind
@@ -162,10 +163,10 @@ def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> li
     _check_args(g, alpha, steps)
     if g.mode is Mode.RATIONAL:
         state = initial_state(g, kind, alpha)
-        totals = [state.total()]
+        totals = [sum(state.amounts.values(), zero(g.mode))]
         for _ in range(steps):
             state = step(g, state)
-            totals.append(state.total())
+            totals.append(sum(state.amounts.values(), zero(g.mode)))
         return totals
     w = _step_matrix(g, kind)
     b = np.array([float(g.node_weight(v)) for v in g.node_ids])

@@ -10,10 +10,12 @@ import pytest
 from feedback_centrality import (
     Graph,
     Mode,
+    edge_compensation,
     edge_multiplication,
     katz_prestige,
     out_regularity,
     parse_graph,
+    proportional_combine,
     serialize_graph,
 )
 from feedback_centrality.cli import main
@@ -36,6 +38,14 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def usage_error(capsys, *argv) -> str:
+    """Run a command that argparse must refuse; return its stderr."""
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    return capsys.readouterr().err
 
 
 class TestCentrality:
@@ -67,6 +77,12 @@ class TestCentrality:
         with pytest.raises(SystemExit) as exc:
             main(["centrality", "--input", DEMO5, "--measure", "katz"])
         assert exc.value.code == 2
+
+    def test_parameterless_measure_refuses_a_decay(self, capsys):
+        err = usage_error(
+            capsys, "centrality", "--input", DEMO5, "--measure", "kp", "--alpha", "0.5"
+        )
+        assert "kp takes no --alpha" in err
 
     def test_missing_file_is_a_usage_level_error(self, capsys):
         code, _out, err = run(
@@ -301,7 +317,40 @@ class TestTransforms:
         after = katz_prestige(parse_graph(out, Mode.RATIONAL))
         assert after["v2"] == before["v1"] + before["v2"]
 
-    def test_combine_validates_its_pairs(self):
+    def test_ec_matches_edge_compensation(self, capsys, demo5):
+        code, out, _err = run(
+            capsys, "transform", "ec", "--input", DEMO5, "--node", "v1", "--factor", "2/3"
+        )
+        assert code == 0
+        expected = edge_compensation(demo5, "v1", F(2, 3))
+        assert out == serialize_graph(expected, canonical=True)
+
+    def test_combine_by_values_matches_proportional_combine(self, capsys, demo5):
+        code, out, _err = run(
+            capsys, "transform", "combine", "--input", DEMO5,
+            "--nodes", "v1,v2", "--values", "1,3",
+        )
+        assert code == 0
+        expected = proportional_combine(demo5, "v1", "v2", F(1), F(3))
+        assert out == serialize_graph(expected, canonical=True)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("euler-construct", "--input", DEMO5, "--output", "OUT", "--mode", "float"),
+            ("transform", "regularize", "--input", DEMO5, "--mode", "rational"),
+            ("transform", "combine-groups", "--input", DEMO5, "--groups", "OUT",
+             "--value", "1"),
+        ],
+        ids=["euler-construct-mode", "regularize-mode", "combine-groups-value"],
+    )
+    def test_fixed_settings_take_no_option(self, capsys, tmp_path, argv):
+        out = tmp_path / "out"
+        err = usage_error(capsys, *(str(out) if a == "OUT" else a for a in argv))
+        assert err.startswith("usage:") and "unrecognized arguments" in err
+        assert "Traceback" not in err and not out.exists()
+
+    def test_combine_validates_its_pairs(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["transform", "combine", "--input", DEMO5, "--nodes", "v1,v2,v3",
                   "--values", "1,2"])
@@ -309,6 +358,11 @@ class TestTransforms:
         with pytest.raises(SystemExit) as exc:
             main(["transform", "combine", "--input", DEMO5, "--nodes", "v1,v2"])
         assert exc.value.code == 2
+        err = usage_error(
+            capsys, "transform", "combine", "--input", DEMO5,
+            "--nodes", "v1,v2", "--values", "1",
+        )
+        assert "--values expects 'a,b'" in err
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -413,6 +467,16 @@ class TestEulerRoundTrip:
         )
         assert code == 1 and "line 2" in err
 
+    def test_groups_file_of_comments_only_is_refused(self, capsys, tmp_path):
+        groups = tmp_path / "empty.groups"
+        groups.write_text("# no groups here\n\n")
+        code, out, err = run(
+            capsys, "transform", "combine-groups", "--input", DEMO5,
+            "--groups", str(groups),
+        )
+        assert code == 1 and out == ""
+        assert "groups file defines no groups" in err
+
 
 class TestCheckAxioms:
     def test_single_cell_run(self, capsys):
@@ -446,6 +510,21 @@ class TestCheckAxioms:
         _code, first, _err = run(capsys, *args)
         _code, second, _err = run(capsys, *args)
         assert first == second
+
+    def test_decay_override_from_the_readme(self, capsys):
+        args = ("check-axioms", "--axiom", "edge-multiplication", "--measure", "katz",
+                "--trials", "50")
+        overridden = run_json(capsys, *args, "--alpha", "0.5")
+        default = run_json(capsys, *args)  # the matrix's own katz decay is 0.5
+        diag = overridden["diagnostics"]
+        assert diag["cells"] == default["diagnostics"]["cells"]
+        assert diag["expected_mismatches"] == []
+        cell = diag["cells"]["edge-multiplication x katz"]
+        assert cell["status"] == "FAIL" and cell["admissible"] == 50
+
+    def test_parameterless_measure_refuses_a_decay(self, capsys):
+        err = usage_error(capsys, "check-axioms", "--measure", "kp", "--alpha", "0.5")
+        assert "kp takes no --alpha" in err
 
     def test_alpha_needs_a_measure(self):
         with pytest.raises(SystemExit) as exc:

@@ -9,14 +9,17 @@ import pytest
 from hypothesis import example, given, settings
 
 from feedback_centrality import (
+    ClassTag,
     DomainError,
     Family,
     GeneratorSpec,
     Graph,
+    GraphClass,
     Measure,
     MeasureKind,
     Mode,
     adjacency_matrix,
+    classify,
     eigenvector_centrality,
     generate,
     katz_centrality,
@@ -288,3 +291,29 @@ class TestMeasureFrontend:
         assert len(data.components) == 1
         assert data.values[0] == pytest.approx(2.0, rel=1e-9)
         assert data.lam == pytest.approx(2.0, rel=1e-9)
+
+
+class TestCrossMode:
+    """Rational results, converted with ``float()``, agree with the float
+    path run on ``g.to_float()``."""
+
+    @given(rational_graphs(max_nodes=6))
+    @settings(max_examples=80, deadline=None)
+    @example(looped_components(False))
+    def test_rational_and_float_paths_agree(self, g):
+        lam = principal_eigenvalue(g)[1]
+        katz_alpha = F(1, 2 * max(1, math.ceil(lam)))
+        measures = [
+            Measure(MeasureKind.PAGERANK, F(17, 20)),
+            Measure(MeasureKind.KATZ, katz_alpha),
+        ]
+        if classify(g, GraphClass(ClassTag.KP)):
+            measures.append(Measure(MeasureKind.KATZ_PRESTIGE))
+        fg = g.to_float()
+        for measure in measures:
+            exact = measure.compute(g)
+            alpha = float(measure.alpha) if measure.alpha is not None else None
+            approx = Measure(measure.kind, alpha).compute(fg)
+            scale = max((abs(x) for x in approx.values.values()), default=0.0)
+            for v in g.node_ids:
+                assert abs(float(exact[v]) - approx[v]) <= 1e-9 * scale, (measure, v)

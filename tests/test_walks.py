@@ -110,6 +110,11 @@ class TestConservation:
         totals = total_per_step(g, ProcessKind.DISTRIBUTED, F(1), 3)
         assert totals[-1] < totals[0]
 
+    def test_rational_totals_without_nodes_are_exact_zeros(self):
+        totals = total_per_step(Graph(Mode.RATIONAL), ProcessKind.DISTRIBUTED, F(1), 2)
+        assert totals == [0, 0, 0]
+        assert all(type(t) is F for t in totals)
+
 
 class TestTailBounds:
     @pytest.mark.parametrize("seed", range(8))

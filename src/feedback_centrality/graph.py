@@ -98,23 +98,22 @@ def format_weight(w: Weight) -> str:
 class Graph:
     """A directed graph with weighted nodes and edges.
 
-    Nodes and edges remember insertion order; all iteration, serialization
-    and matrix layouts follow it, which keeps every downstream computation
-    deterministic.  Treat instances as immutable once built — transforms
-    return new graphs.
+    Nodes and edges are each stored once and remember insertion order; all
+    iteration, serialization and matrix layouts follow it, which keeps every
+    downstream computation deterministic.  Treat instances as immutable once
+    built — transforms return new graphs.
 
-    Derived structure (out-degrees, SCC partition, spectral data) is computed
-    once and shared, read-only like the graph; ``add_node``/``add_edge`` clear it.
+    Derived structure (out- and in-neighbour maps, out-degrees, SCC partition,
+    spectral data) is computed once and shared, read-only like the graph;
+    ``add_node``/``add_edge`` clear it.
     """
 
-    __slots__ = ("mode", "_weights", "_edges", "_out", "_in", "_memo")
+    __slots__ = ("mode", "_weights", "_edges", "_memo")
 
     def __init__(self, mode: Mode = Mode.RATIONAL):
         self.mode = mode
         self._weights: dict[str, Weight] = {}
         self._edges: dict[tuple[str, str], Weight] = {}
-        self._out: dict[str, dict[str, Weight]] = {}
-        self._in: dict[str, dict[str, Weight]] = {}
         self._memo: dict = {}
 
     # -- construction ----------------------------------------------------
@@ -128,8 +127,6 @@ class Graph:
         if weight < 0:
             raise GraphFormatError(f"negative weight for node {v!r}")
         self._weights[v] = weight
-        self._out[v] = {}
-        self._in[v] = {}
         self._memo.clear()
 
     def add_edge(self, u: str, v: str, weight: Weight) -> None:
@@ -142,8 +139,6 @@ class Graph:
         if weight <= 0:
             raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
         self._edges[(u, v)] = weight
-        self._out[u][v] = weight
-        self._in[v][u] = weight
         self._memo.clear()
 
     def _derived(self, compute):
@@ -215,11 +210,11 @@ class Graph:
 
     def out_edges(self, v: str) -> list[tuple[str, Weight]]:
         self._require_node(v)
-        return list(self._out[v].items())
+        return list(self._derived(_out_maps)[v].items())
 
     def in_edges(self, v: str) -> list[tuple[str, Weight]]:
         self._require_node(v)
-        return list(self._in[v].items())
+        return list(self._derived(_in_maps)[v].items())
 
     def out_degree(self, v: str) -> Weight:
         """Total weight of v's outgoing edges (self-loop included), 0 if none;
@@ -228,7 +223,7 @@ class Graph:
         return self._derived(_out_degrees)[v]
 
     def sinks(self) -> list[str]:
-        return [v for v in self._weights if not self._out[v]]
+        return [v for v, targets in self._derived(_out_maps).items() if not targets]
 
     def _require_node(self, v: str) -> None:
         if v not in self._weights:
@@ -270,9 +265,23 @@ class Graph:
         )
 
 
+def _out_maps(g: Graph) -> dict[str, dict[str, Weight]]:
+    out: dict[str, dict[str, Weight]] = {v: {} for v in g._weights}
+    for (u, v), w in g._edges.items():
+        out[u][v] = w
+    return out
+
+
+def _in_maps(g: Graph) -> dict[str, dict[str, Weight]]:
+    into: dict[str, dict[str, Weight]] = {v: {} for v in g._weights}
+    for (u, v), w in g._edges.items():
+        into[v][u] = w
+    return into
+
+
 def _out_degrees(g: Graph) -> dict[str, Weight]:
     start = zero(g.mode)
-    degrees = {u: sum(targets.values(), start) for u, targets in g._out.items()}
+    degrees = {u: sum(ws.values(), start) for u, ws in g._derived(_out_maps).items()}
     if g.mode is Mode.FLOAT:
         for u, d in degrees.items():
             if not math.isfinite(d):
@@ -315,27 +324,28 @@ def delete_edge(g: Graph, u: str, v: str) -> Graph:
     )
 
 
-def _reach(g: Graph, v: str, neighbours) -> set[str]:
+def _reach(g: Graph, v: str, maps) -> set[str]:
     g._require_node(v)
+    neighbours = g._derived(maps)
     seen: set[str] = set()
-    frontier = [t for t, _ in neighbours(v)]
+    frontier = list(neighbours[v])
     while frontier:
         node = frontier.pop()
         if node in seen:
             continue
         seen.add(node)
-        frontier.extend(t for t, _ in neighbours(node) if t not in seen)
+        frontier.extend(t for t in neighbours[node] if t not in seen)
     return seen
 
 
 def successors(g: Graph, v: str) -> set[str]:
     """S(v): nodes reachable from v by a walk of length >= 1."""
-    return _reach(g, v, g.out_edges)
+    return _reach(g, v, _out_maps)
 
 
 def predecessors(g: Graph, v: str) -> set[str]:
     """P(v): nodes that reach v by a walk of length >= 1."""
-    return _reach(g, v, g.in_edges)
+    return _reach(g, v, _in_maps)
 
 
 @dataclass
@@ -364,12 +374,13 @@ def _tarjan(g: Graph) -> ComponentPartition:
     stack: list[str] = []
     components: list[list[str]] = []
     counter = 0
+    out = g._derived(_out_maps)
 
     for root in g.node_ids:
         if root in index:
             continue
         # Each work item is (node, iterator over its out-neighbors).
-        work = [(root, iter([t for t, _ in g.out_edges(root)]))]
+        work = [(root, iter(out[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
@@ -383,7 +394,7 @@ def _tarjan(g: Graph) -> ComponentPartition:
                     counter += 1
                     stack.append(nxt)
                     on_stack.add(nxt)
-                    work.append((nxt, iter([t for t, _ in g.out_edges(nxt)])))
+                    work.append((nxt, iter(out[nxt])))
                     advanced = True
                     break
                 if nxt in on_stack:
@@ -425,7 +436,7 @@ def out_regularity(g: Graph) -> Weight | None:
     That is ``semi_out_regularity``'s r when no node is a sink.
     """
     _semi, r = semi_out_regularity(g)
-    return r if r is not None and all(g._out[v] for v in g.node_ids) else None
+    return r if r is not None and all(g._derived(_out_degrees).values()) else None
 
 
 def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
@@ -435,7 +446,7 @@ def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
     graph qualifies vacuously, and r is None then or when the graph does not
     qualify.
     """
-    positive = [g.out_degree(v) for v in g.node_ids if g._out[v]]
+    positive = [d for d in g._derived(_out_degrees).values() if d > 0]
     if not all_equal(positive, g.mode):
         return False, None
     return True, max(positive, default=None)
@@ -483,17 +494,14 @@ def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
 def in_flow(g: Graph, x: dict[str, Weight], distributed: bool) -> dict[str, Weight]:
     """Per node v, the sum over in-edges (u, v) of c(u, v) * x[u], each term
     divided by outdeg(u) when ``distributed``: the feedback term that every
-    measure and walk shares, exact in rational mode."""
-    start = zero(g.mode)
-    out: dict[str, Weight] = {}
-    for v in g.node_ids:
-        acc = start
-        for u, w in g.in_edges(v):
-            term = w * x[u]
-            if distributed:
-                term /= g.out_degree(u)
-            acc += term
-        out[v] = acc
+    measure and walk shares, exact in rational mode, summed in edge order."""
+    out = dict.fromkeys(g._weights, zero(g.mode))
+    degrees = g._derived(_out_degrees) if distributed else None
+    for (u, v), w in g._edges.items():
+        term = w * x[u]
+        if distributed:
+            term /= degrees[u]
+        out[v] += term
     return out
 
 

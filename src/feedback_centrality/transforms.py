@@ -40,8 +40,8 @@ from .measures import (
     katz_prestige,
 )
 
-#: Default ceiling for the integer scale of an impact multigraph.
-DEFAULT_SCALE_CAP = 10**6
+#: Ceiling for the integer scale of an impact multigraph.
+SCALE_CAP = 10**6
 
 
 # -- proportional combining ---------------------------------------------------
@@ -234,7 +234,7 @@ class ImpactMultigraph:
         return sum(m for (a, _b), m in self.multiplicity.items() if a == v)
 
 
-def build_impact_multigraph(g: Graph, max_scale: int = DEFAULT_SCALE_CAP) -> ImpactMultigraph:
+def build_impact_multigraph(g: Graph) -> ImpactMultigraph:
     """Clear impact denominators into integer edge multiplicities.
 
     Rational-mode only, and the node weights must sum to exactly 1 — that
@@ -259,9 +259,9 @@ def build_impact_multigraph(g: Graph, max_scale: int = DEFAULT_SCALE_CAP) -> Imp
                 "connected component needs positive total node weight"
             )
     scale = math.lcm(*(imp.denominator for imp in impacts.values()))
-    if scale > max_scale:
+    if scale > SCALE_CAP:
         raise DomainError(
-            f"impact denominators need a scale of {scale}, beyond the cap {max_scale}"
+            f"impact denominators need a scale of {scale}, beyond the cap {SCALE_CAP}"
         )
     multiplicity: dict[tuple[str, str], int] = {}
     for edge, imp in impacts.items():

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -63,11 +62,6 @@ class ProcessState:
     alpha: Weight
     t: int
     amounts: dict[str, Weight]
-
-    def total(self) -> Weight:
-        vals = list(self.amounts.values())
-        zero: Weight = Fraction(0) if vals and isinstance(vals[0], Fraction) else 0.0
-        return sum(vals, zero)
 
 
 @dataclass

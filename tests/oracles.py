@@ -5,8 +5,9 @@ library: explicit walk enumeration instead of state-vector iteration, dense
 numpy eigendecomposition instead of power iteration, least-squares
 stationary vectors instead of the replaced-row solve, Gaussian elimination
 over ``Fraction`` instead of fraction-free integer elimination, node groups
-folded one pair at a time instead of in one pass, and networkx for component
-structure.  Tests compare the two routes; neither side borrows
+folded one pair at a time instead of in one pass, the feedback term summed
+node by node over in-edges instead of in one pass over the edge table, and
+networkx for component structure.  Tests compare the two routes; neither side borrows
 code from the other.
 """
 
@@ -201,6 +202,24 @@ def fraction_gauss(
                 acc -= row[c] * x[c]
         x[r] = acc / row[r]
     return x
+
+
+def per_node_in_flow(
+    g: Graph, x: dict[str, Weight], distributed: bool
+) -> dict[str, Weight]:
+    """For each node v in node order, the sum over ``g.in_edges(v)`` of
+    c(u, v) * x[u], each term divided by ``g.out_degree(u)`` when
+    ``distributed``; terms are added in in-edge order."""
+    out: dict[str, Weight] = {}
+    for v in g.node_ids:
+        acc = _zero(g)
+        for u, w in g.in_edges(v):
+            term = w * x[u]
+            if distributed:
+                term /= g.out_degree(u)
+            acc += term
+        out[v] = acc
+    return out
 
 
 def pairwise_combine(

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import networkx as nx
 import numpy as np
 import pytest
@@ -35,8 +36,10 @@ from feedback_centrality import (
     successors,
     transition_matrix,
 )
-from .oracles import nx_components, to_networkx
-from .strategies import rational_graphs
+from feedback_centrality.graph import in_flow
+
+from .oracles import nx_components, per_node_in_flow, to_networkx
+from .strategies import rational_graphs, strongly_connected_graphs
 
 
 def build(nodes, edges, mode=Mode.RATIONAL):
@@ -147,6 +150,13 @@ class TestGraphContainer:
         # every memoised query is asked first, then the graph changes under it
         g = build([(v, 1.0) for v in "abc"], [("a", "b", 1.0), ("b", "c", 1.0)], Mode.FLOAT)
         kp = GraphClass(ClassTag.KP)
+        ones = dict.fromkeys("abcd", 1.0)
+        assert g.out_edges("c") == []
+        assert g.in_edges("a") == []
+        assert g.sinks() == ["c"]
+        assert successors(g, "c") == set()
+        assert predecessors(g, "a") == set()
+        assert in_flow(g, ones, distributed=False) == {"a": 0.0, "b": 1.0, "c": 1.0}
         assert g.out_degree("c") == 0
         assert len(strongly_connected_components(g).components) == 3
         assert spectral_data(g).lam == 0.0
@@ -154,6 +164,11 @@ class TestGraphContainer:
         assert not classify(g, kp)
 
         g.add_edge("c", "a", 2.0)  # the path closes into a cycle
+        assert g.out_edges("c") == [("a", 2.0)]
+        assert g.in_edges("a") == [("c", 2.0)]
+        assert g.sinks() == []
+        assert successors(g, "c") == predecessors(g, "a") == {"a", "b", "c"}
+        assert in_flow(g, ones, distributed=False) == {"a": 2.0, "b": 1.0, "c": 1.0}
         assert g.out_degree("c") == 2.0
         assert [sorted(c) for c in strongly_connected_components(g).components] == [
             ["a", "b", "c"]
@@ -163,11 +178,39 @@ class TestGraphContainer:
         assert classify(g, kp)
 
         g.add_node("d", 1.0)  # a loop-free singleton leaves the KP class
+        assert g.out_edges("d") == g.in_edges("d") == []
+        assert g.sinks() == ["d"]
+        assert successors(g, "d") == predecessors(g, "d") == set()
+        assert successors(g, "c") == {"a", "b", "c"}
+        assert in_flow(g, ones, distributed=True) == {"a": 1.0, "b": 1.0, "c": 1.0, "d": 0.0}
         assert g.out_degree("d") == 0
         assert len(strongly_connected_components(g).components) == 2
         assert len(spectral_data(g).values) == 2
         assert len(principal_eigenvalue(g)[0]) == 2
         assert not classify(g, kp)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_in_flow_matches_per_node_oracle(self, data):
+        # one pass over the edge table adds each target's terms in the same
+        # order as the per-node loop, so the two agree bit for bit
+        g = data.draw(
+            st.one_of(
+                rational_graphs(max_nodes=7),
+                rational_graphs(max_nodes=7).map(Graph.to_float),
+                strongly_connected_graphs(),
+            )
+        )
+        if g.mode is Mode.RATIONAL:
+            amount = st.fractions(min_value=0, max_value=100, max_denominator=50)
+        else:
+            amount = st.floats(min_value=0, max_value=1e6)
+        x = {v: data.draw(amount) for v in g.node_ids}
+        for distributed in (True, False):
+            flow = in_flow(g, x, distributed)
+            expected = per_node_in_flow(g, x, distributed)
+            assert list(flow.items()) == list(expected.items())
+            assert all(type(flow[v]) is type(expected[v]) for v in g.node_ids)
 
     def test_equality_ignores_insertion_order(self):
         g1 = build([("a", F(1)), ("b", F(1))], [("a", "b", F(1)), ("b", "a", F(2))])

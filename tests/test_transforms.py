@@ -304,9 +304,19 @@ class TestImpacts:
         with pytest.raises(DomainError, match="rational"):
             build_impact_multigraph(demo5_float)
 
-    def test_multigraph_respects_scale_cap(self, demo5):
-        with pytest.raises(DomainError, match="cap"):
-            build_impact_multigraph(demo5, max_scale=5)
+    def test_multigraph_respects_scale_cap(self):
+        # each self-loop carries its node's weight as impact, so the scale is
+        # the common denominator 1000003, just past the cap
+        g = Graph(Mode.RATIONAL)
+        g.add_node("a", F(1, 1000003))
+        g.add_node("b", F(1000002, 1000003))
+        g.add_edge("a", "a", F(1))
+        g.add_edge("b", "b", F(1))
+        with pytest.raises(
+            DomainError,
+            match="impact denominators need a scale of 1000003, beyond the cap 1000000",
+        ):
+            build_impact_multigraph(g)
 
 
 class TestCycleSynthesis:

@@ -191,7 +191,7 @@ def _cmd_simulate(args, parser) -> int:
         tail_omitted = str(exc)
     recursion = recursion_omitted = None
     try:
-        check = verify_recursion(g, kind, alpha, args.steps)
+        check = verify_recursion(g, series)
         recursion = {
             "limit_measure": check.measure.name(),
             "series_field": check.series_field,
@@ -200,12 +200,16 @@ def _cmd_simulate(args, parser) -> int:
         }
     except DomainError as exc:
         recursion_omitted = str(exc)
+    try:
+        in_flight = sum(float(x) for x in series.last.amounts.values())
+    except OverflowError:
+        raise DomainError("mass in flight does not fit in a float") from None
 
     diagnostics = {
         "process": kind.value,
         "steps": args.steps,
         "initial_total": format_weight(g.total_node_weight()),
-        "mass_in_flight": _fmt6(sum(float(x) for x in series.last.values())),
+        "mass_in_flight": _fmt6(in_flight),
         "cesaro": (
             {v: format_weight(x) for v, x in series.cesaro.items()}
             if series.cesaro is not None

@@ -455,6 +455,11 @@ def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
 # -- matrices ---------------------------------------------------------------
 
 
+def node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
+    """Float node weights, in the order given."""
+    return np.array([float(g.node_weight(v)) for v in order])
+
+
 def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     """Dense float adjacency A with A[i, j] = weight of edge order[j] -> order[i].
 

@@ -34,12 +34,12 @@ from .graph import (
     Graph,
     GraphClass,
     Mode,
-    SpectralData,  # noqa: F401 - re-exported; defined with spectral_data in graph
     Weight,
     adjacency_matrix,
     classify,
     coerce,
     in_flow,
+    node_weight_vector,
     spectral_data,
     strongly_connected_components,
     transition_matrix,
@@ -134,10 +134,6 @@ class Measure:
         return eigenvector_centrality(g)
 
 
-def _node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
-    return np.array([float(g.node_weight(v)) for v in order])
-
-
 # -- linear-system measures ---------------------------------------------------
 
 
@@ -166,7 +162,7 @@ def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVecto
         return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
     m_float = transition_matrix if distributed else adjacency_matrix
     k = np.eye(len(order)) - float(alpha) * m_float(g, order)
-    x = solve_refined(k, _node_weight_vector(g, order))
+    x = solve_refined(k, node_weight_vector(g, order))
     return CentralityVector({v: float(x[i]) for i, v in enumerate(order)}, Mode.FLOAT)
 
 
@@ -259,7 +255,7 @@ def eigenvector_centrality(g: Graph) -> CentralityVector:
     data = spectral_data(g)
     out: dict[str, float] = {}
     for comp, x, y in zip(data.components, data.right_vectors, data.left_vectors):
-        b = _node_weight_vector(g, comp)
+        b = node_weight_vector(g, comp)
         scale = float(y @ b) / float(y @ x)
         for i, v in enumerate(comp):
             out[v] = float(x[i]) * scale

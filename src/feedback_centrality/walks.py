@@ -40,13 +40,14 @@ from .graph import (
     classify,
     coerce,
     in_flow,
+    node_weight_vector,
     principal_eigenvalue,
     spectral_data,
     transition_matrix,
     zero,
 )
 from .linalg import solve_refined
-from .measures import Measure, MeasureKind
+from .measures import PARAMETRIC_KINDS, Measure, MeasureKind
 
 
 class ProcessKind(enum.Enum):
@@ -69,17 +70,14 @@ class SeriesAccumulator:
     """Running sums of a process over steps 0..T.
 
     ``partial_sum`` adds the T+1 states; ``cesaro`` divides that sum by T
-    (None when T = 0).  ``last`` is the state at step T, kept so callers can
-    extend the series or compute the exact recursion defect.
+    (None when T = 0).  ``last`` is the state at step T: its ``kind``,
+    ``alpha`` and ``t`` are the series' own, so the record alone is enough
+    to extend the series or to check it with ``verify_recursion``.
     """
 
-    kind: ProcessKind
-    alpha: Weight
-    steps: int
-    mode: Mode
     partial_sum: dict[str, Weight]
-    last: dict[str, Weight]
     cesaro: dict[str, Weight] | None
+    last: ProcessState
 
 
 def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> None:
@@ -130,22 +128,19 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
             state = step(g, state)
             for v in order:
                 partial[v] += state.amounts[v]
-        last = state.amounts
-        cesaro = {v: partial[v] / steps for v in order} if steps >= 1 else None
-        return SeriesAccumulator(kind, alpha, steps, g.mode, partial, last, cesaro)
-
-    w = _step_matrix(g, kind)
-    b = np.array([float(g.node_weight(v)) for v in order])
-    a = float(alpha)
-    cur = b
-    partial_vec = b.copy()
-    for _ in range(steps):
-        cur = a * (w @ cur)
-        partial_vec += cur
-    partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
-    last = {v: float(cur[i]) for i, v in enumerate(order)}
+    else:
+        w = _step_matrix(g, kind)
+        cur = node_weight_vector(g, order)
+        a = float(alpha)
+        partial_vec = cur.copy()
+        for _ in range(steps):
+            cur = a * (w @ cur)
+            partial_vec += cur
+        partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
+        amounts = {v: float(cur[i]) for i, v in enumerate(order)}
+        state = ProcessState(kind, alpha, steps, amounts)
     cesaro = {v: partial[v] / steps for v in order} if steps >= 1 else None
-    return SeriesAccumulator(kind, alpha, steps, g.mode, partial, last, cesaro)
+    return SeriesAccumulator(partial, cesaro, state)
 
 
 def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> list[Weight]:
@@ -163,7 +158,7 @@ def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> li
             totals.append(sum(state.amounts.values(), zero(g.mode)))
         return totals
     w = _step_matrix(g, kind)
-    b = np.array([float(g.node_weight(v)) for v in g.node_ids])
+    b = node_weight_vector(g, g.node_ids)
     a = float(alpha)
     totals = [float(b.sum())]
     for _ in range(steps):
@@ -187,23 +182,22 @@ def geometric_tail_bound(
     """
     _check_args(g, alpha)
     order = g.node_ids
-    b = np.array([float(g.node_weight(v)) for v in order])
+    b = node_weight_vector(g, order)
+    a = float(alpha)
 
     if kind is ProcessKind.DISTRIBUTED:
-        a = float(alpha)
         if a >= 1:
             raise DomainError("distributed tail bound needs alpha < 1")
         tail = a ** (steps + 1) / (1.0 - a) * float(b.sum())
         return {v: tail for v in order}
 
-    a = float(alpha)
     data = spectral_data(g)
     if not classify(g, GraphClass(ClassTag.KATZ, a)):
         raise DomainError(
             f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
             f"got {a * data.lam:.12g}"
         )
-    if a == 0.0:
+    if a == 0.0 or not order:
         return {v: 0.0 for v in order}
 
     if len(data.components) == 1 and data.lam > 0:
@@ -211,7 +205,7 @@ def geometric_tail_bound(
         # The component lists the nodes in discovery order, not node order.
         comp, y = data.components[0], data.left_vectors[0]
         rate = a * data.lam
-        b_comp = np.array([float(g.node_weight(v)) for v in comp])
+        b_comp = node_weight_vector(g, comp)
         scale = rate ** (steps + 1) / (1.0 - rate) * float(y @ b_comp)
         y_of = dict(zip(comp, y))
         return {v: scale / float(y_of[v]) for v in order}
@@ -241,10 +235,12 @@ class RecursionCheck:
     max_mismatch: float
 
 
-def verify_recursion(
-    g: Graph, kind: ProcessKind, alpha: Weight, steps: int
-) -> RecursionCheck:
-    """Check the series-vs-recursion identity at horizon T.
+def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
+    """Check the series-vs-recursion identity of ``series``, run on g.
+
+    The process kind, the decay alpha and the horizon T are those of
+    ``series.last``; the check takes one more step from it and runs nothing
+    else.  A series whose nodes are not g's raises ``DomainError``.
 
     Writing x for the partial sum up to T and W for the step matrix:
     x - alpha*W*x - b = -p(T+1), always.  Divided by T this becomes the
@@ -258,15 +254,17 @@ def verify_recursion(
     * parallel, alpha*lambda within 1e-6 of 1     -> eigenvector, cesaro
     * anything else -> DomainError
     """
-    _check_args(g, alpha, steps)
+    last = series.last
+    kind, alpha, steps = last.kind, last.alpha, last.t
+    order = g.node_ids
+    if last.amounts.keys() != set(order):
+        raise DomainError("the series was run on a graph with other nodes")
 
     if kind is ProcessKind.DISTRIBUTED:
         if alpha < 1:
             measure = Measure(MeasureKind.PAGERANK, alpha)
-            use_cesaro = False
         elif alpha == 1:
             measure = Measure(MeasureKind.KATZ_PRESTIGE)
-            use_cesaro = True
         else:
             raise DomainError(
                 f"distributed series with alpha = {alpha} matches no measure"
@@ -276,36 +274,30 @@ def verify_recursion(
         product = float(alpha) * lam
         if classify(g, GraphClass(ClassTag.KATZ, alpha)):
             measure = Measure(MeasureKind.KATZ, alpha)
-            use_cesaro = False
         elif abs(product - 1.0) <= KATZ_MARGIN:
             measure = Measure(MeasureKind.EIGENVECTOR)
-            use_cesaro = True
         else:
             raise DomainError(
                 f"parallel series with alpha * lambda = {product:.12g} matches no measure"
             )
+    # damped measures are limits of partial sums, undamped ones of Cesaro averages
+    use_cesaro = measure.kind not in PARAMETRIC_KINDS
     if use_cesaro and steps < 1:
         raise DomainError("the cesaro branch needs at least one step")
 
-    series = sum_series(g, kind, alpha, steps)
-    after = step(g, ProcessState(kind, alpha, steps, series.last))
-    order = g.node_ids
+    after = step(g, last)
 
     vector = series.cesaro if use_cesaro else series.partial_sum
     assert vector is not None
     flow = in_flow(g, vector, kind is ProcessKind.DISTRIBUTED)
 
-    residual: dict[str, Weight] = {}
-    for v in order:
-        defect = vector[v] - alpha * flow[v]
-        if not use_cesaro:
-            defect -= g.node_weight(v)
-        residual[v] = defect
+    residual = {
+        v: vector[v] - alpha * flow[v] - (0 if use_cesaro else g.node_weight(v))
+        for v in order
+    }
 
     if use_cesaro:
-        predicted = {
-            v: (g.node_weight(v) - after.amounts[v]) / steps for v in order
-        }
+        predicted = {v: (g.node_weight(v) - after.amounts[v]) / steps for v in order}
     else:
         predicted = {v: -after.amounts[v] for v in order}
 

@@ -18,6 +18,7 @@ from feedback_centrality import (
     proportional_combine,
     serialize_graph,
 )
+from feedback_centrality import cli, walks
 from feedback_centrality.cli import main
 
 from .conftest import GRAPH_DIR
@@ -251,6 +252,38 @@ class TestSimulate:
         assert diag["tail_bound_max"] is None  # alpha * lambda = 1: no geometric tail
         assert diag["cesaro"] is not None
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_one_request_runs_one_series(self, capsys, monkeypatch, mode):
+        calls = []
+
+        def counting(original):
+            def wrapper(*args, **kwargs):
+                calls.append(args)
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "sum_series", counting(cli.sum_series))
+        monkeypatch.setattr(walks, "sum_series", counting(walks.sum_series))
+        doc = run_json(
+            capsys, "simulate", "--input", DEMO5, "--mode", mode,
+            "--process", "distributed", "--alpha", "1/2", "--steps", "12",
+        )
+        assert doc["diagnostics"]["recursion"] is not None
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("process", ["parallel", "distributed"])
+    def test_graph_without_nodes(self, capsys, tmp_path, mode, process):
+        empty = tmp_path / "empty.dg"
+        empty.write_text("")
+        doc = run_json(
+            capsys, "simulate", "--input", str(empty), "--mode", mode,
+            "--process", process, "--alpha", "1/2",
+        )
+        assert doc["values"] == {}
+        assert doc["diagnostics"]["tail_bound_max"] == "0"
+
     def test_negative_steps_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -377,6 +410,8 @@ class TestTransforms:
              "unknown node 'v1'"),
             (("transform", "combine-groups", "--input", "EMPTY", "--groups", "GROUPS",
               "--mode", "float"), "unknown node 'v1'"),
+            (("simulate", "--input", "HUGE", "--mode", "rational", "--process",
+              "parallel", "--alpha", "1/2", "--steps", "5"), "does not fit in a float"),
         ],
         ids=[
             "combine-by-measure",
@@ -384,6 +419,7 @@ class TestTransforms:
             "check-axioms-min-size",
             "combine-groups-no-nodes",
             "combine-groups-no-nodes-float",
+            "simulate-beyond-float-range",
         ],
     )
     def test_bad_input_is_an_error_line_not_a_traceback(
@@ -393,7 +429,9 @@ class TestTransforms:
         groups.write_text("group v1 v1\ngroup zz v1\n")
         empty = tmp_path / "empty.dg"
         empty.write_text("")
-        paths = {"GROUPS": str(groups), "EMPTY": str(empty)}
+        huge = tmp_path / "huge.dg"  # exact, but (1e300/2)^5 overflows a float
+        huge.write_text("node a 1\nnode b 1\nedge a b 1e300\nedge b a 1e300\n")
+        paths = {"GROUPS": str(groups), "EMPTY": str(empty), "HUGE": str(huge)}
         argv = [paths.get(a, a) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""

@@ -1,5 +1,6 @@
 """Walk processes: oracle agreement, conservation, tails, recursion checks."""
 
+from dataclasses import fields
 from fractions import Fraction as F
 
 import pytest
@@ -13,6 +14,8 @@ from feedback_centrality import (
     MeasureKind,
     Mode,
     ProcessKind,
+    ProcessState,
+    SeriesAccumulator,
     generate,
     geometric_tail_bound,
     initial_state,
@@ -84,6 +87,19 @@ class TestAgainstWalkEnumeration:
         assert acc.cesaro == {v: s / 8 for v, s in acc.partial_sum.items()}
         assert sum_series(g, ProcessKind.DISTRIBUTED, F(1), 0).cesaro is None
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("kind", list(ProcessKind))
+    def test_last_is_the_state_at_the_horizon(self, mode, kind):
+        g = loop_pair() if mode is Mode.RATIONAL else loop_pair().to_float()
+        alpha = F(1, 3) if mode is Mode.RATIONAL else 1 / 3
+        acc = sum_series(g, kind, alpha, 6)
+        assert [f.name for f in fields(SeriesAccumulator)] == [
+            "partial_sum", "cesaro", "last",
+        ]
+        assert isinstance(acc.last, ProcessState)
+        assert (acc.last.t, acc.last.kind, acc.last.alpha) == (6, kind, alpha)
+        assert acc.last.amounts.keys() == set(g.node_ids)
+
 
 class TestConservation:
     @pytest.mark.parametrize("seed", range(10))
@@ -150,6 +166,14 @@ class TestTailBounds:
         with pytest.raises(DomainError):
             geometric_tail_bound(g, ProcessKind.PARALLEL, 2.0, 10)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_parallel_bound_without_nodes_is_empty(self, mode):
+        # an empty graph has no eigenvalue and no tail, as in the distributed case
+        g = Graph(mode)
+        alpha = F(1, 2) if mode is Mode.RATIONAL else 0.5
+        assert geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, 5) == {}
+        assert geometric_tail_bound(g, ProcessKind.DISTRIBUTED, alpha, 5) == {}
+
     def test_zero_decay_has_zero_tail(self):
         g = loop_pair().to_float()
         bound = geometric_tail_bound(g, ProcessKind.PARALLEL, 0.0, 5)
@@ -162,34 +186,44 @@ class TestVerifyRecursion:
     # residual itself is the small-but-nonzero truncation error.
 
     def test_distributed_damped_branch(self, demo5):
-        check = verify_recursion(demo5, ProcessKind.DISTRIBUTED, F(17, 20), 40)
+        series = sum_series(demo5, ProcessKind.DISTRIBUTED, F(17, 20), 40)
+        check = verify_recursion(demo5, series)
         assert check.measure.kind is MeasureKind.PAGERANK
         assert check.series_field == "partial_sum"
         assert check.max_mismatch == 0
         assert 0 < check.max_residual < 1e-2
 
     def test_distributed_unit_branch(self, demo5):
-        check = verify_recursion(demo5, ProcessKind.DISTRIBUTED, F(1), 40)
+        series = sum_series(demo5, ProcessKind.DISTRIBUTED, F(1), 40)
+        check = verify_recursion(demo5, series)
         assert check.measure.kind is MeasureKind.KATZ_PRESTIGE
         assert check.series_field == "cesaro"
         assert check.max_mismatch == 0
         assert check.residual == check.predicted
 
     def test_parallel_damped_branch(self, demo5):
-        check = verify_recursion(demo5, ProcessKind.PARALLEL, F(1, 4), 40)
+        series = sum_series(demo5, ProcessKind.PARALLEL, F(1, 4), 40)
+        check = verify_recursion(demo5, series)
         assert check.measure.kind is MeasureKind.KATZ
         assert check.max_mismatch == 0
         assert check.max_residual < 1e-10  # (alpha*lambda)^41 is tiny
 
     def test_parallel_critical_branch(self, demo5_float):
-        check = verify_recursion(demo5_float, ProcessKind.PARALLEL, 0.5, 50)
+        series = sum_series(demo5_float, ProcessKind.PARALLEL, 0.5, 50)
+        check = verify_recursion(demo5_float, series)
         assert check.measure.kind is MeasureKind.EIGENVECTOR
         assert check.series_field == "cesaro"
         assert check.max_mismatch < 1e-12
 
     def test_dead_zone_rejected(self, demo5_float):
+        series = sum_series(demo5_float, ProcessKind.PARALLEL, 1.0, 10)
         with pytest.raises(DomainError):
-            verify_recursion(demo5_float, ProcessKind.PARALLEL, 1.0, 10)
+            verify_recursion(demo5_float, series)
+
+    def test_series_of_another_graph_rejected(self, demo5):
+        series = sum_series(loop_pair(), ProcessKind.DISTRIBUTED, F(1, 2), 5)
+        with pytest.raises(DomainError, match="other nodes"):
+            verify_recursion(demo5, series)
 
 
 class TestKernelConsistency:

@@ -16,8 +16,8 @@ quantify over the class.  Otherwise the verdict carries the maximum
 relative deviation and passes iff it is within tolerance (exactly zero for
 rational-mode instances, where the arithmetic is exact).
 
-``satisfaction_matrix`` runs generated corpora through every
-(axiom, measure) cell and reduces each cell to PASS / FAIL(witness) /
+``satisfaction_matrix`` runs generated graphs of a given size range through
+every (axiom, measure) cell and reduces each cell to PASS / FAIL(witness) /
 SKIPPED, with failing witnesses greedily shrunk and re-verified.
 """
 
@@ -511,10 +511,6 @@ def _check_family(family: Family, g: Graph) -> None:
         raise DomainError(f"generated graph fails the {family.value} predicate")
 
 
-def default_corpus(size_range: tuple[int, int] = (3, 25)) -> list[GeneratorSpec]:
-    return [GeneratorSpec(family, size_range=size_range) for family in Family]
-
-
 # -- the satisfaction matrix ---------------------------------------------------
 
 
@@ -627,20 +623,17 @@ def _fresh_name(g: Graph, base: str) -> str:
 def _build_instance(
     axiom: AxiomId,
     measure: Measure,
-    corpus_map: dict[Family, GeneratorSpec],
+    size_range: tuple[int, int],
     rng: random.Random,
 ) -> AxiomInstance:
     tag = axiom.tag
     kind = measure.kind
-    family = _family_for(tag, kind)
-    spec = corpus_map.get(family)
-    if spec is None:
-        raise DomainError(f"corpus provides no {family.value} generator")
+    spec = GeneratorSpec(_family_for(tag, kind), size_range)
 
-    def draw(active_spec: GeneratorSpec) -> Graph:
-        return generate(replace(active_spec, seed=rng.getrandbits(63)))
+    def draw() -> Graph:
+        return generate(replace(spec, seed=rng.getrandbits(63)))
 
-    g = draw(spec)
+    g = draw()
     factor = _pick_factor(rng, g.mode) if tag in (
         AxiomTag.EDGE_MULTIPLICATION,
         AxiomTag.EDGE_COMPENSATION,
@@ -653,7 +646,7 @@ def _build_instance(
         g = _fit_for_katz(g, float(measure.alpha), headroom)
 
     if tag is AxiomTag.LOCALITY:
-        h = _relabel(draw(spec), "w")
+        h = _relabel(draw(), "w")
         if kind is MeasureKind.KATZ:
             h = _fit_for_katz(h, float(measure.alpha), 1.0)
         elif kind is MeasureKind.EIGENVECTOR and g.mode is Mode.FLOAT:
@@ -739,7 +732,7 @@ class MatrixReport:
 def run_cell(
     axiom: AxiomId,
     measure: Measure,
-    corpus_map: dict[Family, GeneratorSpec],
+    size_range: tuple[int, int],
     trials: int,
     tol: float,
     rng: random.Random,
@@ -753,7 +746,7 @@ def run_cell(
     while admissible < trials and attempts < cap:
         if attempts >= trials and admissible == 0:
             break  # nothing in this corpus is admissible: a skipped cell
-        instance = _build_instance(axiom, measure, corpus_map, rng)
+        instance = _build_instance(axiom, measure, size_range, rng)
         verdict = check_axiom(axiom, measure, instance, tol)
         attempts += 1
         if verdict.skipped:
@@ -794,7 +787,7 @@ def run_cell(
 
 
 def satisfaction_matrix(
-    corpus: list[GeneratorSpec] | None = None,
+    size_range: tuple[int, int] = (3, 25),
     trials: int = 200,
     tol: float = AXIOM_TOL,
     seed: int = 0,
@@ -806,13 +799,11 @@ def satisfaction_matrix(
     PASS means every admissible instance passed; FAIL stores the first
     failing instance, shrunk and re-verified; SKIPPED means the corpus
     produced no admissible instance at all (the axiom does not apply on the
-    measure's class).  Fully deterministic for a given (corpus, trials,
-    tol, seed).  ``axioms``/``measures`` restrict the grid.
+    measure's class).  Each cell draws float graphs of the one family its
+    axiom and measure need, with node counts in ``size_range``.  Fully
+    deterministic for a given (size_range, trials, tol, seed).
+    ``axioms``/``measures`` restrict the grid.
     """
-    corpus = corpus if corpus is not None else default_corpus()
-    corpus_map: dict[Family, GeneratorSpec] = {}
-    for spec in corpus:
-        corpus_map.setdefault(spec.family, spec)
     axioms = axioms if axioms is not None else ALL_AXIOMS
     measures = measures if measures is not None else MATRIX_MEASURES
 
@@ -820,7 +811,7 @@ def satisfaction_matrix(
     for axiom in axioms:
         for kind, measure in measures.items():
             rng = random.Random(f"{seed}/{axiom.label()}/{kind.value}")
-            cells[(axiom.tag, kind)] = run_cell(axiom, measure, corpus_map, trials, tol, rng)
+            cells[(axiom.tag, kind)] = run_cell(axiom, measure, size_range, trials, tol, rng)
     return MatrixReport(cells, trials, tol, seed)
 
 

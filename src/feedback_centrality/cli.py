@@ -30,7 +30,6 @@ from .axioms import (
     AXIOM_TOL,
     AxiomId,
     MATRIX_MEASURES,
-    default_corpus,
     satisfaction_matrix,
 )
 from .errors import DomainError, FeedbackCentralityError, GraphFormatError
@@ -103,20 +102,15 @@ def _document(command: str, arguments: dict, values, diagnostics) -> dict:
     }
 
 
+def _write(text: str, output: str | None) -> None:
+    if output:
+        Path(output).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(doc: dict, output: str | None) -> None:
-    text = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit_graph(g: Graph, output: str | None) -> None:
-    text = serialize_graph(g, canonical=True)
-    if output:
-        Path(output).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2, ensure_ascii=False) + "\n", output)
 
 
 def _read_graph(path: str, mode: Mode) -> Graph:
@@ -283,7 +277,7 @@ def _cmd_check_axioms(args, parser) -> int:
         parser.error("--alpha needs --measure")
 
     report = satisfaction_matrix(
-        corpus=default_corpus(size_range=(args.min_size, args.max_size)),
+        size_range=(args.min_size, args.max_size),
         trials=args.trials,
         tol=args.tolerance,
         seed=args.seed,
@@ -407,7 +401,7 @@ def _cmd_transform(args, parser) -> int:
     else:  # pragma: no cover - argparse restricts choices
         parser.error(f"unknown transform {op!r}")
 
-    _emit_graph(out, args.output)
+    _write(serialize_graph(out, canonical=True), args.output)
     return 0
 
 
@@ -479,13 +473,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_euler_construct, mode="rational")
 
     p = sub.add_parser("transform", help="graph rewrites")
+    p.set_defaults(handler=_cmd_transform)
     ops = p.add_subparsers(dest="op", required=True)
 
     t = ops.add_parser("em", help="multiply a node's outgoing edges")
     _add_io(t)
     t.add_argument("--node", required=True)
     t.add_argument("--factor", required=True)
-    t.set_defaults(handler=_cmd_transform)
 
     t = ops.add_parser(
         "ec", help="scale a node's throughput, compensating its surroundings"
@@ -493,15 +487,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io(t)
     t.add_argument("--node", required=True)
     t.add_argument("--factor", required=True)
-    t.set_defaults(handler=_cmd_transform)
 
     t = ops.add_parser("opposite", help="reverse every edge")
     _add_io(t)
-    t.set_defaults(handler=_cmd_transform)
 
     t = ops.add_parser("normalize", help="divide edges by their source out-degree")
     _add_io(t)
-    t.set_defaults(handler=_cmd_transform)
 
     t = ops.add_parser(
         "regularize",
@@ -511,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--input", required=True, help="graph description file, read in float mode"
     )
     t.add_argument("--output", help="write the result to this file instead of stdout")
-    t.set_defaults(handler=_cmd_transform, mode="float")
+    t.set_defaults(mode="float")
 
     t = ops.add_parser("combine", help="merge one node into another proportionally")
     _add_io(t)
@@ -519,14 +510,12 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--values", help="explicit combining values 'a,b'")
     t.add_argument("--measure", choices=sorted(_MEASURE_ALIASES))
     t.add_argument("--alpha")
-    t.set_defaults(handler=_cmd_transform)
 
     t = ops.add_parser(
         "combine-groups", help="fold grouped nodes back together (inverse of euler-construct)"
     )
     _add_io(t)
     t.add_argument("--groups", required=True, help="grouping sidecar file")
-    t.set_defaults(handler=_cmd_transform)
 
     return parser
 

@@ -455,9 +455,20 @@ def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
 # -- matrices ---------------------------------------------------------------
 
 
+def _float_weight(g: Graph, u: str, v: str | None) -> float:
+    """The weight of node u (v None) or of edge u -> v as a float;
+    ``GraphFormatError`` when it does not fit in one."""
+    w = g.node_weight(u) if v is None else g.edge_weight(u, v)
+    try:
+        return float(w)
+    except OverflowError:
+        what = f"node {u!r}" if v is None else f"edge {u!r} -> {v!r}"
+        raise GraphFormatError(f"weight of {what} does not fit in a float") from None
+
+
 def node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
     """Float node weights, in the order given."""
-    return np.array([float(g.node_weight(v)) for v in order])
+    return np.array([_float_weight(g, v, None) for v in order])
 
 
 def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
@@ -568,7 +579,7 @@ def _perron_pass(g: Graph) -> SpectralData:
     for comp, strong in zip(part.components, part.strongly_connected):
         if len(comp) == 1:
             x, y = np.ones(1), np.ones(1)
-            lam = float(g.edge_weight(comp[0], comp[0])) if strong else 0.0
+            lam = _float_weight(g, comp[0], comp[0]) if strong else 0.0
         else:
             x, y, lam = perron_triple(adjacency_matrix(g, comp))
         vals.append(lam)
@@ -638,8 +649,11 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
         return ClassVerdict(True)
 
     if cls.tag is ClassTag.KATZ:
+        try:
+            alpha = float(cls.alpha)  # type: ignore[arg-type]
+        except OverflowError:
+            raise DomainError("decay parameter does not fit in a float") from None
         data = spectral_data(g)
-        alpha = float(cls.alpha)  # type: ignore[arg-type]
         if alpha * data.lam > 1.0 - KATZ_MARGIN:
             return ClassVerdict(
                 False,

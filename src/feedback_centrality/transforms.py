@@ -221,12 +221,11 @@ def compute_impacts(g: Graph) -> dict[tuple[str, str], Weight]:
 @dataclass
 class ImpactMultigraph:
     """Integer edge multiplicities ``scale * impact`` (scale = lcm of impact
-    denominators).  Multiplicities sum to ``scale``, and every node is
-    balanced: in-multidegree equals out-multidegree equals
-    scale * katz-prestige."""
+    denominators), keyed by edge in the source graph's edge order.
+    Multiplicities sum to ``scale``, and every node is balanced:
+    in-multidegree equals out-multidegree equals scale * katz-prestige.
+    The impacts themselves are ``compute_impacts(g)``."""
 
-    node_order: list[str]
-    impacts: dict[tuple[str, str], Fraction]
     multiplicity: dict[tuple[str, str], int]
     scale: int
 
@@ -269,7 +268,7 @@ def build_impact_multigraph(g: Graph) -> ImpactMultigraph:
         assert m.denominator == 1
         multiplicity[edge] = int(m)
     assert sum(multiplicity.values()) == scale
-    return ImpactMultigraph(g.node_ids, impacts, multiplicity, scale)
+    return ImpactMultigraph(multiplicity, scale)
 
 
 def _euler_circuit(targets: dict[str, list[str]], start: str) -> list[str]:
@@ -302,16 +301,14 @@ class CycleSynthesis:
     node v appears ``scale * KP(v)`` times, carrying b(v) split evenly over
     the copies, and every edge has the source graph's common out-degree as
     its weight.  ``groups`` maps each source node to its copies in circuit
-    order (first copy keeps the source id); ``node_map`` inverts that.
-    ``recombine`` folds the groups back and reproduces the source exactly.
+    order (first copy keeps the source id).  ``recombine`` folds the groups
+    back and reproduces the source exactly.
     """
 
     cycle_graph: Graph
     groups: dict[str, list[str]]
-    node_map: dict[str, str]
     scale: int
     edge_weight: Fraction
-    multigraph: ImpactMultigraph
 
 
 def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
@@ -332,17 +329,12 @@ def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
     mg = build_impact_multigraph(g)
     part = strongly_connected_components(g)
 
-    counts: dict[str, int] = {v: 0 for v in g.node_ids}
-    for (u, _v), m in mg.multiplicity.items():
-        counts[u] += m
-
     targets: dict[str, list[str]] = {v: [] for v in g.node_ids}
     for u, v, _wt in g.edges():
         targets[u].extend([v] * mg.multiplicity[(u, v)])
 
     cycle = Graph(Mode.RATIONAL)
     groups: dict[str, list[str]] = {v: [] for v in g.node_ids}
-    node_map: dict[str, str] = {}
     used: set[str] = set()
 
     def occurrence_name(orig: str) -> str:
@@ -356,7 +348,7 @@ def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
     for comp in part.components:
         start = comp[0]
         walk = _euler_circuit({v: targets[v] for v in comp}, start)
-        expected = sum(counts[v] for v in comp)
+        expected = sum(len(targets[v]) for v in comp)
         if len(walk) != expected + 1:
             raise DomainError(
                 f"component of {start!r} admits no closed walk covering all "
@@ -367,13 +359,12 @@ def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
             name = occurrence_name(orig)
             used.add(name)
             groups[orig].append(name)
-            node_map[name] = orig
             names.append(name)
-            cycle.add_node(name, Fraction(g.node_weight(orig), 1) / counts[orig])
+            cycle.add_node(name, Fraction(g.node_weight(orig), 1) / len(targets[orig]))
         for i, name in enumerate(names):
             cycle.add_edge(name, names[(i + 1) % len(names)], Fraction(x))
 
-    return CycleSynthesis(cycle, groups, node_map, mg.scale, Fraction(x), mg)
+    return CycleSynthesis(cycle, groups, mg.scale, Fraction(x))
 
 
 def recombine(synth: CycleSynthesis) -> tuple[Graph, dict[str, Weight]]:

@@ -17,8 +17,8 @@ of the two undamped processes (alpha = 1, resp. alpha = 1/lambda) yield
 katz-prestige and eigenvector centrality.  ``verify_recursion`` checks the
 finite-horizon form of these identities exactly.
 
-Float paths step a numpy state vector through the step matrix;
-rational-mode graphs are stepped in pure Python with exact arithmetic.
+Float ``sum_series`` steps a numpy state vector through the step matrix;
+``step`` sums over the edge list in the graph's mode, exactly if rational.
 """
 
 from __future__ import annotations
@@ -146,24 +146,17 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
 def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> list[Weight]:
     """Total amount in the system at each of steps 0..T.
 
-    For the distributed process with alpha = 1 on a sink-free graph this
-    sequence is constant — exactly so in rational mode.
+    Steps the process with ``step`` in the graph's numeric mode and sums
+    each state in that mode.  For the distributed process with alpha = 1 on
+    a sink-free graph this sequence is constant — exactly so in rational
+    mode.
     """
     _check_args(g, alpha, steps)
-    if g.mode is Mode.RATIONAL:
-        state = initial_state(g, kind, alpha)
-        totals = [sum(state.amounts.values(), zero(g.mode))]
-        for _ in range(steps):
-            state = step(g, state)
-            totals.append(sum(state.amounts.values(), zero(g.mode)))
-        return totals
-    w = _step_matrix(g, kind)
-    b = node_weight_vector(g, g.node_ids)
-    a = float(alpha)
-    totals = [float(b.sum())]
+    state = initial_state(g, kind, alpha)
+    totals = [sum(state.amounts.values(), zero(g.mode))]
     for _ in range(steps):
-        b = a * (w @ b)
-        totals.append(float(b.sum()))
+        state = step(g, state)
+        totals.append(sum(state.amounts.values(), zero(g.mode)))
     return totals
 
 
@@ -180,23 +173,25 @@ def geometric_tail_bound(
     majorizes the step (alpha*A^T z = z - 1 <= theta*z with theta =
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
     """
-    _check_args(g, alpha)
+    _check_args(g, alpha, steps)
     order = g.node_ids
     b = node_weight_vector(g, order)
-    a = float(alpha)
 
     if kind is ProcessKind.DISTRIBUTED:
-        if a >= 1:
+        # exact check first; a decay just below 1 can still round to 1.0
+        if alpha >= 1 or float(alpha) >= 1:
             raise DomainError("distributed tail bound needs alpha < 1")
+        a = float(alpha)
         tail = a ** (steps + 1) / (1.0 - a) * float(b.sum())
         return {v: tail for v in order}
 
     data = spectral_data(g)
-    if not classify(g, GraphClass(ClassTag.KATZ, a)):
+    if not classify(g, GraphClass(ClassTag.KATZ, alpha)):
         raise DomainError(
             f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
-            f"got {a * data.lam:.12g}"
+            f"got {float(alpha) * data.lam:.12g}"
         )
+    a = float(alpha)
     if a == 0.0 or not order:
         return {v: 0.0 for v in order}
 
@@ -270,9 +265,9 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
                 f"distributed series with alpha = {alpha} matches no measure"
             )
     else:
-        _lams, lam = principal_eigenvalue(g)
-        product = float(alpha) * lam
-        if classify(g, GraphClass(ClassTag.KATZ, alpha)):
+        in_class = classify(g, GraphClass(ClassTag.KATZ, alpha))
+        product = float(alpha) * principal_eigenvalue(g)[1]
+        if in_class:
             measure = Measure(MeasureKind.KATZ, alpha)
         elif abs(product - 1.0) <= KATZ_MARGIN:
             measure = Measure(MeasureKind.EIGENVECTOR)

@@ -23,7 +23,6 @@ from feedback_centrality import (
     PreconditionError,
     check_axiom,
     check_positivity_and_source,
-    default_corpus,
     generate,
     is_constant_weight_cycle,
     is_strongly_connected,
@@ -331,9 +330,7 @@ class TestGenerate:
 
 @pytest.fixture(scope="module")
 def small_report():
-    return satisfaction_matrix(
-        corpus=default_corpus(size_range=(3, 8)), trials=6, seed=13
-    )
+    return satisfaction_matrix(size_range=(3, 8), trials=6, seed=13)
 
 
 class TestSatisfactionMatrix:
@@ -361,9 +358,7 @@ class TestSatisfactionMatrix:
             assert not again.passed and not again.skipped
 
     def test_deterministic_for_a_seed(self, small_report):
-        twin = satisfaction_matrix(
-            corpus=default_corpus(size_range=(3, 8)), trials=6, seed=13
-        )
+        twin = satisfaction_matrix(size_range=(3, 8), trials=6, seed=13)
         for key, cell in small_report.cells.items():
             other = twin.cells[key]
             assert cell.status is other.status
@@ -374,7 +369,7 @@ class TestSatisfactionMatrix:
 
     def test_restricted_grids_only_judge_present_cells(self):
         report = satisfaction_matrix(
-            corpus=default_corpus(size_range=(3, 6)),
+            size_range=(3, 6),
             trials=3,
             seed=1,
             axioms=[AxiomId(AxiomTag.LOCALITY)],

@@ -568,3 +568,51 @@ class TestCheckAxioms:
         with pytest.raises(SystemExit) as exc:
             main(["check-axioms", "--alpha", "0.3"])
         assert exc.value.code == 2
+
+
+# exact (rational-mode) inputs whose weights or decays do not fit in a float
+_BEYOND_FLOAT_INPUTS = {
+    "edge": "node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n",
+    "node": "node a 1e400\nnode b 1\nedge a b 1\nedge b a 1\n",
+    "loop": "node a 1\nedge a a 1e400\n",
+    "plain": "node a 1\nnode b 1\nedge a b 1\nedge b a 1\n",
+}
+_BEYOND_FLOAT_REQUESTS = {
+    "pr": ("centrality", "--measure", "pr"),
+    "kp": ("centrality", "--measure", "kp"),
+    "katz": ("centrality", "--measure", "katz", "--alpha", "1/10"),
+    "katz-huge": ("centrality", "--measure", "katz", "--alpha", "1e400"),
+    "ev": ("centrality", "--measure", "ev"),
+    "classify": ("classify",),
+    "classify-alpha": ("classify", "--alpha", "1/10"),
+    "dist": ("simulate", "--process", "distributed", "--alpha", "1/2", "--steps", "3"),
+    "dist-huge": ("simulate", "--process", "distributed", "--alpha", "1e400", "--steps", "3"),
+    "par": ("simulate", "--process", "parallel", "--alpha", "1/10", "--steps", "3"),
+    "par-huge": ("simulate", "--process", "parallel", "--alpha", "1e400", "--steps", "3"),
+    "combine": ("transform", "combine", "--nodes", "a,b", "--measure", "pr"),
+}
+_BEYOND_FLOAT_CASES = [
+    (graph, request)
+    for graph in _BEYOND_FLOAT_INPUTS
+    for request in _BEYOND_FLOAT_REQUESTS
+    if not (graph == "loop" and request == "combine")
+]
+
+
+@pytest.mark.parametrize(
+    "graph,request_name",
+    _BEYOND_FLOAT_CASES,
+    ids=[f"{graph}-{request}" for graph, request in _BEYOND_FLOAT_CASES],
+)
+def test_exact_input_beyond_float_range_gives_a_result_or_an_error_line(
+    capsys, tmp_path, graph, request_name
+):
+    path = tmp_path / f"{graph}.dg"
+    path.write_text(_BEYOND_FLOAT_INPUTS[graph])
+    argv = _BEYOND_FLOAT_REQUESTS[request_name]
+    code, out, err = run(capsys, *argv, "--input", str(path), "--mode", "rational")
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error:")
+    else:
+        assert out and err == ""

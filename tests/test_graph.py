@@ -36,7 +36,7 @@ from feedback_centrality import (
     successors,
     transition_matrix,
 )
-from feedback_centrality.graph import in_flow
+from feedback_centrality.graph import in_flow, node_weight_vector
 
 from .oracles import nx_components, per_node_in_flow, to_networkx
 from .strategies import rational_graphs, strongly_connected_graphs
@@ -383,6 +383,17 @@ class TestMatrices:
         with pytest.raises(GraphFormatError, match="does not fit in a float"):
             g.to_float()
 
+    def test_rational_node_weight_beyond_float_range_is_a_format_error(self):
+        g = build([("a", F(10) ** 400), ("b", F(1))], [("a", "b", F(1)), ("b", "a", F(1))])
+        with pytest.raises(GraphFormatError, match="node 'a' does not fit in a float"):
+            node_weight_vector(g, g.node_ids)
+
+    def test_singleton_loop_beyond_float_range_is_a_format_error(self):
+        # one-node components take their loop weight without a matrix
+        g = build([("a", F(1))], [("a", "a", F(10) ** 400)])
+        with pytest.raises(GraphFormatError, match="edge 'a' -> 'a' does not fit in a float"):
+            spectral_data(g)
+
 
 class TestClassification:
     def test_all_class_admits_everything(self, demo5):
@@ -434,6 +445,11 @@ class TestClassification:
         assert classify(g, GraphClass(ClassTag.KATZ, 0.4)).ok
         assert not classify(g, GraphClass(ClassTag.KATZ, 0.5)).ok  # at 1, not below
         assert not classify(g, GraphClass(ClassTag.KATZ, 0.6)).ok
+
+    def test_decay_beyond_float_range_is_a_domain_error(self):
+        g = build([("a", F(1))], [("a", "a", F(2))])
+        with pytest.raises(DomainError, match="decay parameter does not fit in a float"):
+            classify(g, GraphClass(ClassTag.KATZ, F(10) ** 400))
 
     def test_principal_eigenvalue_per_component(self, demo5_float):
         lams, lam = principal_eigenvalue(demo5_float)

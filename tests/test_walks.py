@@ -123,8 +123,9 @@ class TestConservation:
         g.add_node("a", F(1))
         g.add_node("b", F(1))
         g.add_edge("a", "b", F(1))
-        totals = total_per_step(g, ProcessKind.DISTRIBUTED, F(1), 3)
-        assert totals[-1] < totals[0]
+        for graph, alpha in ((g, F(1)), (g.to_float(), 1.0)):
+            totals = total_per_step(graph, ProcessKind.DISTRIBUTED, alpha, 3)
+            assert totals == [2, 1, 0, 0]
 
     def test_rational_totals_without_nodes_are_exact_zeros(self):
         totals = total_per_step(Graph(Mode.RATIONAL), ProcessKind.DISTRIBUTED, F(1), 2)
@@ -165,6 +166,20 @@ class TestTailBounds:
             geometric_tail_bound(g, ProcessKind.DISTRIBUTED, 1.0, 10)
         with pytest.raises(DomainError):
             geometric_tail_bound(g, ProcessKind.PARALLEL, 2.0, 10)
+        below_one = 1 - F(1, 10**20)  # exactly below 1, but 1.0 as a float
+        with pytest.raises(DomainError, match="needs alpha < 1"):
+            geometric_tail_bound(loop_pair(), ProcessKind.DISTRIBUTED, below_one, 10)
+
+    def test_negative_step_count_rejected(self, demo5_float):
+        with pytest.raises(DomainError, match="step count"):
+            geometric_tail_bound(demo5_float, ProcessKind.DISTRIBUTED, 0.5, -3)
+
+    def test_decay_beyond_float_range_rejected(self):
+        huge = F(10) ** 400
+        with pytest.raises(DomainError, match="needs alpha < 1"):
+            geometric_tail_bound(loop_pair(), ProcessKind.DISTRIBUTED, huge, 3)
+        with pytest.raises(DomainError, match="decay parameter does not fit in a float"):
+            geometric_tail_bound(loop_pair(), ProcessKind.PARALLEL, huge, 3)
 
     @pytest.mark.parametrize("mode", list(Mode))
     def test_parallel_bound_without_nodes_is_empty(self, mode):
@@ -219,6 +234,12 @@ class TestVerifyRecursion:
         series = sum_series(demo5_float, ProcessKind.PARALLEL, 1.0, 10)
         with pytest.raises(DomainError):
             verify_recursion(demo5_float, series)
+
+    def test_decay_beyond_float_range_rejected(self):
+        g = loop_pair()
+        series = sum_series(g, ProcessKind.PARALLEL, F(10) ** 400, 1)
+        with pytest.raises(DomainError, match="decay parameter does not fit in a float"):
+            verify_recursion(g, series)
 
     def test_series_of_another_graph_rejected(self, demo5):
         series = sum_series(loop_pair(), ProcessKind.DISTRIBUTED, F(1, 2), 5)

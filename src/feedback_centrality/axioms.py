@@ -47,7 +47,7 @@ from .graph import (
     serialize_graph,
     successors,
 )
-from .measures import PARAMETRIC_KINDS, Measure, MeasureKind
+from .measures import Measure, MeasureKind
 from .transforms import edge_compensation, edge_multiplication, proportional_combine
 
 #: Relative tolerance for axiom equalities on float instances.
@@ -168,8 +168,12 @@ class AxiomVerdict:
 
 
 def _relative_deviation(a: Weight, b: Weight) -> float:
-    fa, fb = float(a), float(b)
-    return abs(fa - fb) / max(1.0, abs(fa), abs(fb))
+    """|a - b| / max(1, |a|, |b|).  Exact values are compared exactly and
+    only the quotient, which is at most 2, becomes a float."""
+    if isinstance(a, float) or isinstance(b, float):
+        fa, fb = float(a), float(b)
+        return abs(fa - fb) / max(1.0, abs(fa), abs(fb))
+    return float(Fraction(abs(a - b)) / max(1, abs(a), abs(b)))
 
 
 def _require(condition: bool, message: str) -> None:
@@ -312,7 +316,8 @@ def check_axiom(
     Raises PreconditionError for malformed instances; returns a skipped
     verdict when the measure's class excludes a graph the check needs.
     Rational-mode instances are held to exact equality (tolerance 0) for
-    the measures that compute exactly.
+    the measures that compute exactly: they pass only when every pair is
+    equal, whatever the float deviation reads.
     """
     _validate_instance(axiom, instance)
     g = instance.graph
@@ -333,13 +338,17 @@ def check_axiom(
         if dev > max_dev:
             max_dev = dev
             worst = label
+    if exact:
+        passed = all(lhs == rhs for lhs, rhs, _label in pairs)
+    else:
+        passed = max_dev <= effective_tol
     return AxiomVerdict(
         axiom,
         measure,
         instance,
         max_dev,
         effective_tol,
-        max_dev <= effective_tol,
+        passed,
         None,
         worst,
     )
@@ -886,78 +895,3 @@ def shrink_instance(
                 progress = True
                 break
     return current
-
-
-# -- positivity and source-value checks ----------------------------------------
-
-
-@dataclass
-class PositivityReport:
-    """Outcome of the structural value checks on a corpus.
-
-    Source nodes (no incoming edges) must be worth exactly their node
-    weight; nodes with positive weight must have positive value.
-    """
-
-    measure: Measure
-    graphs: int
-    skipped_graphs: int
-    source_nodes: int
-    weighted_nodes: int
-    max_source_deviation: float
-    min_weighted_value: float
-    passed: bool
-
-
-def check_positivity_and_source(
-    measure: Measure, corpus: list[GeneratorSpec]
-) -> PositivityReport:
-    """Check the two per-node value guarantees of the damped measures.
-
-    The positivity claim is proven on semi-out-regular graphs, so every
-    corpus entry must generate that family.
-    """
-    if measure.kind not in PARAMETRIC_KINDS:
-        raise DomainError(
-            f"value guarantees are stated for the damped measures, not {measure.kind.value}"
-        )
-    graphs = skipped = sources = weighted = 0
-    max_source_dev = 0.0
-    min_weighted = float("inf")
-    exact = True
-    for spec in corpus:
-        g = generate(spec)
-        ok, _r = semi_out_regularity(g)
-        if not ok:
-            raise PreconditionError("corpus produced a non-semi-out-regular graph")
-        if g.mode is not Mode.RATIONAL:
-            exact = False
-        if not measure.admits(g):
-            skipped += 1
-            continue
-        alpha = measure.alpha
-        if g.mode is Mode.RATIONAL and isinstance(alpha, float):
-            alpha = Fraction(alpha).limit_denominator(10**6)
-        values = Measure(measure.kind, alpha).compute(g)
-        graphs += 1
-        for v in g.node_ids:
-            if not g.in_edges(v):
-                sources += 1
-                max_source_dev = max(
-                    max_source_dev, _relative_deviation(values[v], g.node_weight(v))
-                )
-            if g.node_weight(v) > 0:
-                weighted += 1
-                min_weighted = min(min_weighted, float(values[v]))
-    tol = 0.0 if exact else 1e-12
-    passed = max_source_dev <= tol and (weighted == 0 or min_weighted > 0)
-    return PositivityReport(
-        measure,
-        graphs,
-        skipped,
-        sources,
-        weighted,
-        max_source_dev,
-        min_weighted if weighted else float("inf"),
-        passed,
-    )

@@ -51,6 +51,7 @@ from .graph import (
     semi_out_regularity,
     serialize_graph,
     strongly_connected_components,
+    zero,
 )
 from .measures import Measure, MeasureKind, PARAMETRIC_KINDS, recursion_residual
 from .transforms import (
@@ -154,7 +155,11 @@ def _cmd_centrality(args, parser) -> int:
         "component_eigenvalues": [_fmt6(x) for x in lams],
         "spectral_radius": _fmt6(lam),
         "max_recursion_residual": _fmt6(
-            max((abs(float(r)) for r in residual.values()), default=0.0)
+            coerce(
+                Mode.FLOAT,
+                max((abs(r) for r in residual.values()), default=0),
+                "recursion residual",
+            )
         ),
         "value_total": format_weight(values.total()),
     }
@@ -194,10 +199,9 @@ def _cmd_simulate(args, parser) -> int:
         }
     except DomainError as exc:
         recursion_omitted = str(exc)
-    try:
-        in_flight = sum(float(x) for x in series.last.amounts.values())
-    except OverflowError:
-        raise DomainError("mass in flight does not fit in a float") from None
+    in_flight = coerce(
+        Mode.FLOAT, sum(series.last.amounts.values(), zero(mode)), "mass in flight"
+    )
 
     diagnostics = {
         "process": kind.value,
@@ -240,7 +244,7 @@ def _cmd_classify(args, parser) -> int:
         "eigenvector": _class_entry(classify(g, GraphClass(ClassTag.EV))),
     }
     if args.alpha is not None:
-        alpha = float(parse_weight(args.alpha, Mode.FLOAT))
+        alpha = parse_weight(args.alpha, Mode.FLOAT)
         classes["katz"] = _class_entry(classify(g, GraphClass(ClassTag.KATZ, alpha)))
     diagnostics = {
         "nodes": len(g),
@@ -271,7 +275,7 @@ def _cmd_check_axioms(args, parser) -> int:
         if args.alpha is not None:
             if kind not in PARAMETRIC_KINDS:
                 parser.error(f"{args.measure} takes no --alpha")
-            measure = Measure(kind, float(parse_weight(args.alpha, Mode.FLOAT)))
+            measure = Measure(kind, parse_weight(args.alpha, Mode.FLOAT))
         measures = {kind: measure}
     elif args.alpha is not None:
         parser.error("--alpha needs --measure")

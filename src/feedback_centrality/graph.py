@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Union
 
 import numpy as np
 
-from .errors import DomainError, GraphFormatError
+from .errors import DomainError, FeedbackCentralityError, GraphFormatError
 from .linalg import perron_triple
 
 Weight = Union[Fraction, float]
@@ -47,13 +47,30 @@ def zero(mode: Mode) -> Weight:
     return Fraction(0) if mode is Mode.RATIONAL else 0.0
 
 
+def _to_float(
+    value: Weight, what: str, error: type[FeedbackCentralityError]
+) -> float:
+    """``float(value)``; ``error("<what> does not fit in a float")`` when an
+    exact value lies beyond the float range.
+
+    The one place an exact number becomes a float.  Graph weights raise
+    ``GraphFormatError``; parameters and derived values come through
+    ``coerce(Mode.FLOAT, ...)`` and raise ``DomainError``.
+    """
+    try:
+        return float(value)
+    except OverflowError:
+        raise error(f"{what} does not fit in a float") from None
+
+
 def coerce(mode: Mode, value: Weight, what: str) -> Weight:
-    """``value`` as a number of ``mode``; a float never enters rational mode."""
+    """``value`` as a number of ``mode``; a float never enters rational mode,
+    and an exact value beyond the float range raises ``DomainError``."""
     if mode is Mode.RATIONAL:
         if isinstance(value, float):
             raise TypeError(f"rational-mode graph given a float {what}")
         return Fraction(value)
-    return float(value)
+    return _to_float(value, what, DomainError)
 
 
 def all_equal(values: list[Weight], mode: Mode) -> bool:
@@ -81,8 +98,8 @@ def parse_weight(token: str, mode: Mode) -> Weight:
         return value
     try:
         return float(value)
-    except OverflowError:
-        raise GraphFormatError(f"weight literal {token!r} does not fit in a float") from None
+    except OverflowError:  # the helper raises the typed error
+        return _to_float(value, f"weight literal {token!r}", GraphFormatError)
 
 
 def format_weight(w: Weight) -> str:
@@ -150,8 +167,10 @@ class Graph:
             return value
 
     def _coerce(self, weight: Weight) -> Weight:
-        weight = coerce(self.mode, weight, "weight")
-        if self.mode is Mode.FLOAT and not math.isfinite(weight):
+        if self.mode is Mode.RATIONAL:
+            return coerce(Mode.RATIONAL, weight, "weight")
+        weight = _to_float(weight, "weight", GraphFormatError)
+        if not math.isfinite(weight):
             raise GraphFormatError(f"weight {weight!r} is not finite")
         return weight
 
@@ -236,16 +255,7 @@ class Graph:
 
         Raises ``GraphFormatError`` when a weight does not fit in a float.
         """
-        try:
-            return Graph.build(
-                ((v, float(w)) for v, w in self._weights.items()),
-                ((u, v, float(w)) for u, v, w in self.edges()),
-                Mode.FLOAT,
-            )
-        except OverflowError:
-            raise GraphFormatError(
-                "graph has a weight that does not fit in a float"
-            ) from None
+        return Graph.build(self._weights.items(), self.edges(), Mode.FLOAT)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -281,11 +291,13 @@ def _in_maps(g: Graph) -> dict[str, dict[str, Weight]]:
 
 def _out_degrees(g: Graph) -> dict[str, Weight]:
     start = zero(g.mode)
-    degrees = {u: sum(ws.values(), start) for u, ws in g._derived(_out_maps).items()}
+    out = g._derived(_out_maps)
+    degrees = {u: sum(ws.values(), start) for u, ws in out.items()}
     if g.mode is Mode.FLOAT:
         for u, d in degrees.items():
-            if not math.isfinite(d):
-                raise GraphFormatError(f"out-degree of node {u!r} does not fit in a float")
+            if not math.isfinite(d):  # a float sum overflowed: the exact sum decides
+                exact = sum(map(Fraction, out[u].values()))
+                degrees[u] = _to_float(exact, f"out-degree of node {u!r}", GraphFormatError)
     return degrees
 
 
@@ -455,20 +467,12 @@ def semi_out_regularity(g: Graph) -> tuple[bool, Weight | None]:
 # -- matrices ---------------------------------------------------------------
 
 
-def _float_weight(g: Graph, u: str, v: str | None) -> float:
-    """The weight of node u (v None) or of edge u -> v as a float;
-    ``GraphFormatError`` when it does not fit in one."""
-    w = g.node_weight(u) if v is None else g.edge_weight(u, v)
-    try:
-        return float(w)
-    except OverflowError:
-        what = f"node {u!r}" if v is None else f"edge {u!r} -> {v!r}"
-        raise GraphFormatError(f"weight of {what} does not fit in a float") from None
-
-
 def node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
-    """Float node weights, in the order given."""
-    return np.array([_float_weight(g, v, None) for v in order])
+    """Float node weights, in the order given; ``GraphFormatError`` naming
+    the node whose weight does not fit in a float."""
+    return np.array(
+        [_to_float(g.node_weight(v), f"weight of node {v!r}", GraphFormatError) for v in order]
+    )
 
 
 def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
@@ -485,10 +489,8 @@ def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
         for u, v, w in g.edges():
             if u in pos and v in pos:
                 a[pos[v], pos[u]] = float(w)
-    except OverflowError:
-        raise GraphFormatError(
-            f"weight of edge {u!r} -> {v!r} does not fit in a float"
-        ) from None
+    except OverflowError:  # the helper raises the typed error
+        _to_float(w, f"weight of edge {u!r} -> {v!r}", GraphFormatError)
     return a
 
 
@@ -503,7 +505,7 @@ def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     for j, u in enumerate(order):
         deg = g.out_degree(u)
         if deg > 0:
-            a[:, j] /= float(deg)
+            a[:, j] /= _to_float(deg, f"out-degree of node {u!r}", GraphFormatError)
     return a
 
 
@@ -579,7 +581,9 @@ def _perron_pass(g: Graph) -> SpectralData:
     for comp, strong in zip(part.components, part.strongly_connected):
         if len(comp) == 1:
             x, y = np.ones(1), np.ones(1)
-            lam = _float_weight(g, comp[0], comp[0]) if strong else 0.0
+            v = comp[0]
+            what = f"weight of edge {v!r} -> {v!r}"
+            lam = _to_float(g.edge_weight(v, v), what, GraphFormatError) if strong else 0.0
         else:
             x, y, lam = perron_triple(adjacency_matrix(g, comp))
         vals.append(lam)
@@ -649,10 +653,7 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
         return ClassVerdict(True)
 
     if cls.tag is ClassTag.KATZ:
-        try:
-            alpha = float(cls.alpha)  # type: ignore[arg-type]
-        except OverflowError:
-            raise DomainError("decay parameter does not fit in a float") from None
+        alpha = _to_float(cls.alpha, "decay parameter", DomainError)
         data = spectral_data(g)
         if alpha * data.lam > 1.0 - KATZ_MARGIN:
             return ClassVerdict(

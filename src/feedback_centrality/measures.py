@@ -161,7 +161,7 @@ def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVecto
         x = gauss_rational(rows, [g.node_weight(v) for v in order])
         return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
     m_float = transition_matrix if distributed else adjacency_matrix
-    k = np.eye(len(order)) - float(alpha) * m_float(g, order)
+    k = np.eye(len(order)) - alpha * m_float(g, order)
     x = solve_refined(k, node_weight_vector(g, order))
     return CentralityVector({v: float(x[i]) for i, v in enumerate(order)}, Mode.FLOAT)
 
@@ -172,7 +172,7 @@ def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
     M is the out-degree-normalized adjacency; sink nodes pass nothing on.
     Defined for every graph.
     """
-    coerce(g.mode, alpha, "decay parameter")
+    alpha = coerce(g.mode, alpha, "decay parameter")
     if not 0 <= alpha < 1:
         raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
     return _solve_damped(g, alpha, distributed=True)
@@ -185,7 +185,7 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
     the graph's largest component eigenvalue; the Neumann series diverges at
     the boundary and the solve becomes meaningless past it.
     """
-    coerce(g.mode, alpha, "decay parameter")
+    alpha = coerce(g.mode, alpha, "decay parameter")
     if alpha < 0:
         raise DomainError(f"katz needs alpha >= 0, got {alpha}")
     verdict = classify(g, GraphClass(ClassTag.KATZ, alpha))
@@ -280,7 +280,7 @@ def recursion_residual(
     if kind is MeasureKind.EIGENVECTOR:
         data = spectral_data(g)
         lam_of = {v: lam for comp, lam in zip(data.components, data.values) for v in comp}
-        floats = {v: float(x) for v, x in values.items()}
+        floats = {v: coerce(Mode.FLOAT, x, f"value of node {v!r}") for v, x in values.items()}
         flow = in_flow(g, floats, distributed=False)
         res: dict[str, Weight] = {}
         for v in g.node_ids:

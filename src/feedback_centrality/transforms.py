@@ -412,10 +412,12 @@ def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
     on an edge to ``tgt`` (the priced edge) plus, when some out-degree
     remains, one aggregate edge to ``rest``.
     """
+    args = (spec.source_value, spec.edge_weight, spec.out_degree)
     if mode is Mode.RATIONAL:
-        x, y, z = (Fraction(t) for t in (spec.source_value, spec.edge_weight, spec.out_degree))
+        x, y, z = (Fraction(t) for t in args)
     else:
-        x, y, z = (float(t) for t in (spec.source_value, spec.edge_weight, spec.out_degree))
+        names = ("source value", "edge weight", "out-degree")
+        x, y, z = (coerce(mode, t, what) for t, what in zip(args, names))
     g = Graph(mode)
     g.add_node("src", x)
     g.add_node("tgt", zero(mode))
@@ -442,9 +444,7 @@ def profit_value(measure: Measure, spec: ProfitSpec) -> Weight:
         for t in (spec.source_value, spec.edge_weight, spec.out_degree, measure.alpha)
     )
     mode = Mode.FLOAT if floaty else Mode.RATIONAL
-    g = profit_graph(spec, mode)
-    alpha = float(measure.alpha) if mode is Mode.FLOAT else Fraction(measure.alpha)
-    return Measure(measure.kind, alpha).compute(g)["tgt"]
+    return measure.compute(profit_graph(spec, mode))["tgt"]
 
 
 def profit_decomposition(g: Graph, measure: Measure) -> dict[str, Weight]:

@@ -80,12 +80,14 @@ class SeriesAccumulator:
     last: ProcessState
 
 
-def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> None:
-    coerce(g.mode, alpha, "decay parameter")
+def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> Weight:
+    """The decay in the graph's mode, after checking it and the step count."""
+    alpha = coerce(g.mode, alpha, "decay parameter")
     if alpha < 0:
         raise DomainError(f"decay parameter must be non-negative, got {alpha}")
     if steps < 0:
         raise DomainError("step count must be >= 0")
+    return alpha
 
 
 def _step_matrix(g: Graph, kind: ProcessKind) -> np.ndarray:
@@ -105,7 +107,7 @@ def _step_matrix(g: Graph, kind: ProcessKind) -> np.ndarray:
 
 
 def initial_state(g: Graph, kind: ProcessKind, alpha: Weight) -> ProcessState:
-    _check_args(g, alpha)
+    alpha = _check_args(g, alpha)
     return ProcessState(kind, alpha, 0, g.node_weights())
 
 
@@ -118,7 +120,7 @@ def step(g: Graph, state: ProcessState) -> ProcessState:
 
 def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> SeriesAccumulator:
     """Run the process for ``steps`` steps, accumulating the partial sum."""
-    _check_args(g, alpha, steps)
+    alpha = _check_args(g, alpha, steps)
     order = g.node_ids
 
     if g.mode is Mode.RATIONAL:
@@ -131,10 +133,9 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
     else:
         w = _step_matrix(g, kind)
         cur = node_weight_vector(g, order)
-        a = float(alpha)
         partial_vec = cur.copy()
         for _ in range(steps):
-            cur = a * (w @ cur)
+            cur = alpha * (w @ cur)
             partial_vec += cur
         partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
         amounts = {v: float(cur[i]) for i, v in enumerate(order)}
@@ -151,7 +152,7 @@ def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> li
     a sink-free graph this sequence is constant — exactly so in rational
     mode.
     """
-    _check_args(g, alpha, steps)
+    alpha = _check_args(g, alpha, steps)
     state = initial_state(g, kind, alpha)
     totals = [sum(state.amounts.values(), zero(g.mode))]
     for _ in range(steps):
@@ -172,8 +173,10 @@ def geometric_tail_bound(
     / (1 - alpha*lambda) * (y.b)/y_v; otherwise z = (I - alpha*A^T)^-1 1 >= 1
     majorizes the step (alpha*A^T z = z - 1 <= theta*z with theta =
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
+    When 1/max(z) is below float resolution theta rounds to 1 and there is
+    no certificate: ``DomainError``.
     """
-    _check_args(g, alpha, steps)
+    alpha = _check_args(g, alpha, steps)
     order = g.node_ids
     b = node_weight_vector(g, order)
 
@@ -210,6 +213,10 @@ def geometric_tail_bound(
     theta = 1.0 - 1.0 / float(z.max())
     if theta <= 0.0:
         return {v: 0.0 for v in order}
+    if not theta < 1.0:
+        raise DomainError(
+            "parallel tail bound has no contraction certificate: theta rounds to 1"
+        )
     scale = theta ** (steps + 1) / (1.0 - theta) * float(z @ b)
     return {v: scale / float(z[i]) for i, v in enumerate(order)}
 
@@ -296,9 +303,13 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
     else:
         predicted = {v: -after.amounts[v] for v in order}
 
-    max_residual = max(abs(float(residual[v])) for v in order) if order else 0.0
-    max_mismatch = (
-        max(abs(float(residual[v] - predicted[v])) for v in order) if order else 0.0
+    max_residual = coerce(
+        Mode.FLOAT, max((abs(r) for r in residual.values()), default=0), "recursion residual"
+    )
+    max_mismatch = coerce(
+        Mode.FLOAT,
+        max((abs(residual[v] - predicted[v]) for v in order), default=0),
+        "prediction mismatch",
     )
     return RecursionCheck(
         measure,

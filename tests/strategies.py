@@ -70,3 +70,17 @@ def strongly_connected_graphs(draw, min_nodes: int = 1, max_nodes: int = 7):
     for u, v in chords:
         g.add_edge(u, v, draw(st.sampled_from(FLOAT_WEIGHTS)))
     return g
+
+
+@st.composite
+def semi_out_regular_graphs(draw, max_nodes: int = 6):
+    """Rational semi-out-regular graphs: a random graph whose out-edges are
+    rescaled so that every non-sink has the same out-degree r, drawn from
+    ``WEIGHT_GRID``."""
+    g = draw(rational_graphs(max_nodes=max_nodes))
+    r = draw(st.sampled_from(WEIGHT_GRID))
+    return Graph.build(
+        g.node_weights().items(),
+        ((u, v, w * r / g.out_degree(u)) for u, v, w in g.edges()),
+        Mode.RATIONAL,
+    )

@@ -3,6 +3,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedback_centrality import (
     ALL_AXIOMS,
@@ -22,15 +24,19 @@ from feedback_centrality import (
     NCVariant,
     PreconditionError,
     check_axiom,
-    check_positivity_and_source,
     generate,
     is_constant_weight_cycle,
     is_strongly_connected,
+    katz_centrality,
     out_regularity,
+    pagerank,
     satisfaction_matrix,
     semi_out_regularity,
     shrink_instance,
 )
+from feedback_centrality.axioms import _relative_deviation
+
+from .strategies import semi_out_regular_graphs
 
 NC = AxiomTag.NODE_COMBINATION
 PR_HALF = Measure(MeasureKind.PAGERANK, F(1, 2))
@@ -202,6 +208,17 @@ class TestNodeScalings:
         assert bad.worst_node in ("a", "b")
         good = check_axiom(axiom, PR_HALF, inst)
         assert good.passed and good.max_deviation == 0.0
+
+    def test_exact_instance_fails_below_float_resolution(self):
+        # Katz values that differ by about 1e-31: equal once rounded to floats
+        g = Graph.build(
+            [("a", F(1)), ("b", F(2))], [("a", "b", F(1)), ("b", "a", F(1))]
+        )
+        inst = AxiomInstance(graph=g, node="a", factor=1 + F(1, 10**30))
+        verdict = check_axiom(AxiomId(AxiomTag.EDGE_MULTIPLICATION), KATZ_QUARTER, inst)
+        assert verdict.tolerance == 0.0
+        assert not verdict.passed and verdict.max_deviation > 0
+        assert _relative_deviation(2**60 + 1, 2**60) == float(F(1, 2**60 + 1))
 
     def test_compensation_fools_pagerank_but_not_katz(self):
         inst = AxiomInstance(graph=two_cycle(), node="a", factor=F(2))
@@ -405,34 +422,58 @@ class TestShrinking:
 
 
 class TestValueGuarantees:
-    def rational_corpus(self):
+    """The damped measures' two per-node claims on semi-out-regular graphs:
+    a source node (no in-edges) is worth exactly its node weight, and a node
+    with positive weight has a positive value."""
+
+    @staticmethod
+    def assert_guarantees(g, values, rel=0.0):
+        for v in g.node_ids:
+            if not g.in_edges(v):
+                assert values[v] == pytest.approx(g.node_weight(v), rel=rel, abs=0)
+            if g.node_weight(v) > 0:
+                assert values[v] > 0
+
+    def check_pagerank(self, g, alpha):
+        values = pagerank(g, alpha)
+        assert all(isinstance(x, F) for x in values.values.values())
+        self.assert_guarantees(g, values)
+
+    def check_katz(self, g):
+        # every column of A sums to r or 0, so lambda <= r and alpha * lambda <= 1/2
+        r = semi_out_regularity(g)[1] or 1
+        alpha = F(1, 2) / r
+        self.assert_guarantees(g, katz_centrality(g, alpha))
+        self.assert_guarantees(g.to_float(), katz_centrality(g.to_float(), float(alpha)), 1e-12)
+
+    @given(semi_out_regular_graphs(), st.sampled_from([F(0), F(1, 2), F(17, 20)]))
+    @settings(max_examples=80, deadline=None)
+    def test_pagerank_guarantees_hold_exactly(self, g, alpha):
+        self.check_pagerank(g, alpha)
+
+    @given(semi_out_regular_graphs())
+    @settings(max_examples=80, deadline=None)
+    def test_katz_guarantees_hold_in_float(self, g):
+        self.check_katz(g)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_guarantees_hold_on_generated_graphs(self, seed):
         grid = (F(1, 2), F(1), F(2))
-        return [
-            GeneratorSpec(Family.SEMI_OUT_REGULAR, (4, 10), weight_grid=grid, seed=s)
-            for s in range(8)
-        ]
+        g = generate(GeneratorSpec(Family.SEMI_OUT_REGULAR, (4, 10), weight_grid=grid, seed=seed))
+        assert semi_out_regularity(g)[0]
+        self.check_pagerank(g, F(1, 2))
+        self.check_katz(g)
 
-    def test_pagerank_guarantees_hold_exactly(self):
-        report = check_positivity_and_source(PR_HALF, self.rational_corpus())
-        assert report.passed
-        assert report.graphs == 8 and report.skipped_graphs == 0
-        assert report.source_nodes > 0
-        assert report.max_source_deviation == 0.0
-        assert report.min_weighted_value > 0
+    @given(semi_out_regular_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_undamped_measures_are_rejected(self, g):
+        # the claims are stated for the damped measures: a source node is a
+        # component with no cycle through it, outside both undamped classes
+        if any(not g.in_edges(v) for v in g.node_ids):
+            assert not KP.admits(g)
+            assert not EV.admits(g.to_float())
 
-    def test_katz_guarantees_hold_in_float(self):
-        corpus = [
-            GeneratorSpec(Family.SEMI_OUT_REGULAR, (4, 10), seed=s) for s in range(8)
-        ]
-        report = check_positivity_and_source(Measure(MeasureKind.KATZ, 0.05), corpus)
-        assert report.passed
-        assert report.graphs + report.skipped_graphs == 8
-
-    def test_undamped_measures_are_rejected(self):
-        with pytest.raises(DomainError, match="damped"):
-            check_positivity_and_source(KP, self.rational_corpus())
-
-    def test_corpus_must_be_semi_out_regular(self):
-        corpus = [GeneratorSpec(Family.GENERAL, (6, 10), seed=3)]
-        with pytest.raises(PreconditionError):
-            check_positivity_and_source(PR_HALF, corpus)
+    @given(semi_out_regular_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_corpus_must_be_semi_out_regular(self, g):
+        assert semi_out_regularity(g)[0]

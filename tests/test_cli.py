@@ -284,6 +284,30 @@ class TestSimulate:
         assert doc["values"] == {}
         assert doc["diagnostics"]["tail_bound_max"] == "0"
 
+    def no_certificate(self, capsys, tmp_path, mode, text, alpha):
+        # acyclic, so alpha * lambda = 0, but 1/max(z) is below float
+        # resolution: theta = 1 - 1/max(z) rounds to 1
+        path = tmp_path / "g.dg"
+        path.write_text(text)
+        doc = run_json(
+            capsys, "simulate", "--input", str(path), "--mode", mode,
+            "--process", "parallel", "--alpha", alpha, "--steps", "3",
+        )
+        diag = doc["diagnostics"]
+        assert diag["tail_bound_max"] is None
+        assert "no contraction certificate" in diag["tail_bound_omitted"]
+        assert diag["recursion"]["limit_measure"].startswith("katz(")
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_parallel_tail_bound_without_certificate_heavy_edge(self, capsys, tmp_path, mode):
+        text = "node a 1\nnode b 1\nedge a b 1e17\n"
+        self.no_certificate(capsys, tmp_path, mode, text, "1/2")
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_parallel_tail_bound_without_certificate_huge_decay(self, capsys, tmp_path, mode):
+        text = "node a 1\nnode b 1\nedge a b 1\n"
+        self.no_certificate(capsys, tmp_path, mode, text, "1e300")
+
     def test_negative_steps_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main([

@@ -1,0 +1,124 @@
+"""Exact values beyond the float range: typed errors, never OverflowError.
+
+An exact number becomes a float in one helper, ``graph._to_float``; every
+library call handed an exact value that does not fit raises a
+``FeedbackCentralityError`` subclass from it.
+"""
+
+import ast
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from feedback_centrality import (
+    AxiomId,
+    AxiomInstance,
+    AxiomTag,
+    DomainError,
+    FeedbackCentralityError,
+    Graph,
+    GraphFormatError,
+    Measure,
+    MeasureKind,
+    Mode,
+    ProcessKind,
+    ProfitSpec,
+    check_axiom,
+    combine_groups,
+    edge_multiplication,
+    pagerank,
+    parse_graph,
+    profit_value,
+    recursion_residual,
+    sum_series,
+    total_per_step,
+    verify_recursion,
+)
+
+from .conftest import GRAPH_DIR
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "feedback_centrality"
+
+HUGE = F(10) ** 400
+DEMO5_FLOAT = (GRAPH_DIR / "demo5.dg").read_text()
+
+
+def demo5_float():
+    return parse_graph(DEMO5_FLOAT, Mode.FLOAT)
+
+
+def heavy_pair():
+    """A rational 2-cycle whose node a weighs HUGE."""
+    return Graph.build([("a", HUGE), ("b", F(1))], [("a", "b", F(1)), ("b", "a", F(1))])
+
+
+def heavy_series_check():
+    g = heavy_pair()
+    return verify_recursion(g, sum_series(g, ProcessKind.DISTRIBUTED, F(1, 2), 3))
+
+
+ROWS = {
+    "sum_series": (
+        lambda: sum_series(demo5_float(), ProcessKind.DISTRIBUTED, HUGE, 3),
+        DomainError,
+    ),
+    "total_per_step": (
+        lambda: total_per_step(demo5_float(), ProcessKind.DISTRIBUTED, HUGE, 3),
+        DomainError,
+    ),
+    "pagerank": (lambda: pagerank(demo5_float(), HUGE), DomainError),
+    "katz": (lambda: Measure(MeasureKind.KATZ, HUGE).compute(demo5_float()), DomainError),
+    "edge_multiplication": (
+        lambda: edge_multiplication(demo5_float(), "v1", HUGE),
+        DomainError,
+    ),
+    "combine_groups": (
+        lambda: combine_groups(demo5_float(), {"v1": ["v1", "v2"]}, {"v1": HUGE, "v2": 1.0}),
+        DomainError,
+    ),
+    "build": (lambda: Graph.build([("a", HUGE)], (), Mode.FLOAT), GraphFormatError),
+    "profit_value": (
+        lambda: profit_value(Measure(MeasureKind.PAGERANK, 0.5), ProfitSpec(HUGE, 1, 1)),
+        DomainError,
+    ),
+    "verify_recursion": (heavy_series_check, DomainError),
+    "recursion_residual": (
+        lambda: recursion_residual(
+            demo5_float(),
+            Measure(MeasureKind.EIGENVECTOR),
+            {v: HUGE for v in demo5_float().node_ids},
+        ),
+        DomainError,
+    ),
+}
+
+
+@pytest.mark.parametrize("row", list(ROWS))
+def test_exact_value_beyond_float_range_is_a_typed_error(row):
+    call, error = ROWS[row]
+    assert issubclass(error, FeedbackCentralityError)
+    with pytest.raises(error, match="does not fit in a float"):
+        call()
+
+
+def test_exact_axiom_check_needs_no_float():
+    # the exact comparison converts only a quotient of at most 2, so a node
+    # weight beyond the float range leaves a verdict, not an error
+    axiom = AxiomId(AxiomTag.EDGE_MULTIPLICATION)
+    instance = AxiomInstance(heavy_pair(), node="a", factor=F(2))
+    verdict = check_axiom(axiom, Measure(MeasureKind.KATZ, F(1, 4)), instance)
+    assert not verdict.skipped and not verdict.passed
+    assert 0 < verdict.max_deviation <= 2
+
+
+def test_only_the_graph_module_names_overflow_error():
+    # the exact-to-float decision lives in graph._to_float and nowhere else
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in ast.walk(tree)):
+            offenders.append(path.name)
+    assert offenders == []

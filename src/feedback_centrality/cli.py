@@ -20,6 +20,7 @@ Exit codes: 0 on success, 1 when the input is outside a feature's domain,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -423,7 +424,10 @@ def _add_io(p: argparse.ArgumentParser, mode_default: str = "rational") -> None:
     p.add_argument("--output", help="write the result to this file instead of stdout")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``fbcent`` argument parser, built on first use and then shared by
+    every call in the process: treat it as read-only."""
     parser = argparse.ArgumentParser(
         prog="fbcent",
         description="Feedback centralities on weighted digraphs: evaluation, "

@@ -73,6 +73,15 @@ def coerce(mode: Mode, value: Weight, what: str) -> Weight:
     return _to_float(value, what, DomainError)
 
 
+def coerce_decay(mode: Mode, alpha: Weight) -> Weight:
+    """The decay parameter as a number of ``mode``, as ``coerce`` gives it; a
+    non-finite float decay raises ``DomainError``."""
+    alpha = coerce(mode, alpha, "decay parameter")
+    if isinstance(alpha, float) and not math.isfinite(alpha):
+        raise DomainError(f"decay parameter must be finite, got {alpha}")
+    return alpha
+
+
 def all_equal(values: list[Weight], mode: Mode) -> bool:
     """Whether the values agree: exactly in rational mode, and within
     ``EQUAL_RTOL`` of the larger magnitude in float mode.  True when empty."""
@@ -87,9 +96,20 @@ def all_equal(values: list[Weight], mode: Mode) -> bool:
 def parse_weight(token: str, mode: Mode) -> Weight:
     """Parse a weight literal: decimal (``0.2``), integer, or rational ``p/q``.
 
-    In RATIONAL mode the value is exact.  In FLOAT mode a ``p/q`` literal is
-    parsed exactly first, then rounded once to the nearest float.
+    In RATIONAL mode the value is exact.  In FLOAT mode a literal without
+    ``/`` is read by ``float()``, which rounds correctly, and kept when finite
+    and non-zero; any other literal is parsed exactly, then rounded once, so
+    errors and signed zeros are the exact route's (``-0`` gives ``0.0``,
+    ``-1e-400`` gives ``-0.0``).
     """
+    if mode is Mode.FLOAT and "/" not in token:
+        try:
+            value = float(token)
+        except ValueError:
+            pass
+        else:
+            if 0.0 < abs(value) < math.inf:
+                return value
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
@@ -653,7 +673,7 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
         return ClassVerdict(True)
 
     if cls.tag is ClassTag.KATZ:
-        alpha = _to_float(cls.alpha, "decay parameter", DomainError)
+        alpha = coerce_decay(Mode.FLOAT, cls.alpha)
         data = spectral_data(g)
         if alpha * data.lam > 1.0 - KATZ_MARGIN:
             return ClassVerdict(

@@ -38,6 +38,7 @@ from .graph import (
     adjacency_matrix,
     classify,
     coerce,
+    coerce_decay,
     in_flow,
     node_weight_vector,
     spectral_data,
@@ -172,7 +173,7 @@ def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
     M is the out-degree-normalized adjacency; sink nodes pass nothing on.
     Defined for every graph.
     """
-    alpha = coerce(g.mode, alpha, "decay parameter")
+    alpha = coerce_decay(g.mode, alpha)
     if not 0 <= alpha < 1:
         raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
     return _solve_damped(g, alpha, distributed=True)
@@ -185,7 +186,7 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
     the graph's largest component eigenvalue; the Neumann series diverges at
     the boundary and the solve becomes meaningless past it.
     """
-    alpha = coerce(g.mode, alpha, "decay parameter")
+    alpha = coerce_decay(g.mode, alpha)
     if alpha < 0:
         raise DomainError(f"katz needs alpha >= 0, got {alpha}")
     verdict = classify(g, GraphClass(ClassTag.KATZ, alpha))

@@ -39,6 +39,7 @@ from .graph import (
     adjacency_matrix,
     classify,
     coerce,
+    coerce_decay,
     in_flow,
     node_weight_vector,
     principal_eigenvalue,
@@ -82,7 +83,7 @@ class SeriesAccumulator:
 
 def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> Weight:
     """The decay in the graph's mode, after checking it and the step count."""
-    alpha = coerce(g.mode, alpha, "decay parameter")
+    alpha = coerce_decay(g.mode, alpha)
     if alpha < 0:
         raise DomainError(f"decay parameter must be non-negative, got {alpha}")
     if steps < 0:

@@ -6,9 +6,10 @@ numpy eigendecomposition instead of power iteration, least-squares
 stationary vectors instead of the replaced-row solve, Gaussian elimination
 over ``Fraction`` instead of fraction-free integer elimination, node groups
 folded one pair at a time instead of in one pass, the feedback term summed
-node by node over in-edges instead of in one pass over the edge table, and
-networkx for component structure.  Tests compare the two routes; neither side borrows
-code from the other.
+node by node over in-edges instead of in one pass over the edge table, float
+weight literals rounded from their exact value instead of read by
+``float()``, and networkx for component structure.  Tests compare the two
+routes; neither side borrows code from the other.
 """
 
 from __future__ import annotations
@@ -18,7 +19,14 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from feedback_centrality import DomainError, Graph, Mode, SingularMatrixError, Weight
+from feedback_centrality import (
+    DomainError,
+    Graph,
+    GraphFormatError,
+    Mode,
+    SingularMatrixError,
+    Weight,
+)
 from feedback_centrality.graph import coerce, zero
 
 
@@ -284,3 +292,16 @@ def sequential_combine(
             cur = pairwise_combine(cur, member, rep, vals[member], vals[rep])
             vals[rep] = vals[rep] + vals.pop(member)
     return cur, vals
+
+
+def exact_float_weight(token: str) -> float:
+    """A float-mode weight literal read through its exact value: ``Fraction``
+    first, then one rounding, with the errors ``parse_weight`` raises."""
+    try:
+        value = Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphFormatError(f"bad weight literal {token!r}") from exc
+    try:
+        return float(value)
+    except OverflowError:
+        raise GraphFormatError(f"weight literal {token!r} does not fit in a float") from None

@@ -84,3 +84,66 @@ def semi_out_regular_graphs(draw, max_nodes: int = 6):
         ((u, v, w * r / g.out_degree(u)) for u, v, w in g.edges()),
         Mode.RATIONAL,
     )
+
+
+# ASCII digits and one Unicode digit (ARABIC-INDIC DIGIT ONE), which both
+# float() and Fraction() read as 1
+TOKEN_DIGITS = "0123456789١"
+SPECIAL_TOKENS = (
+    "3/0", "inf", "-inf", "nan", "Infinity", "+nan", "-0", "0", "0.0", "-0.0",
+    "-1e-400", "1e-400", "1e400", "-1e400", "5e-324", "2.4703282292062328e-324",
+    "1.7976931348623159e308", "1__0", "_1", "1_", "1_.5", "1e_5", ".", "e5", "",
+)
+
+
+@st.composite
+def _digit_run(draw, min_size: int = 1):
+    """Digits in groups of 1-4, joined with ``_`` separators or not at all."""
+    groups = draw(st.lists(st.text(TOKEN_DIGITS, min_size=1, max_size=4),
+                           min_size=min_size, max_size=3))
+    return draw(st.sampled_from(["", "_"])).join(groups)
+
+
+@st.composite
+def weight_tokens(draw):
+    """Weight literals: signed decimals with ``_`` separators and exponents
+    out to the float range's edges (±400, the subnormals), ``p/q`` literals,
+    and the non-finite, signed-zero and malformed tokens of
+    ``SPECIAL_TOKENS``."""
+    kind = draw(st.sampled_from(["decimal", "decimal", "decimal", "ratio", "special"]))
+    if kind == "special":
+        return draw(st.sampled_from(SPECIAL_TOKENS))
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    if kind == "ratio":
+        return f"{sign}{draw(_digit_run())}/{draw(_digit_run())}"
+    whole = draw(_digit_run(min_size=0))
+    frac = draw(st.one_of(st.none(), _digit_run(min_size=0)))
+    token = sign + whole + ("" if frac is None else "." + frac)
+    if draw(st.booleans()):
+        exponent = draw(st.one_of(
+            st.integers(-30, 30),
+            st.integers(-330, -300),
+            st.sampled_from([-400, 400, 308, 309, -324]),
+        ))
+        token += draw(st.sampled_from(["e", "E"])) + (
+            "+" if exponent >= 0 and draw(st.booleans()) else ""
+        ) + str(exponent)
+    return token
+
+
+@st.composite
+def decimal_graph_texts(draw, max_nodes: int = 6):
+    """``.dg`` texts whose weights are all positive decimal literals, from
+    the subnormal range up to about 1e307."""
+    n = draw(st.integers(1, max_nodes))
+
+    def literal():
+        digits = str(draw(st.integers(1, 10**17)))
+        point = draw(st.integers(0, len(digits)))
+        return f"{digits[:point]}.{digits[point:]}e{draw(st.integers(-320, 290))}"
+
+    lines = [f"node n{i} {literal()}" for i in range(n)]
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          unique=True, max_size=n * n))
+    lines += [f"edge n{u} n{v} {literal()}" for u, v in pairs]
+    return "\n".join(lines) + "\n"

@@ -193,6 +193,24 @@ class TestCentrality:
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["values"]["v5"] == "1/13"
 
+    @pytest.mark.parametrize("measure, alpha", [
+        ("pr", None), ("katz", "0.1"), ("kp", None), ("ev", None),
+    ])
+    @pytest.mark.parametrize("path", [DEMO5, DEMO6])
+    def test_float_document_is_that_of_the_rounded_exact_graph(
+        self, capsys, monkeypatch, path, measure, alpha
+    ):
+        # both documents come from this process, so the LAPACK build drops out
+        argv = ["centrality", "--input", path, "--measure", measure, "--mode", "float"]
+        argv += ["--alpha", alpha] if alpha else []
+        parsed = run(capsys, *argv)
+        monkeypatch.setattr(
+            cli, "_read_graph",
+            lambda p, mode: parse_graph(Path(p).read_text(), Mode.RATIONAL).to_float(),
+        )
+        assert run(capsys, *argv) == parsed
+        assert parsed[0] == 0
+
 
 class TestSimulate:
     def test_distributed_run_reports_the_limit_measure(self, capsys):
@@ -640,3 +658,38 @@ def test_exact_input_beyond_float_range_gives_a_result_or_an_error_line(
         assert out == "" and err.startswith("error:")
     else:
         assert out and err == ""
+
+
+class TestSharedParser:
+    """``build_parser`` builds the parser once per process; requests share it."""
+
+    REQUESTS = [
+        ("centrality", "--input", DEMO5, "--measure", "pr", "--alpha", "1/2"),
+        ("classify", "--input", DEMO5),
+        ("centrality", "--input", DEMO5, "--measure", "kp", "--alpha", "1/2"),
+        ("centrality", "--input", DEMO5, "--measure", "pr"),
+        ("centrality", "--input", DEMO5, "--mode", "float", "--measure", "ev"),
+        ("simulate", "--input", DEMO6, "--process", "parallel", "--alpha", "0.1",
+         "--steps", "4"),
+        ("transform", "em", "--input", DEMO6, "--node", "a", "--factor", "3"),
+    ]
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    @staticmethod
+    def request(capsys, argv):
+        try:
+            return run(capsys, *argv)
+        except SystemExit as exc:  # a usage error
+            return exc.code, *capsys.readouterr()
+
+    def test_successive_requests_leak_no_state(self, capsys):
+        alone = []
+        for argv in self.REQUESTS:
+            cli.build_parser.cache_clear()
+            alone.append(self.request(capsys, argv))
+        cli.build_parser.cache_clear()
+        in_turn = [self.request(capsys, argv) for argv in self.REQUESTS]
+        assert in_turn == alone
+        assert [code for code, _out, _err in alone] == [0, 0, 2, 0, 0, 0, 0]

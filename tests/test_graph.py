@@ -1,12 +1,13 @@
 """Graph container, file format, reachability, components, classification."""
 
+import struct
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from feedback_centrality import (
     ClassTag,
@@ -36,10 +37,17 @@ from feedback_centrality import (
     successors,
     transition_matrix,
 )
+from feedback_centrality import graph
 from feedback_centrality.graph import in_flow, node_weight_vector
 
-from .oracles import nx_components, per_node_in_flow, to_networkx
-from .strategies import rational_graphs, strongly_connected_graphs
+from .conftest import GRAPH_DIR
+from .oracles import exact_float_weight, nx_components, per_node_in_flow, to_networkx
+from .strategies import (
+    decimal_graph_texts,
+    rational_graphs,
+    strongly_connected_graphs,
+    weight_tokens,
+)
 
 
 def build(nodes, edges, mode=Mode.RATIONAL):
@@ -72,6 +80,59 @@ class TestWeights:
         with pytest.raises(GraphFormatError, match="1e400"):
             parse_weight("1e400", Mode.FLOAT)
         assert parse_weight("1e400", Mode.RATIONAL) == F(10) ** 400
+
+    @staticmethod
+    def bits(x: float) -> bytes:
+        # compares signed zeros apart, which == does not
+        return struct.pack("<d", x)
+
+    @given(weight_tokens())
+    @settings(max_examples=600, deadline=None)
+    def test_float_route_matches_the_exact_route(self, token):
+        try:
+            expected = exact_float_weight(token)
+        except GraphFormatError as exc:
+            with pytest.raises(GraphFormatError) as got:
+                parse_weight(token, Mode.FLOAT)
+            assert str(got.value) == str(exc)
+        else:
+            assert self.bits(parse_weight(token, Mode.FLOAT)) == self.bits(expected)
+
+    @pytest.mark.parametrize(
+        "token, expected",
+        [("-0", 0.0), ("-0.0", 0.0), ("0e5", 0.0), ("-1e-400", -0.0), ("1e-400", 0.0),
+         ("5e-324", 5e-324), ("1_000.5", 1000.5), ("١.5", 1.5), ("1/3", 1 / 3)],
+    )
+    def test_float_weight_examples(self, token, expected):
+        # a zero keeps the sign of the exact value: -0 is 0, -1e-400 is -0.0
+        assert self.bits(parse_weight(token, Mode.FLOAT)) == self.bits(expected)
+
+    @pytest.mark.parametrize(
+        "token, message",
+        [("inf", "bad weight literal"), ("nan", "bad weight literal"),
+         ("Infinity", "bad weight literal"), ("3/0", "bad weight literal"),
+         ("1__0", "bad weight literal"), ("-1e400", "does not fit in a float")],
+    )
+    def test_float_weight_errors_are_the_exact_routes(self, token, message):
+        with pytest.raises(GraphFormatError, match=message):
+            parse_weight(token, Mode.FLOAT)
+
+    def test_decimal_float_text_builds_no_fraction(self, monkeypatch, demo5):
+        # guards the float route: a decimal token never takes the exact one
+        made = []
+
+        class CountingFraction(F):
+            def __new__(cls, *args, **kwargs):
+                made.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(graph, "Fraction", CountingFraction)
+        text = serialize_graph(demo5.to_float())
+        assert "/" not in text
+        assert parse_graph(text, Mode.FLOAT) == demo5.to_float()
+        assert made == []
+        parse_weight("1/5", Mode.FLOAT)
+        assert made == [("1/5",)]
 
     def test_format_round_trip(self):
         for w in (F(2, 13), F(5), F(-1, 3), 0.1, 1.5, float(F(1, 3))):
@@ -249,6 +310,15 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError) as err:
             parse_graph(text, Mode.RATIONAL)
         assert err.value.line == 3
+
+    @given(decimal_graph_texts())
+    @example((GRAPH_DIR / "demo5.dg").read_text())
+    @example((GRAPH_DIR / "demo6.dg").read_text())
+    @settings(max_examples=150, deadline=None)
+    def test_float_parse_is_the_rounded_exact_graph(self, text):
+        assert serialize_graph(parse_graph(text, Mode.FLOAT)) == serialize_graph(
+            parse_graph(text, Mode.RATIONAL).to_float()
+        )
 
     def test_canonical_sorts(self):
         g = build(

@@ -7,15 +7,18 @@ import pytest
 from hypothesis import given, settings
 
 from feedback_centrality import (
+    ClassTag,
     DomainError,
     Family,
     GeneratorSpec,
     Graph,
+    GraphClass,
     MeasureKind,
     Mode,
     ProcessKind,
     ProcessState,
     SeriesAccumulator,
+    classify,
     generate,
     geometric_tail_bound,
     initial_state,
@@ -259,3 +262,34 @@ class TestKernelConsistency:
                 totals[v] += state.amounts[v]
         for v in g.node_ids:
             assert acc.partial_sum[v] == pytest.approx(totals[v], rel=1e-12)
+
+
+NON_FINITE_DECAY_CALLS = {
+    "sum_series-parallel": lambda g, a: sum_series(g, ProcessKind.PARALLEL, a, 2),
+    "sum_series-distributed": lambda g, a: sum_series(g, ProcessKind.DISTRIBUTED, a, 2),
+    "total_per_step": lambda g, a: total_per_step(g, ProcessKind.PARALLEL, a, 2),
+    "initial_state": lambda g, a: initial_state(g, ProcessKind.DISTRIBUTED, a),
+    "geometric_tail_bound": lambda g, a: geometric_tail_bound(g, ProcessKind.PARALLEL, a, 2),
+    "pagerank": pagerank,
+    "katz_centrality": katz_centrality,
+    "classify": lambda g, a: classify(g, GraphClass(ClassTag.KATZ, a)),
+}
+
+
+NON_FINITE_DECAY_CASES = [
+    (call, alpha)
+    for call in NON_FINITE_DECAY_CALLS
+    for alpha in (float("inf"), float("-inf"), float("nan"))
+    # GraphClass itself refuses a negative decay
+    if not (call == "classify" and alpha < 0)
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, alpha", NON_FINITE_DECAY_CASES)
+def test_non_finite_float_decay_is_a_domain_error(call, alpha):
+    # before the shared check: numpy warnings and nan sums from the walks,
+    # and a Katz class test that admitted inf and nan (alpha * 0 is nan)
+    g = Graph.build([("a", 1.0), ("b", 1.0)], [("a", "b", 1.0)], Mode.FLOAT)
+    with pytest.raises(DomainError, match="decay parameter must be finite"):
+        NON_FINITE_DECAY_CALLS[call](g, alpha)

@@ -149,12 +149,23 @@ def _cmd_centrality(args, parser) -> int:
     measure, alpha_text = _resolve_measure(args, parser, mode)
     values = measure.compute(g)
     residual = recursion_residual(g, measure, values.values)
-    lams, lam = principal_eigenvalue(g)
+    try:
+        lams, lam = principal_eigenvalue(g)
+    except GraphFormatError as exc:  # an exact weight beyond the float range
+        spectral = {
+            "component_eigenvalues": None,
+            "spectral_radius": None,
+            "spectral_omitted": str(exc),
+        }
+    else:
+        spectral = {
+            "component_eigenvalues": [_fmt6(x) for x in lams],
+            "spectral_radius": _fmt6(lam),
+        }
     diagnostics = {
         "measure": measure.name(),
         "class": _class_entry(measure.admits(g)),
-        "component_eigenvalues": [_fmt6(x) for x in lams],
-        "spectral_radius": _fmt6(lam),
+        **spectral,
         "max_recursion_residual": _fmt6(
             coerce(
                 Mode.FLOAT,

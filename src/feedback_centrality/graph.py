@@ -16,6 +16,7 @@ fixed at construction and preserved by every transform.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -140,9 +141,9 @@ class Graph:
     downstream computation deterministic.  Treat instances as immutable once
     built — transforms return new graphs.
 
-    Derived structure (out- and in-neighbour maps, out-degrees, SCC partition,
-    spectral data) is computed once and shared, read-only like the graph;
-    ``add_node``/``add_edge`` clear it.
+    Derived structure (the edge index, out- and in-neighbour maps,
+    out-degrees, SCC partition, spectral data) is computed once and shared,
+    read-only like the graph; ``add_node``/``add_edge`` clear it.
     """
 
     __slots__ = ("mode", "_weights", "_edges", "_memo")
@@ -160,23 +161,29 @@ class Graph:
             raise GraphFormatError(f"node id must be a non-empty token: {v!r}")
         if v in self._weights:
             raise GraphFormatError(f"duplicate node {v!r}")
-        weight = self._coerce(weight)
-        if weight < 0:
-            raise GraphFormatError(f"negative weight for node {v!r}")
+        # a finite non-negative float, as parse_weight gives, is already valid
+        if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 <= weight < math.inf):
+            weight = self._coerce(weight)
+            if weight < 0:
+                raise GraphFormatError(f"negative weight for node {v!r}")
         self._weights[v] = weight
-        self._memo.clear()
+        if self._memo:
+            self._memo.clear()
 
     def add_edge(self, u: str, v: str, weight: Weight) -> None:
-        for endpoint in (u, v):
-            if endpoint not in self._weights:
-                raise GraphFormatError(f"edge endpoint {endpoint!r} is not a declared node")
+        if u not in self._weights or v not in self._weights:
+            missing = u if u not in self._weights else v
+            raise GraphFormatError(f"edge endpoint {missing!r} is not a declared node")
         if (u, v) in self._edges:
             raise GraphFormatError(f"duplicate edge {u!r} -> {v!r}")
-        weight = self._coerce(weight)
-        if weight <= 0:
-            raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
+        # a finite positive float, as parse_weight gives, is already valid
+        if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 < weight < math.inf):
+            weight = self._coerce(weight)
+            if weight <= 0:
+                raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
         self._edges[(u, v)] = weight
-        self._memo.clear()
+        if self._memo:
+            self._memo.clear()
 
     def _derived(self, compute):
         """``compute(self)``, computed on first request and shared after that."""
@@ -295,6 +302,40 @@ class Graph:
         )
 
 
+@dataclass(frozen=True)
+class _EdgeIndex:
+    """The edge table as arrays: ``position`` maps each node to its place in
+    node order; ``src``/``dst`` (int32) hold the endpoints' positions and, in
+    float mode, ``weight`` (float64) the weights, in edge insertion order.
+    The arrays are read-only."""
+
+    position: dict[str, int]
+    src: np.ndarray
+    dst: np.ndarray
+    weight: np.ndarray | None
+
+
+def _edge_index(g: Graph) -> _EdgeIndex:
+    position = {v: i for i, v in enumerate(g._weights)}
+    m = len(g._edges)
+    ends = np.fromiter(
+        map(position.__getitem__, itertools.chain.from_iterable(g._edges)), np.int32, 2 * m
+    ).reshape(m, 2)
+    src, dst = ends[:, 0].copy(), ends[:, 1].copy()
+    weight = np.fromiter(g._edges.values(), np.float64, m) if g.mode is Mode.FLOAT else None
+    for array in (src, dst, weight):
+        if array is not None:
+            array.flags.writeable = False
+    return _EdgeIndex(position, src, dst, weight)
+
+
+def _sum_by(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
+    """Per position 0..n-1, the sum of its values in array order: a left fold
+    from 0.0, bit for bit that of Python's ``+=``."""
+    # bincount returns integer zeros when there are no values
+    return np.bincount(positions, values, minlength=n).astype(np.float64, copy=False)
+
+
 def _out_maps(g: Graph) -> dict[str, dict[str, Weight]]:
     out: dict[str, dict[str, Weight]] = {v: {} for v in g._weights}
     for (u, v), w in g._edges.items():
@@ -310,14 +351,17 @@ def _in_maps(g: Graph) -> dict[str, dict[str, Weight]]:
 
 
 def _out_degrees(g: Graph) -> dict[str, Weight]:
-    start = zero(g.mode)
-    out = g._derived(_out_maps)
-    degrees = {u: sum(ws.values(), start) for u, ws in out.items()}
-    if g.mode is Mode.FLOAT:
-        for u, d in degrees.items():
-            if not math.isfinite(d):  # a float sum overflowed: the exact sum decides
-                exact = sum(map(Fraction, out[u].values()))
-                degrees[u] = _to_float(exact, f"out-degree of node {u!r}", GraphFormatError)
+    """Each node's out-degree; a float one sums its out-edges in edge order."""
+    if g.mode is Mode.RATIONAL:
+        return {u: sum(ws.values(), Fraction(0)) for u, ws in g._derived(_out_maps).items()}
+    idx = g._derived(_edge_index)
+    sums = _sum_by(idx.src, idx.weight, len(idx.position))
+    degrees = dict(zip(idx.position, sums.tolist()))
+    for i in np.flatnonzero(~np.isfinite(sums)).tolist():
+        # a float sum overflowed: the exact sum decides
+        u = list(degrees)[i]
+        exact = sum(map(Fraction, g._derived(_out_maps)[u].values()))
+        degrees[u] = _to_float(exact, f"out-degree of node {u!r}", GraphFormatError)
     return degrees
 
 
@@ -400,37 +444,42 @@ def strongly_connected_components(g: Graph) -> ComponentPartition:
 
 
 def _tarjan(g: Graph) -> ComponentPartition:
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
+    idx = g._derived(_edge_index)
+    nodes = list(idx.position)
+    n = len(nodes)
+    succ: list[list[int]] = [[] for _ in range(n)]  # in edge insertion order
+    for u, v in zip(idx.src.tolist(), idx.dst.tolist()):
+        succ[u].append(v)
+    index = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
     components: list[list[str]] = []
     counter = 0
-    out = g._derived(_out_maps)
 
-    for root in g.node_ids:
-        if root in index:
+    for root in range(n):
+        if index[root] >= 0:
             continue
         # Each work item is (node, iterator over its out-neighbors).
-        work = [(root, iter(out[root]))]
+        work = [(root, iter(succ[root]))]
         index[root] = lowlink[root] = counter
         counter += 1
         stack.append(root)
-        on_stack.add(root)
+        on_stack[root] = True
         while work:
             node, it = work[-1]
             advanced = False
             for nxt in it:
-                if nxt not in index:
+                if index[nxt] < 0:
                     index[nxt] = lowlink[nxt] = counter
                     counter += 1
                     stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(out[nxt])))
+                    on_stack[nxt] = True
+                    work.append((nxt, iter(succ[nxt])))
                     advanced = True
                     break
-                if nxt in on_stack:
-                    lowlink[node] = min(lowlink[node], index[nxt])
+                if on_stack[nxt] and index[nxt] < lowlink[node]:
+                    lowlink[node] = index[nxt]
             if advanced:
                 continue
             work.pop()
@@ -441,8 +490,8 @@ def _tarjan(g: Graph) -> ComponentPartition:
                 comp = []
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
+                    on_stack[w] = False
+                    comp.append(nodes[w])
                     if w == node:
                         break
                 comp.reverse()
@@ -499,9 +548,26 @@ def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     """Dense float adjacency A with A[i, j] = weight of edge order[j] -> order[i].
 
     Rows index the *target*: (A @ x)[v] sums c(u, v) * x[u] over predecessors
-    u of v, which is the shape every recursion here uses.  Raises
-    ``GraphFormatError`` when an edge weight does not fit in a float.
+    u of v, which is the shape every recursion here uses.  A float graph's
+    matrix is one write from the edge index; a rational graph converts each
+    edge inside ``order`` and raises ``GraphFormatError`` when its weight does
+    not fit in a float.
     """
+    if g.mode is Mode.FLOAT:
+        idx = g._derived(_edge_index)
+        n = len(idx.position)
+        src, dst, weight = idx.src, idx.dst, idx.weight
+        if order is not None:
+            # each node's place in order, -1 outside it (slot n takes unknown ids)
+            place = np.full(n + 1, -1)
+            place[[idx.position.get(v, n) for v in order]] = np.arange(len(order))
+            src, dst = place[src], place[dst]
+            inside = (src >= 0) & (dst >= 0)
+            src, dst, weight = src[inside], dst[inside], weight[inside]
+            n = len(order)
+        a = np.zeros((n, n))
+        a[dst, src] = weight
+        return a
     order = order if order is not None else g.node_ids
     pos = {v: i for i, v in enumerate(order)}
     a = np.zeros((len(order), len(order)))
@@ -520,21 +586,36 @@ def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     Columns of sinks are zero.  When ``order`` restricts to a subset, the
     divisor is still the node's full out-degree in g.
     """
-    order = order if order is not None else g.node_ids
     a = adjacency_matrix(g, order)
-    for j, u in enumerate(order):
-        deg = g.out_degree(u)
-        if deg > 0:
-            a[:, j] /= _to_float(deg, f"out-degree of node {u!r}", GraphFormatError)
+    order = order if order is not None else g.node_ids
+    deg = np.array(
+        [_to_float(g.out_degree(u), f"out-degree of node {u!r}", GraphFormatError) for u in order],
+        dtype=np.float64,
+    )
+    np.divide(a, deg, out=a, where=deg > 0)
     return a
 
 
 def in_flow(g: Graph, x: dict[str, Weight], distributed: bool) -> dict[str, Weight]:
     """Per node v, the sum over in-edges (u, v) of c(u, v) * x[u], each term
     divided by outdeg(u) when ``distributed``: the feedback term that every
-    measure and walk shares, exact in rational mode, summed in edge order."""
-    out = dict.fromkeys(g._weights, zero(g.mode))
+    measure and walk shares, exact in rational mode, summed in edge order.
+
+    ``x`` gives a value for every node.  Float mode computes the terms on the
+    edge index and adds them in that order, so each sum is bit for bit the
+    one a loop over the edges would make.
+    """
     degrees = g._derived(_out_degrees) if distributed else None
+    if g.mode is Mode.FLOAT:
+        idx = g._derived(_edge_index)
+        n = len(idx.position)
+        xs = np.array([x[v] for v in idx.position], dtype=np.float64)
+        with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
+            terms = idx.weight * xs[idx.src]
+            if distributed:
+                terms /= np.fromiter(degrees.values(), np.float64, n)[idx.src]
+        return dict(zip(idx.position, _sum_by(idx.dst, terms, n).tolist()))
+    out = dict.fromkeys(g._weights, zero(g.mode))
     for (u, v), w in g._edges.items():
         term = w * x[u]
         if distributed:
@@ -637,9 +718,12 @@ def _check_kp_structure(g: Graph, part: ComponentPartition) -> str | None:
     for comp, strong in zip(part.components, part.strongly_connected):
         if not strong:
             return f"node {comp[0]!r} forms a component with no cycle through it"
-    for u, v, _ in g.edges():
-        if part.index_of[u] != part.index_of[v]:
-            return f"edge {u!r} -> {v!r} crosses strongly connected components"
+    idx = g._derived(_edge_index)
+    comp_of = np.fromiter(map(part.index_of.__getitem__, idx.position), np.intp, len(idx.position))
+    crossing = np.flatnonzero(comp_of[idx.src] != comp_of[idx.dst])
+    if crossing.size:
+        u, v = next(itertools.islice(g._edges, int(crossing[0]), None))
+        return f"edge {u!r} -> {v!r} crosses strongly connected components"
     return None
 
 
@@ -697,19 +781,18 @@ def parse_graph(text: str, mode: Mode = Mode.RATIONAL) -> Graph:
     """
     g = Graph(mode)
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         try:
-            if fields[0] == "node":
-                if len(fields) != 3:
-                    raise GraphFormatError("expected: node <id> <weight>")
-                g.add_node(fields[1], parse_weight(fields[2], mode))
-            elif fields[0] == "edge":
+            if fields[0] == "edge":
                 if len(fields) != 4:
                     raise GraphFormatError("expected: edge <src> <dst> <weight>")
                 g.add_edge(fields[1], fields[2], parse_weight(fields[3], mode))
+            elif fields[0] == "node":
+                if len(fields) != 3:
+                    raise GraphFormatError("expected: node <id> <weight>")
+                g.add_node(fields[1], parse_weight(fields[2], mode))
             else:
                 raise GraphFormatError(f"unknown declaration {fields[0]!r}")
         except GraphFormatError as exc:

@@ -162,7 +162,7 @@ def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVecto
         x = gauss_rational(rows, [g.node_weight(v) for v in order])
         return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
     m_float = transition_matrix if distributed else adjacency_matrix
-    k = np.eye(len(order)) - alpha * m_float(g, order)
+    k = np.eye(len(order)) - alpha * m_float(g)
     x = solve_refined(k, node_weight_vector(g, order))
     return CentralityVector({v: float(x[i]) for i, v in enumerate(order)}, Mode.FLOAT)
 

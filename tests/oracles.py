@@ -8,8 +8,11 @@ over ``Fraction`` instead of fraction-free integer elimination, node groups
 folded one pair at a time instead of in one pass, the feedback term summed
 node by node over in-edges instead of in one pass over the edge table, float
 weight literals rounded from their exact value instead of read by
-``float()``, and networkx for component structure.  Tests compare the two
-routes; neither side borrows code from the other.
+``float()``, matrices written edge by edge instead of from the edge index,
+Tarjan's algorithm over the neighbour maps instead of integer successor
+lists, a plain line loop for the `.dg` format, and networkx for component
+structure.  Tests compare the two routes; neither side borrows code from the
+other.
 """
 
 from __future__ import annotations
@@ -92,6 +95,7 @@ def nx_components(g: Graph) -> list[set[str]]:
 
 
 def _target_row_adjacency(g: Graph, order: list[str]) -> np.ndarray:
+    """A[i, j] = float weight of edge order[j] -> order[i], one edge at a time."""
     idx = {v: i for i, v in enumerate(order)}
     a = np.zeros((len(order), len(order)))
     for u, v, w in g.edges():
@@ -305,3 +309,112 @@ def exact_float_weight(token: str) -> float:
         return float(value)
     except OverflowError:
         raise GraphFormatError(f"weight literal {token!r} does not fit in a float") from None
+
+
+def dict_tarjan(g: Graph) -> list[list[str]]:
+    """Strongly connected components, condensation order, by Tarjan's
+    algorithm over node ids and the out-neighbour lists of ``g.out_edges``
+    (edge insertion order), each component in the order it leaves the stack,
+    reversed."""
+    index: dict[str, int] = {}
+    lowlink: dict[str, int] = {}
+    on_stack: set[str] = set()
+    stack: list[str] = []
+    components: list[list[str]] = []
+    counter = 0
+    out = {v: [t for t, _w in g.out_edges(v)] for v in g.node_ids}
+
+    for root in g.node_ids:
+        if root in index:
+            continue
+        work = [(root, iter(out[root]))]
+        index[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            node, it = work[-1]
+            advanced = False
+            for nxt in it:
+                if nxt not in index:
+                    index[nxt] = lowlink[nxt] = counter
+                    counter += 1
+                    stack.append(nxt)
+                    on_stack.add(nxt)
+                    work.append((nxt, iter(out[nxt])))
+                    advanced = True
+                    break
+                if nxt in on_stack:
+                    lowlink[node] = min(lowlink[node], index[nxt])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[node])
+            if lowlink[node] == index[node]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack.discard(w)
+                    comp.append(w)
+                    if w == node:
+                        break
+                comp.reverse()
+                components.append(comp)
+    components.reverse()
+    return components
+
+
+def reference_parse(text: str, mode: Mode) -> Graph:
+    """The `.dg` format by a plain line loop with its own checks.
+
+    Per declaration line: the field count, then the weight literal (rational:
+    ``Fraction``; float: ``exact_float_weight``), then the ids (declared
+    before use, no duplicates), then the weight's sign (node weights >= 0,
+    edge weights > 0).  The first failure raises ``GraphFormatError`` with
+    its 1-based line number.
+    """
+    nodes: dict[str, Weight] = {}
+    edges: dict[tuple[str, str], Weight] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        try:
+            if fields[0] == "node":
+                if len(fields) != 3:
+                    raise GraphFormatError("expected: node <id> <weight>")
+                v, w = fields[1], _reference_weight(fields[2], mode)
+                if v in nodes:
+                    raise GraphFormatError(f"duplicate node {v!r}")
+                if w < 0:
+                    raise GraphFormatError(f"negative weight for node {v!r}")
+                nodes[v] = w
+            elif fields[0] == "edge":
+                if len(fields) != 4:
+                    raise GraphFormatError("expected: edge <src> <dst> <weight>")
+                u, v, w = fields[1], fields[2], _reference_weight(fields[3], mode)
+                for end in (u, v):
+                    if end not in nodes:
+                        raise GraphFormatError(f"edge endpoint {end!r} is not a declared node")
+                if (u, v) in edges:
+                    raise GraphFormatError(f"duplicate edge {u!r} -> {v!r}")
+                if w <= 0:
+                    raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
+                edges[(u, v)] = w
+            else:
+                raise GraphFormatError(f"unknown declaration {fields[0]!r}")
+        except GraphFormatError as exc:
+            raise GraphFormatError(str(exc), line=lineno) from None
+    return Graph.build(nodes.items(), ((u, v, w) for (u, v), w in edges.items()), mode)
+
+
+def _reference_weight(token: str, mode: Mode) -> Weight:
+    if mode is Mode.FLOAT:
+        return exact_float_weight(token)
+    try:
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise GraphFormatError(f"bad weight literal {token!r}") from exc

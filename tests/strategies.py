@@ -147,3 +147,47 @@ def decimal_graph_texts(draw, max_nodes: int = 6):
                           unique=True, max_size=n * n))
     lines += [f"edge n{u} n{v} {literal()}" for u, v in pairs]
     return "\n".join(lines) + "\n"
+
+
+# .dg weight tokens and whole lines that parse, and ones that do not
+DG_GOOD_WEIGHTS = ("1", "2", "0.5", "1/3", "7/2", "3", "1_000", "1e300", "5e-324", "2.5e-308")
+DG_BAD_WEIGHTS = (
+    "0", "-0", "0.0", "-0.0", "-1", "-1/2", "1e400", "-1e400", "1e-400", "-1e-400",
+    "nan", "inf", "-inf", "3/0", "1__0", "x", "1/", "",
+)
+DG_GOOD_LINES = ("", "   ", "# comment", "  # indented comment", "\t#x y", "#")
+DG_BAD_LINES = (
+    "node", "node a", "node a 1 2", "edge a b", "edge a b 1 2", "vertex a 1", "nodes a 1",
+)
+
+
+@st.composite
+def _dg_declaration(draw, fields: list[str], weights):
+    pad = st.sampled_from(("", "", " ", "\t"))
+    gap = draw(st.sampled_from((" ", " ", "  ", "\t")))
+    return draw(pad) + gap.join([*fields, draw(weights)]) + draw(pad)
+
+
+@st.composite
+def dg_texts(draw):
+    """``.dg`` texts from a token pool: distinct node declarations, then a
+    mix of edge and node lines, comments and blank lines.  Half the texts
+    declare each edge once over declared ids, with ``DG_GOOD_WEIGHTS`` and
+    ``DG_GOOD_LINES``; the rest also draw ``DG_BAD_WEIGHTS``,
+    ``DG_BAD_LINES``, the undeclared id ``e`` and repeated ids."""
+    clean = draw(st.booleans())
+    declared = draw(st.lists(st.sampled_from("abcd"), unique=True, max_size=4))
+    weights = st.sampled_from(DG_GOOD_WEIGHTS if clean else DG_GOOD_WEIGHTS * 4 + DG_BAD_WEIGHTS)
+    fixed = st.sampled_from(DG_GOOD_LINES if clean else DG_GOOD_LINES + DG_BAD_LINES)
+    lines = [draw(_dg_declaration(["node", v], weights)) for v in declared]
+    if clean:
+        ids = st.sampled_from(declared or ["a"])
+        pairs = draw(st.lists(st.tuples(ids, ids), unique=True, max_size=8)) if declared else []
+        body = [draw(_dg_declaration(["edge", *e], weights)) for e in pairs]
+        lines += draw(st.permutations(body + draw(st.lists(fixed, max_size=3))))
+    else:
+        ids = st.sampled_from([*declared, "e"])
+        node = ids.flatmap(lambda v: _dg_declaration(["node", v], weights))
+        edge = st.tuples(ids, ids).flatmap(lambda e: _dg_declaration(["edge", *e], weights))
+        lines += draw(st.lists(st.one_of(edge, edge, node, fixed), max_size=8))
+    return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\r\n")))

@@ -108,25 +108,63 @@ class TestCentrality:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, expected_code",
         [
-            ("centrality", "--measure", "pr"),
-            ("centrality", "--measure", "kp"),
-            ("centrality", "--measure", "katz", "--alpha", "1/10"),
-            ("classify",),
+            (("centrality", "--measure", "pr"), 0),
+            (("centrality", "--measure", "kp"), 0),
+            (("centrality", "--measure", "katz", "--alpha", "1/10"), 1),
+            (("classify",), 1),
         ],
         ids=["pr", "kp", "katz", "classify"],
     )
     def test_rational_weight_beyond_float_range_is_an_error_line(
-        self, capsys, tmp_path, argv
+        self, capsys, tmp_path, argv, expected_code
     ):
-        # exact in rational mode, but the spectral diagnostics need floats
+        # exact in rational mode; only the katz class and classify need float
+        # spectra to answer, pr and kp omit their spectral diagnostics
         big = tmp_path / "big.dg"
         big.write_text("node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n")
         code, out, err = run(capsys, *argv, "--input", str(big))
-        assert code == 1 and out == ""
-        assert err.startswith("error:") and "does not fit in a float" in err
-        assert "Traceback" not in err
+        assert code == expected_code
+        if code == 1:
+            assert out == ""
+            assert err.startswith("error:") and "does not fit in a float" in err
+        else:
+            assert err == ""
+            assert "does not fit in a float" in json.loads(out)["diagnostics"]["spectral_omitted"]
+
+    @pytest.mark.parametrize(
+        "measure, values, total",
+        [("pr", {"a": "20/3", "b": "20/3"}, "40/3"), ("kp", {"a": "1", "b": "1"}, "2")],
+        ids=["pr", "kp"],
+    )
+    def test_exact_values_survive_float_spectral_diagnostics(
+        self, capsys, tmp_path, measure, values, total
+    ):
+        # a's only out-edge carries 10^400, so both transition weights are 1
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n")
+        doc = run_json(capsys, "centrality", "--input", str(big), "--measure", measure)
+        assert doc["values_full"] == values
+        diag = doc["diagnostics"]
+        assert list(diag) == [
+            "measure", "class", "component_eigenvalues", "spectral_radius",
+            "spectral_omitted", "max_recursion_residual", "value_total",
+        ]
+        assert diag["class"] == {"ok": True, "reason": None}
+        assert diag["component_eigenvalues"] is None and diag["spectral_radius"] is None
+        assert diag["spectral_omitted"] == "weight of edge 'a' -> 'b' does not fit in a float"
+        assert diag["max_recursion_residual"] == "0"
+        assert diag["value_total"] == total
+
+    def test_acyclic_weight_beyond_float_range_needs_no_float(self, capsys, tmp_path):
+        # singleton components take no matrix, so the spectral fields are exact
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e400\n")
+        doc = run_json(capsys, "centrality", "--input", str(big), "--measure", "pr")
+        diag = doc["diagnostics"]
+        assert "spectral_omitted" not in diag
+        assert diag["component_eigenvalues"] == ["0", "0"] and diag["spectral_radius"] == "0"
 
     def test_overflowing_float_out_degree_is_an_error_line(self, capsys, tmp_path):
         # every weight fits in a float, but a's out-degree 2e308 does not

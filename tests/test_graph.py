@@ -37,16 +37,32 @@ from feedback_centrality import (
     successors,
     transition_matrix,
 )
-from feedback_centrality import graph
+from feedback_centrality import ProcessKind, graph, walks
 from feedback_centrality.graph import in_flow, node_weight_vector
 
 from .conftest import GRAPH_DIR
-from .oracles import exact_float_weight, nx_components, per_node_in_flow, to_networkx
+from .oracles import (
+    _target_row_adjacency,
+    dict_tarjan,
+    exact_float_weight,
+    nx_components,
+    per_node_in_flow,
+    reference_parse,
+    to_networkx,
+)
 from .strategies import (
     decimal_graph_texts,
+    dg_texts,
     rational_graphs,
     strongly_connected_graphs,
     weight_tokens,
+)
+
+# rational, rounded-to-float and float strongly connected graphs
+BOTH_MODES = st.one_of(
+    rational_graphs(max_nodes=7),
+    rational_graphs(max_nodes=7).map(Graph.to_float),
+    strongly_connected_graphs(),
 )
 
 
@@ -255,13 +271,7 @@ class TestGraphContainer:
     def test_in_flow_matches_per_node_oracle(self, data):
         # one pass over the edge table adds each target's terms in the same
         # order as the per-node loop, so the two agree bit for bit
-        g = data.draw(
-            st.one_of(
-                rational_graphs(max_nodes=7),
-                rational_graphs(max_nodes=7).map(Graph.to_float),
-                strongly_connected_graphs(),
-            )
-        )
+        g = data.draw(BOTH_MODES)
         if g.mode is Mode.RATIONAL:
             amount = st.fractions(min_value=0, max_value=100, max_denominator=50)
         else:
@@ -320,6 +330,24 @@ class TestFileFormat:
             parse_graph(text, Mode.RATIONAL).to_float()
         )
 
+    @given(dg_texts())
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_parse_matches_the_reference_parser(self, text):
+        # the same graph in the same node and edge order, or the same error
+        def outcome(parse, mode):
+            try:
+                return parse(text, mode)
+            except GraphFormatError as exc:
+                return str(exc), exc.line
+
+        for mode in Mode:
+            got, expected = outcome(parse_graph, mode), outcome(reference_parse, mode)
+            if isinstance(expected, Graph):
+                assert isinstance(got, Graph) and got == expected
+                assert serialize_graph(got) == serialize_graph(expected)
+            else:
+                assert got == expected
+
     def test_canonical_sorts(self):
         g = build(
             [("b", F(1)), ("a", F(1))],
@@ -375,6 +403,12 @@ class TestComponents:
         pos = {v: i for i, comp in enumerate(part.components) for v in comp}
         for u, v, _w in g.edges():
             assert pos[u] <= pos[v]
+
+    @given(BOTH_MODES)
+    @settings(max_examples=150, deadline=None)
+    def test_components_match_the_dict_tarjan(self, g):
+        # same components, same internal order, same condensation order
+        assert strongly_connected_components(g).components == dict_tarjan(g)
 
     def test_singleton_loop_rule(self):
         g = build(
@@ -446,6 +480,11 @@ class TestMatrices:
         m = transition_matrix(g)
         assert m[:, 1].sum() == 0.0
 
+    def test_transition_refuses_an_unknown_node(self, demo5, demo5_float):
+        for g in (demo5, demo5_float):
+            with pytest.raises(DomainError, match="unknown node 'zz'"):
+                transition_matrix(g, ["v1", "zz"])
+
     def test_rational_weight_beyond_float_range_is_a_format_error(self):
         g = build([("a", F(1)), ("b", F(1))], [("a", "b", F(10) ** 400), ("b", "a", F(1))])
         with pytest.raises(GraphFormatError, match="edge 'a' -> 'b' does not fit"):
@@ -463,6 +502,78 @@ class TestMatrices:
         g = build([("a", F(1))], [("a", "a", F(10) ** 400)])
         with pytest.raises(GraphFormatError, match="edge 'a' -> 'a' does not fit in a float"):
             spectral_data(g)
+
+
+class TestEdgeIndex:
+    """Float graphs read their matrices, out-degrees and feedback term off
+    one memoised edge index; each agrees bit for bit with an edge-by-edge
+    loop, in both modes."""
+
+    @given(BOTH_MODES, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matrices_match_the_target_row_oracle(self, g, data):
+        nodes = data.draw(st.permutations(g.node_ids))
+        order = nodes[: data.draw(st.integers(0, len(nodes)))]
+        for given_order in (None, g.node_ids, nodes, order):
+            layout = g.node_ids if given_order is None else given_order
+            expected = _target_row_adjacency(g, layout)
+            got = adjacency_matrix(g, given_order)
+            assert got.dtype == np.float64 and np.array_equal(got, expected)
+            for j, u in enumerate(layout):
+                deg = float(g.out_degree(u))
+                if deg > 0:
+                    expected[:, j] /= deg
+            assert np.array_equal(transition_matrix(g, given_order), expected)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_float_out_degree_is_the_edge_order_sum(self, data):
+        # weights off the dyadic grid, so that the summation order shows
+        names = [f"n{i}" for i in range(data.draw(st.integers(1, 6)))]
+        ends = st.sampled_from(names)
+        pairs = data.draw(st.lists(st.tuples(ends, ends), unique=True))
+        weight = st.floats(min_value=1e-3, max_value=1e3)
+        g = Graph.build(
+            ((v, 1.0) for v in names), [(u, v, data.draw(weight)) for u, v in pairs], Mode.FLOAT
+        )
+        for u in g.node_ids:
+            acc = 0.0
+            for _v, w in g.out_edges(u):
+                acc += w
+            assert type(g.out_degree(u)) is float
+            assert struct.pack("<d", g.out_degree(u)) == struct.pack("<d", acc)
+
+    def test_results_are_isolated_from_the_memo(self, demo5_float):
+        g = demo5_float
+        sub = g.node_ids[1:4]
+        calls = [
+            lambda: adjacency_matrix(g),
+            lambda: adjacency_matrix(g, sub),
+            lambda: transition_matrix(g),
+            lambda: transition_matrix(g, sub),
+            lambda: walks._step_matrix(g, ProcessKind.DISTRIBUTED),
+            lambda: walks._step_matrix(g, ProcessKind.PARALLEL),
+        ]
+        before = [call().copy() for call in calls]
+        for call in calls:
+            call()[:] = 7.0  # a caller writes into its result
+        for call, first in zip(calls, before):
+            assert np.array_equal(call(), first)
+
+        index = g._derived(graph._edge_index)
+        for array in (index.src, index.dst, index.weight):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    def test_rational_index_has_no_float_weights(self, demo5):
+        # exact weights need not fit in a float; rational matrices convert
+        # the edges they use
+        index = demo5._derived(graph._edge_index)
+        assert index.weight is None
+        assert list(index.position) == demo5.node_ids
+        edges = [(u, v) for u, v, _w in demo5.edges()]
+        assert [(demo5.node_ids[s], demo5.node_ids[d]) for s, d in zip(index.src, index.dst)] == edges
 
 
 class TestClassification:

@@ -22,9 +22,12 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
+
+import numpy as np
 
 from .axioms import (
     ALL_AXIOMS,
@@ -192,7 +195,10 @@ def _cmd_simulate(args, parser) -> int:
     alpha = parse_weight(args.alpha, mode)
     if args.steps < 0:
         parser.error("--steps must be non-negative")
-    series = sum_series(g, kind, alpha, args.steps)
+    with np.errstate(over="ignore", invalid="ignore"):  # a float overflow is refused below
+        series = sum_series(g, kind, alpha, args.steps)
+    if mode is Mode.FLOAT and not all(map(math.isfinite, series.partial_sum.values())):
+        raise DomainError(f"walk series does not fit in a float within {args.steps} steps")
 
     tail_max = tail_omitted = None
     try:
@@ -211,15 +217,17 @@ def _cmd_simulate(args, parser) -> int:
         }
     except DomainError as exc:
         recursion_omitted = str(exc)
-    in_flight = coerce(
-        Mode.FLOAT, sum(series.last.amounts.values(), zero(mode)), "mass in flight"
-    )
+    in_flight = sum(series.last.amounts.values(), zero(mode))
+    try:
+        flight = {"mass_in_flight": _fmt6(coerce(Mode.FLOAT, in_flight, "mass in flight"))}
+    except DomainError as exc:  # an exact mass beyond the float range
+        flight = {"mass_in_flight": None, "mass_in_flight_omitted": str(exc)}
 
     diagnostics = {
         "process": kind.value,
         "steps": args.steps,
         "initial_total": format_weight(g.total_node_weight()),
-        "mass_in_flight": _fmt6(in_flight),
+        **flight,
         "cesaro": (
             {v: format_weight(x) for v, x in series.cesaro.items()}
             if series.cesaro is not None

@@ -18,6 +18,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
@@ -125,11 +126,19 @@ def parse_weight(token: str, mode: Mode) -> Weight:
 
 def format_weight(w: Weight) -> str:
     """Serialize a weight: lowest-terms ``p/q`` (or bare integer) for
-    rationals, shortest round-trip decimal for floats."""
+    rationals, shortest round-trip decimal for floats.
+
+    ``DomainError`` when an exact value has more digits than Python converts
+    (``sys.get_int_max_str_digits()``), which no ``.dg`` reader could parse.
+    """
     if isinstance(w, Fraction):
-        if w.denominator == 1:
-            return str(w.numerator)
-        return f"{w.numerator}/{w.denominator}"
+        try:
+            if w.denominator == 1:
+                return str(w.numerator)
+            return f"{w.numerator}/{w.denominator}"
+        except ValueError:
+            limit = sys.get_int_max_str_digits()
+            raise DomainError(f"exact value has more than {limit} digits to print") from None
     return repr(float(w))
 
 
@@ -157,7 +166,7 @@ class Graph:
     # -- construction ----------------------------------------------------
 
     def add_node(self, v: str, weight: Weight) -> None:
-        if not v or any(ch.isspace() for ch in v):
+        if v.split() != [v]:  # empty, or holds whitespace
             raise GraphFormatError(f"node id must be a non-empty token: {v!r}")
         if v in self._weights:
             raise GraphFormatError(f"duplicate node {v!r}")
@@ -544,23 +553,35 @@ def node_weight_vector(g: Graph, order: list[str]) -> np.ndarray:
     )
 
 
+def _check_order(g: Graph, order: list[str]) -> None:
+    ids = set(order)
+    if not ids <= g._weights.keys():
+        g._require_node(next(v for v in order if v not in g._weights))
+    if len(ids) < len(order):
+        twice = next(v for i, v in enumerate(order) if v in order[:i])
+        raise DomainError(f"node {twice!r} is listed twice")
+
+
 def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     """Dense float adjacency A with A[i, j] = weight of edge order[j] -> order[i].
 
     Rows index the *target*: (A @ x)[v] sums c(u, v) * x[u] over predecessors
-    u of v, which is the shape every recursion here uses.  A float graph's
-    matrix is one write from the edge index; a rational graph converts each
-    edge inside ``order`` and raises ``GraphFormatError`` when its weight does
-    not fit in a float.
+    u of v, which is the shape every recursion here uses.  ``order`` lists
+    distinct nodes of g, or ``DomainError`` names the id that is unknown or
+    listed twice.  A float graph's matrix is one write from the edge index; a
+    rational graph converts each edge inside ``order`` and raises
+    ``GraphFormatError`` when its weight does not fit in a float.
     """
+    if order is not None:
+        _check_order(g, order)
     if g.mode is Mode.FLOAT:
         idx = g._derived(_edge_index)
         n = len(idx.position)
         src, dst, weight = idx.src, idx.dst, idx.weight
         if order is not None:
-            # each node's place in order, -1 outside it (slot n takes unknown ids)
-            place = np.full(n + 1, -1)
-            place[[idx.position.get(v, n) for v in order]] = np.arange(len(order))
+            # each node's place in order, -1 outside it
+            place = np.full(n, -1)
+            place[[idx.position[v] for v in order]] = np.arange(len(order))
             src, dst = place[src], place[dst]
             inside = (src >= 0) & (dst >= 0)
             src, dst, weight = src[inside], dst[inside], weight[inside]
@@ -778,10 +799,29 @@ def parse_graph(text: str, mode: Mode = Mode.RATIONAL) -> Graph:
     One declaration per line: ``# comment``, ``node <id> <weight>``, or
     ``edge <src> <dst> <weight>``.  Nodes must be declared before edges that
     reference them.  Weights are decimals or exact rationals ``p/q``.
+
+    In FLOAT mode a new edge between declared nodes whose literal has no
+    ``/`` and reads by ``float()`` as finite and positive is stored at once:
+    ``parse_weight`` and ``Graph.add_edge`` would store that same float.
+    Every other line takes their checks, which raise every error.
     """
     g = Graph(mode)
+    declared, edges = g._weights, g._edges
+    plain_float = mode is Mode.FLOAT
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
+        if plain_float and len(fields) == 4 and fields[0] == "edge":
+            _, u, v, token = fields
+            key = u, v
+            if u in declared and v in declared and key not in edges and "/" not in token:
+                try:
+                    weight = float(token)
+                except ValueError:
+                    pass
+                else:
+                    if 0.0 < weight < math.inf:
+                        edges[key] = weight
+                        continue
         if not fields or fields[0].startswith("#"):
             continue
         try:

@@ -1,17 +1,24 @@
 """End-to-end CLI coverage through main(), asserting on the JSON documents."""
 
+import contextlib
+import io
 import json
+import sys
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import example, given, settings
 
 from feedback_centrality import (
     Graph,
     Mode,
+    ProcessKind,
     edge_compensation,
     edge_multiplication,
+    format_weight,
     katz_prestige,
     out_regularity,
     parse_graph,
@@ -22,6 +29,7 @@ from feedback_centrality import cli, walks
 from feedback_centrality.cli import main
 
 from .conftest import GRAPH_DIR
+from .strategies import dg_texts
 
 DEMO5 = str(GRAPH_DIR / "demo5.dg")
 DEMO6 = str(GRAPH_DIR / "demo6.dg")
@@ -364,6 +372,50 @@ class TestSimulate:
         text = "node a 1\nnode b 1\nedge a b 1\n"
         self.no_certificate(capsys, tmp_path, mode, text, "1e300")
 
+    def test_exact_mass_beyond_float_range_is_omitted_with_a_reason(self, capsys, tmp_path):
+        # exact, but (1e300/2)^5 overflows a float
+        text = "node a 1\nnode b 1\nedge a b 1e300\nedge b a 1e300\n"
+        huge = tmp_path / "huge.dg"
+        huge.write_text(text)
+        code, out, err = run(
+            capsys, "simulate", "--input", str(huge), "--mode", "rational",
+            "--process", "parallel", "--alpha", "1/2", "--steps", "5",
+        )
+        assert code == 0 and err == ""
+        doc = json.loads(out)
+        series = walks.sum_series(parse_graph(text), ProcessKind.PARALLEL, F(1, 2), 5)
+        assert doc["values_full"] == {v: format_weight(x) for v, x in series.partial_sum.items()}
+        diag = doc["diagnostics"]
+        keys = list(diag)
+        assert keys[keys.index("mass_in_flight") + 1] == "mass_in_flight_omitted"
+        assert diag["mass_in_flight"] is None
+        assert diag["mass_in_flight_omitted"] == "mass in flight does not fit in a float"
+
+    def test_float_series_beyond_float_range_is_an_error_line(self, capsys, tmp_path):
+        # the state passes 1e600 at step 2, and the dense step then meets inf * 0
+        path = tmp_path / "g.dg"
+        path.write_text("node a 1\nnode b 1\nedge a a 1\nedge a b 1\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "simulate", "--input", str(path), "--mode", "float",
+                "--process", "parallel", "--alpha", "1e300", "--steps", "3",
+            )
+        assert (code, out, caught) == (1, "", [])
+        assert err == "error: walk series does not fit in a float within 3 steps\n"
+
+    def test_exact_value_too_long_to_print_is_an_error_line(self, capsys, tmp_path):
+        # a's value at step 12 is (1e300 * 1e300)^12, 7201 digits
+        path = tmp_path / "g.dg"
+        path.write_text("node a 1\nnode b 1\nedge a a 1e300\nedge a b 1\n")
+        code, out, err = run(
+            capsys, "simulate", "--input", str(path), "--mode", "rational",
+            "--process", "parallel", "--alpha", "1e300", "--steps", "12",
+        )
+        limit = sys.get_int_max_str_digits()
+        assert (code, out) == (1, "")
+        assert err == f"error: exact value has more than {limit} digits to print\n"
+
     def test_negative_steps_rejected(self):
         with pytest.raises(SystemExit) as exc:
             main([
@@ -490,8 +542,6 @@ class TestTransforms:
              "unknown node 'v1'"),
             (("transform", "combine-groups", "--input", "EMPTY", "--groups", "GROUPS",
               "--mode", "float"), "unknown node 'v1'"),
-            (("simulate", "--input", "HUGE", "--mode", "rational", "--process",
-              "parallel", "--alpha", "1/2", "--steps", "5"), "does not fit in a float"),
         ],
         ids=[
             "combine-by-measure",
@@ -499,7 +549,6 @@ class TestTransforms:
             "check-axioms-min-size",
             "combine-groups-no-nodes",
             "combine-groups-no-nodes-float",
-            "simulate-beyond-float-range",
         ],
     )
     def test_bad_input_is_an_error_line_not_a_traceback(
@@ -509,9 +558,7 @@ class TestTransforms:
         groups.write_text("group v1 v1\ngroup zz v1\n")
         empty = tmp_path / "empty.dg"
         empty.write_text("")
-        huge = tmp_path / "huge.dg"  # exact, but (1e300/2)^5 overflows a float
-        huge.write_text("node a 1\nnode b 1\nedge a b 1e300\nedge b a 1e300\n")
-        paths = {"GROUPS": str(groups), "EMPTY": str(empty), "HUGE": str(huge)}
+        paths = {"GROUPS": str(groups), "EMPTY": str(empty)}
         argv = [paths.get(a, a) for a in argv]
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
@@ -731,3 +778,59 @@ class TestSharedParser:
         in_turn = [self.request(capsys, argv) for argv in self.REQUESTS]
         assert in_turn == alone
         assert [code for code, _out, _err in alone] == [0, 0, 2, 0, 0, 0, 0]
+
+
+# requests over .dg texts from the parse gate's token pool, in both modes
+_FUZZ_DECAYS = ("1/2", "0.85", "1", "0", "1/10", "1e300", "1e400", "5e-324", "-1", "nan", "inf",
+                "3/0", "x")
+
+
+@st.composite
+def _fuzz_requests(draw):
+    decay = st.sampled_from(_FUZZ_DECAYS)
+    verb = draw(st.sampled_from(["centrality", "simulate", "classify"]))
+    if verb == "centrality":
+        args = ["--measure", draw(st.sampled_from(["pr", "katz", "kp", "ev"]))]
+        args += ["--alpha", draw(decay)] if draw(st.booleans()) else []
+    elif verb == "simulate":
+        args = ["--process", draw(st.sampled_from(["distributed", "parallel"])),
+                "--alpha", draw(decay), "--steps", draw(st.sampled_from(["-1", "0", "1", "3", "12"]))]
+    else:
+        args = ["--alpha", draw(decay)] if draw(st.booleans()) else []
+    return [verb, *args, "--mode", draw(st.sampled_from(["rational", "float"]))]
+
+
+@pytest.fixture(scope="module")
+def fuzz_input(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "g.dg"
+
+
+@given(text=dg_texts(), argv=_fuzz_requests())
+@example(  # a float overflow, with numpy's warnings
+    text="node a 1\nnode b 1\nedge a a 1\nedge a b 1\n",
+    argv=["simulate", "--process", "parallel", "--alpha", "1e300", "--steps", "3",
+          "--mode", "float"],
+)
+@example(  # an exact value too long for str(), a ValueError
+    text="node a 1\nnode b 1\nedge a a 1e300\nedge a b 1\n",
+    argv=["simulate", "--process", "parallel", "--alpha", "1e300", "--steps", "12",
+          "--mode", "rational"],
+)
+@settings(max_examples=600, derandomize=True, deadline=None)
+def test_any_request_gives_a_result_or_an_error_line(fuzz_input, text, argv):
+    fuzz_input.unlink(missing_ok=True)  # truncating a file in place can be slow
+    fuzz_input.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:  # a warning would reach stderr
+            warnings.simplefilter("always")
+            try:
+                code = main([*argv, "--input", str(fuzz_input)])
+            except SystemExit as exc:  # argparse's usage errors
+                code = exc.code
+    assert caught == []
+    err = err.getvalue()
+    if code == 0:
+        assert err == "" and json.loads(out.getvalue())["command"] == argv[0]
+    else:
+        assert (code, err[:6]) in ((1, "error:"), (2, "usage:"), (2, "error:"))

@@ -1,6 +1,7 @@
 """Graph container, file format, reachability, components, classification."""
 
 import struct
+import sys
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -150,6 +151,13 @@ class TestWeights:
         parse_weight("1/5", Mode.FLOAT)
         assert made == [("1/5",)]
 
+    def test_exact_value_too_long_to_print_is_a_domain_error(self):
+        digits = sys.get_int_max_str_digits()
+        assert format_weight(F(10) ** (digits - 1)) == "1" + "0" * (digits - 1)
+        for value in (F(10) ** digits, F(1, 10**digits)):
+            with pytest.raises(DomainError, match=f"more than {digits} digits"):
+                format_weight(value)
+
     def test_format_round_trip(self):
         for w in (F(2, 13), F(5), F(-1, 3), 0.1, 1.5, float(F(1, 3))):
             assert parse_weight(format_weight(w),
@@ -190,6 +198,17 @@ class TestGraphContainer:
             g.add_edge("a", "zz", F(1))  # undeclared endpoint
         with pytest.raises(GraphFormatError):
             g.add_edge("b", "a", F(0))  # edge weights strictly positive
+
+    def test_node_ids_refuse_every_unicode_whitespace(self):
+        spaces = [c for c in map(chr, range(0x110000)) if c.isspace()]
+        assert {" ", "\t", "\x1c", "\x85", "\u2028", "\u3000"} <= set(spaces)
+        g = Graph(Mode.FLOAT)
+        for bad in ["", *spaces, *(f"a{c}b" for c in spaces), *(f"{c}a" for c in spaces)]:
+            with pytest.raises(GraphFormatError, match="non-empty token"):
+                g.add_node(bad, 1.0)
+        for good in ("a", "\u200b", "\ufeff", "\x00", "\u180e", "\u3164"):
+            g.add_node(good, 1.0)
+        assert len(g) == 6
 
     def test_mode_guard(self):
         g = Graph(Mode.RATIONAL)
@@ -290,6 +309,22 @@ class TestGraphContainer:
         assert g1 != g1.to_float()
 
 
+# float-mode edge lines at the edge of the plain-line route; ids name the case
+_TWO_NODES = "node a 1\nnode b 2\n"
+PLAIN_ROUTE_EDGES = {
+    **{f"weight-{tok}": f"{_TWO_NODES}edge a b {tok}\n" for tok in (
+        "3/4", "0", "-0", "-1", "1e-400", "1e400", "nan", "inf", "1_000",
+    )},
+    "duplicate-edge": f"{_TWO_NODES}edge a b 1\nedge a a 0.5\nedge a b 2\n",
+    "edge-before-its-node": "node a 1\nedge a b 1\nnode b 2\n",
+    "undeclared-endpoint": f"{_TWO_NODES}edge a b 1\nedge zz b 1\n",
+    "five-fields": f"{_TWO_NODES}edge a b 1 2\n",
+    "tabs": "node\ta\t1\nnode\tb\t2\nedge\ta\tb\t0.5\n\tedge b\ta 3\t\n",
+    "crlf": "node a 1\r\nnode b 2\r\nedge a b 0.5\r\nedge b a 3\r\n",
+    "comment": f"{_TWO_NODES}#edge a b 1\nedge b a 1\n",
+}
+
+
 class TestFileFormat:
     def test_round_trip(self, demo5):
         assert parse_graph(serialize_graph(demo5), Mode.RATIONAL) == demo5
@@ -347,6 +382,39 @@ class TestFileFormat:
                 assert serialize_graph(got) == serialize_graph(expected)
             else:
                 assert got == expected
+
+    @pytest.mark.parametrize("text", PLAIN_ROUTE_EDGES.values(), ids=PLAIN_ROUTE_EDGES)
+    def test_plain_route_boundary_matches_the_reference_parser(self, text):
+        def outcome(parse):
+            try:
+                g = parse(text, Mode.FLOAT)
+            except GraphFormatError as exc:
+                return str(exc), exc.line
+            return g, serialize_graph(g)
+
+        assert outcome(parse_graph) == outcome(reference_parse)
+
+    def test_decimal_float_text_calls_nothing_per_edge(self, monkeypatch, demo5):
+        # the plain-line route stores each edge without a call per line
+        text = serialize_graph(demo5.to_float())
+        expected = reference_parse(text, Mode.FLOAT)
+        assert "/" not in text and expected.num_edges > 0
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Graph, "add_edge", counting("add_edge", Graph.add_edge))
+        monkeypatch.setattr(graph, "parse_weight", counting("parse_weight", parse_weight))
+        assert parse_graph(text, Mode.FLOAT) == expected
+        assert calls == ["parse_weight"] * len(expected)
+        calls.clear()
+        parse_graph(text + "edge v1 v1 1/2\n", Mode.FLOAT)
+        assert calls == ["parse_weight"] * (len(expected) + 1) + ["add_edge"]
 
     def test_canonical_sorts(self):
         g = build(
@@ -484,6 +552,15 @@ class TestMatrices:
         for g in (demo5, demo5_float):
             with pytest.raises(DomainError, match="unknown node 'zz'"):
                 transition_matrix(g, ["v1", "zz"])
+
+    def test_adjacency_refuses_an_unknown_or_repeated_node(self):
+        for mode in Mode:
+            g = parse_graph("node a 1\nnode b 1\nedge a b 1\nedge b a 2\n", mode)
+            with pytest.raises(DomainError, match="node 'a' is listed twice"):
+                adjacency_matrix(g, ["a", "b", "a"])
+            with pytest.raises(DomainError, match="unknown node 'zz'"):
+                adjacency_matrix(g, ["a", "zz"])
+            assert adjacency_matrix(g, ["b", "a"]).tolist() == [[0.0, 1.0], [2.0, 0.0]]
 
     def test_rational_weight_beyond_float_range_is_a_format_error(self):
         g = build([("a", F(1)), ("b", F(1))], [("a", "b", F(10) ** 400), ("b", "a", F(1))])

@@ -77,10 +77,13 @@ def coerce(mode: Mode, value: Weight, what: str) -> Weight:
 
 def coerce_decay(mode: Mode, alpha: Weight) -> Weight:
     """The decay parameter as a number of ``mode``, as ``coerce`` gives it; a
-    non-finite float decay raises ``DomainError``."""
+    non-finite or negative decay raises ``DomainError``.  The one check of a
+    decay that every measure and walk shares."""
     alpha = coerce(mode, alpha, "decay parameter")
     if isinstance(alpha, float) and not math.isfinite(alpha):
         raise DomainError(f"decay parameter must be finite, got {alpha}")
+    if alpha < 0:
+        raise DomainError(f"decay parameter must be non-negative, got {alpha}")
     return alpha
 
 
@@ -102,7 +105,9 @@ def parse_weight(token: str, mode: Mode) -> Weight:
     ``/`` is read by ``float()``, which rounds correctly, and kept when finite
     and non-zero; any other literal is parsed exactly, then rounded once, so
     errors and signed zeros are the exact route's (``-0`` gives ``0.0``,
-    ``-1e-400`` gives ``-0.0``).
+    ``-1e-400`` gives ``-0.0``).  A literal with more digits than Python
+    reads as an int (``sys.get_int_max_str_digits()``) does not fit in a
+    float, and in rational mode raises ``GraphFormatError`` naming that limit.
     """
     if mode is Mode.FLOAT and "/" not in token:
         try:
@@ -115,13 +120,21 @@ def parse_weight(token: str, mode: Mode) -> Weight:
     try:
         value = Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise GraphFormatError(f"bad weight literal {token!r}") from exc
+        literal = f"weight literal {_quote(token)}"
+        if "integer string conversion" not in str(exc):  # not Python's digit limit
+            raise GraphFormatError(f"bad {literal}") from exc
+        if mode is Mode.FLOAT:
+            raise GraphFormatError(f"{literal} does not fit in a float") from None
+        limit = sys.get_int_max_str_digits()
+        raise GraphFormatError(f"{literal} has more than {limit} digits") from None
     if mode is Mode.RATIONAL:
         return value
-    try:
-        return float(value)
-    except OverflowError:  # the helper raises the typed error
-        return _to_float(value, f"weight literal {token!r}", GraphFormatError)
+    return _to_float(value, f"weight literal {_quote(token)}", GraphFormatError)
+
+
+def _quote(token: str) -> str:
+    """``repr(token)``, cut after 40 characters; a float's shortest is 24."""
+    return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
 def format_weight(w: Weight) -> str:
@@ -578,7 +591,7 @@ def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
         idx = g._derived(_edge_index)
         n = len(idx.position)
         src, dst, weight = idx.src, idx.dst, idx.weight
-        if order is not None:
+        if order is not None and order != g.node_ids:
             # each node's place in order, -1 outside it
             place = np.full(n, -1)
             place[[idx.position[v] for v in order]] = np.arange(len(order))
@@ -836,9 +849,7 @@ def parse_graph(text: str, mode: Mode = Mode.RATIONAL) -> Graph:
             else:
                 raise GraphFormatError(f"unknown declaration {fields[0]!r}")
         except GraphFormatError as exc:
-            if exc.line is None:
-                raise GraphFormatError(str(exc), line=lineno) from None
-            raise
+            raise GraphFormatError(str(exc), line=lineno) from None
     return g
 
 

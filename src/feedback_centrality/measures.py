@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -153,18 +152,29 @@ def _rational_system(
     return rows
 
 
+def _damped_system(g: Graph, order: list[str], alpha: Weight, distributed: bool):
+    """I - alpha * M over ``order``, M as in ``_solve_damped``: exact rows in
+    rational mode, a dense float array in float mode."""
+    if g.mode is Mode.RATIONAL:
+        return _rational_system(g, order, alpha, distributed)
+    m_float = transition_matrix if distributed else adjacency_matrix
+    return np.eye(len(order)) - alpha * m_float(g, order)
+
+
+def _solve(mode: Mode, k, rhs: list[Weight]) -> list[Weight]:
+    """Solve k x = rhs exactly on rational rows, by refined LU on a float array."""
+    if mode is Mode.RATIONAL:
+        return gauss_rational(k, rhs)
+    return solve_refined(k, np.array(rhs, dtype=np.float64)).tolist()
+
+
 def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVector:
     """Solve (I - alpha * M) x = b in the graph's numeric mode, M the
     transition matrix when ``distributed``, else the adjacency."""
     order = g.node_ids
-    if g.mode is Mode.RATIONAL:
-        rows = _rational_system(g, order, alpha, distributed)
-        x = gauss_rational(rows, [g.node_weight(v) for v in order])
-        return CentralityVector(dict(zip(order, x)), Mode.RATIONAL)
-    m_float = transition_matrix if distributed else adjacency_matrix
-    k = np.eye(len(order)) - alpha * m_float(g)
-    x = solve_refined(k, node_weight_vector(g, order))
-    return CentralityVector({v: float(x[i]) for i, v in enumerate(order)}, Mode.FLOAT)
+    k = _damped_system(g, order, alpha, distributed)
+    x = _solve(g.mode, k, [g.node_weight(v) for v in order])
+    return CentralityVector(dict(zip(order, x)), g.mode)
 
 
 def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
@@ -174,7 +184,7 @@ def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
     Defined for every graph.
     """
     alpha = coerce_decay(g.mode, alpha)
-    if not 0 <= alpha < 1:
+    if alpha >= 1:
         raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
     return _solve_damped(g, alpha, distributed=True)
 
@@ -187,8 +197,6 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
     the boundary and the solve becomes meaningless past it.
     """
     alpha = coerce_decay(g.mode, alpha)
-    if alpha < 0:
-        raise DomainError(f"katz needs alpha >= 0, got {alpha}")
     verdict = classify(g, GraphClass(ClassTag.KATZ, alpha))
     if not verdict:
         raise DomainError(f"graph is outside the katz class: {verdict.reason}")
@@ -223,16 +231,10 @@ def _stationary_distribution(g: Graph, comp: list[str]) -> list[Weight]:
     """
     n = len(comp)
     if n == 1:
-        return [Fraction(1) if g.mode is Mode.RATIONAL else 1.0]
-    if g.mode is Mode.RATIONAL:
-        rows = _rational_system(g, comp, 1, distributed=True)
-        rows[n - 1] = [1] * n
-        return gauss_rational(rows, [0] * (n - 1) + [1])
-    k = np.eye(n) - transition_matrix(g, comp)
-    k[n - 1, :] = 1.0
-    rhs = np.zeros(n)
-    rhs[n - 1] = 1.0
-    return [float(x) for x in solve_refined(k, rhs)]
+        return [zero(g.mode) + 1]
+    k = _damped_system(g, comp, 1, distributed=True)
+    k[n - 1] = [1] * n
+    return _solve(g.mode, k, [0] * (n - 1) + [1])
 
 
 # -- eigenproblem measure -----------------------------------------------------
@@ -271,32 +273,26 @@ def recursion_residual(
 ) -> dict[str, Weight]:
     """Per-node defect of the measure's defining recursion at ``values``.
 
-    Exact in rational mode for the linear-system measures.  For eigenvector
+    Exact in rational mode for the linear-system measures; the decay is taken
+    in the graph's mode, and a float graph's values as floats.  For eigenvector
     centrality the eigenvalue is taken from float spectral data of the
     component, so the defect is float regardless of input types.
     """
     if set(values) != set(g.node_ids):
         raise DomainError("values do not cover exactly the graph's nodes")
-    kind = measure.kind
+    kind, alpha = measure.kind, measure.alpha
+    if alpha is not None:
+        alpha = coerce_decay(g.mode, alpha)
+    if kind is MeasureKind.EIGENVECTOR or g.mode is Mode.FLOAT:
+        values = {v: coerce(Mode.FLOAT, x, f"value of node {v!r}") for v, x in values.items()}
+    flow = in_flow(g, values, kind in (MeasureKind.PAGERANK, MeasureKind.KATZ_PRESTIGE))
     if kind is MeasureKind.EIGENVECTOR:
         data = spectral_data(g)
         lam_of = {v: lam for comp, lam in zip(data.components, data.values) for v in comp}
-        floats = {v: coerce(Mode.FLOAT, x, f"value of node {v!r}") for v, x in values.items()}
-        flow = in_flow(g, floats, distributed=False)
-        res: dict[str, Weight] = {}
         for v in g.node_ids:
-            lam = lam_of[v]
-            if lam <= 0:
+            if lam_of[v] <= 0:
                 raise DomainError(f"component of {v!r} has eigenvalue 0")
-            res[v] = floats[v] - flow[v] / lam
-        return res
-
-    distributed = kind in (MeasureKind.PAGERANK, MeasureKind.KATZ_PRESTIGE)
-    flow = in_flow(g, values, distributed)
-    res = {}
-    for v in g.node_ids:
-        acc = flow[v]
-        if kind in PARAMETRIC_KINDS:
-            acc = measure.alpha * acc + g.node_weight(v)
-        res[v] = values[v] - acc
-    return res
+        return {v: values[v] - flow[v] / lam_of[v] for v in g.node_ids}
+    if kind in PARAMETRIC_KINDS:
+        return {v: values[v] - (alpha * flow[v] + g.node_weight(v)) for v in g.node_ids}
+    return {v: values[v] - flow[v] for v in g.node_ids}

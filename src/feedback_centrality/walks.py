@@ -84,8 +84,6 @@ class SeriesAccumulator:
 def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> Weight:
     """The decay in the graph's mode, after checking it and the step count."""
     alpha = coerce_decay(g.mode, alpha)
-    if alpha < 0:
-        raise DomainError(f"decay parameter must be non-negative, got {alpha}")
     if steps < 0:
         raise DomainError("step count must be >= 0")
     return alpha
@@ -120,7 +118,8 @@ def step(g: Graph, state: ProcessState) -> ProcessState:
 
 
 def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> SeriesAccumulator:
-    """Run the process for ``steps`` steps, accumulating the partial sum."""
+    """Run the process for ``steps`` steps, accumulating the partial sum; a
+    float sum beyond the float range raises ``DomainError``."""
     alpha = _check_args(g, alpha, steps)
     order = g.node_ids
 
@@ -135,9 +134,12 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
         w = _step_matrix(g, kind)
         cur = node_weight_vector(g, order)
         partial_vec = cur.copy()
-        for _ in range(steps):
-            cur = alpha * (w @ cur)
-            partial_vec += cur
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below
+            for _ in range(steps):
+                cur = alpha * (w @ cur)
+                partial_vec += cur
+        if not np.isfinite(partial_vec).all():
+            raise DomainError(f"walk series does not fit in a float within {steps} steps")
         partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
         amounts = {v: float(cur[i]) for i, v in enumerate(order)}
         state = ProcessState(kind, alpha, steps, amounts)

@@ -134,6 +134,19 @@ class TestWeights:
         with pytest.raises(GraphFormatError, match=message):
             parse_weight(token, Mode.FLOAT)
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [(Mode.FLOAT, "does not fit in a float"),
+         (Mode.RATIONAL, f"has more than {sys.get_int_max_str_digits()} digits")],
+    )
+    def test_literal_beyond_the_digit_limit(self, mode, message):
+        # Fraction() refuses it as it refuses malformed input; the message
+        # names the real cause and quotes a short prefix, not 5000 digits
+        with pytest.raises(GraphFormatError, match=message) as exc:
+            parse_weight("1" * 5000, mode)
+        assert str(exc.value).startswith("weight literal '1111")
+        assert len(str(exc.value)) < 100
+
     def test_decimal_float_text_builds_no_fraction(self, monkeypatch, demo5):
         # guards the float route: a decimal token never takes the exact one
         made = []

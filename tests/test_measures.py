@@ -293,6 +293,34 @@ class TestMeasureFrontend:
         assert data.lam == pytest.approx(2.0, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [Measure(MeasureKind.PAGERANK, 0.5), Measure(MeasureKind.KATZ, 0.1),
+     Measure(MeasureKind.KATZ_PRESTIGE), Measure(MeasureKind.EIGENVECTOR)],
+    ids=lambda m: m.kind.value,
+)
+def test_residual_on_a_float_graph_converts_exact_values(demo5_float, measure):
+    # every measure converts the values once: beyond the float range is a
+    # DomainError, not a bare OverflowError; small ones read as their floats
+    huge = {v: F(10) ** 400 for v in demo5_float.node_ids}
+    with pytest.raises(DomainError, match="value of node 'v1' does not fit in a float"):
+        recursion_residual(demo5_float, measure, huge)
+    exact = {v: F(1, 3) for v in demo5_float.node_ids}
+    floats = {v: 1 / 3 for v in demo5_float.node_ids}
+    assert recursion_residual(demo5_float, measure, exact) == recursion_residual(
+        demo5_float, measure, floats
+    )
+
+
+def test_residual_takes_the_decay_in_the_graph_mode(demo5):
+    # as Measure.compute does: a float decay never enters an exact residual
+    measure = Measure(MeasureKind.PAGERANK, 0.5)
+    values = {v: F(1, 3) for v in demo5.node_ids}
+    for call in (lambda: measure.compute(demo5), lambda: recursion_residual(demo5, measure, values)):
+        with pytest.raises(TypeError, match="float decay parameter"):
+            call()
+
+
 class TestCrossMode:
     """Rational results, converted with ``float()``, agree with the float
     path run on ``g.to_float()``."""

@@ -198,6 +198,17 @@ class TestTailBounds:
         assert set(bound.values()) == {0.0}
 
 
+@pytest.mark.filterwarnings("error")
+def test_float_series_beyond_float_range_is_a_domain_error():
+    # the dense step multiplies an overflowed state by the zeros of
+    # non-edges; the sum was nan, with numpy warnings
+    g = Graph.build(
+        [("a", 1.0), ("b", 1.0)], [("a", "a", 1.0), ("a", "b", 1.0)], Mode.FLOAT
+    )
+    with pytest.raises(DomainError, match="does not fit in a float within 3 steps"):
+        sum_series(g, ProcessKind.PARALLEL, 1e300, 3)
+
+
 class TestVerifyRecursion:
     # The recursion defect of a finite series equals (minus) the step-(T+1)
     # state, so in rational mode the mismatch is exactly zero while the

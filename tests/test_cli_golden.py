@@ -32,6 +32,7 @@ def _commands(demo: str) -> dict[str, list[list[str]]]:
     src = str(REPO / "graphs" / f"{demo}.dg")
     u, w = DEMOS[demo]
     sim = ["simulate", "--input", src, "--mode", "rational", "--process", "distributed"]
+    sim_parallel = ["simulate", "--input", src, "--mode", "rational", "--process", "parallel"]
     return {
         "centrality-pr": [["centrality", "--input", src, "--measure", "pr"]],
         "centrality-pr-half": [
@@ -45,6 +46,7 @@ def _commands(demo: str) -> dict[str, list[list[str]]]:
         "classify-alpha": [["classify", "--input", src, "--alpha", "1/10"]],
         "simulate-half": [sim + ["--alpha", "1/2", "--steps", "12"]],
         "simulate-one": [sim + ["--alpha", "1", "--steps", "12"]],
+        "simulate-parallel": [sim_parallel + ["--alpha", "1/10", "--steps", "12"]],
         "transform-em": [
             ["transform", "em", "--input", src, "--node", u, "--factor", "3"]
         ],

@@ -164,8 +164,9 @@ class Graph:
     built — transforms return new graphs.
 
     Derived structure (the edge index, out- and in-neighbour maps,
-    out-degrees, SCC partition, spectral data) is computed once and shared,
-    read-only like the graph; ``add_node``/``add_edge`` clear it.
+    out-degrees, integer walk tables, SCC partition, spectral data) is
+    computed once and shared, read-only like the graph; ``add_node``/
+    ``add_edge`` clear it.
     """
 
     __slots__ = ("mode", "_weights", "_edges", "_memo")
@@ -656,6 +657,49 @@ def in_flow(g: Graph, x: dict[str, Weight], distributed: bool) -> dict[str, Weig
             term /= degrees[u]
         out[v] += term
     return out
+
+
+@dataclass(frozen=True)
+class IntegerSteps:
+    """A rational graph's walk coefficients c(u, v) on one denominator:
+    ``scale`` is the LCM D of their denominators, and ``rows[j]`` pairs the
+    positions i (node order) of node j's in-neighbours with the integers
+    D * c(i, j).  c is w(u, v)/outdeg(u) for the distributed process and
+    w(u, v) for the parallel one."""
+
+    scale: int
+    rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _integer_steps(g: Graph, distributed: bool) -> IntegerSteps:
+    if distributed:
+        degrees = g._derived(_out_degrees)
+        coefficients = {(u, v): w / degrees[u] for (u, v), w in g._edges.items()}
+    else:
+        coefficients = g._edges
+    scale = math.lcm(*(c.denominator for c in coefficients.values()))
+    position = {v: i for i, v in enumerate(g._weights)}
+    rows: list[tuple[list[int], list[int]]] = [([], []) for _ in position]
+    for (u, v), c in coefficients.items():
+        sources, integers = rows[position[v]]
+        sources.append(position[u])
+        integers.append(c.numerator * (scale // c.denominator))
+    return IntegerSteps(scale, tuple((tuple(s), tuple(i)) for s, i in rows))
+
+
+def _distributed_integer_steps(g: Graph) -> IntegerSteps:
+    return _integer_steps(g, True)
+
+
+def _parallel_integer_steps(g: Graph) -> IntegerSteps:
+    return _integer_steps(g, False)
+
+
+def integer_steps(g: Graph, distributed: bool) -> IntegerSteps:
+    """The rational graph's ``IntegerSteps`` for one process, memoised per
+    process kind.  The decay stays out of the table, so every decay shares
+    it."""
+    return g._derived(_distributed_integer_steps if distributed else _parallel_integer_steps)
 
 
 # -- graph classes -----------------------------------------------------------

@@ -111,7 +111,9 @@ def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     The refinement step recovers most of the accuracy LU loses on mildly
     ill-conditioned systems, which keeps linear-system centralities within
-    the tolerances the rest of the package promises.
+    the tolerances the rest of the package promises.  ``SingularMatrixError``
+    when LU fails or the solution is not finite: the matrix may be singular
+    to float precision, or the solution may lie beyond the float range.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -122,11 +124,16 @@ def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     try:
         x = np.linalg.solve(a, b)
-        x = x + np.linalg.solve(a, b - a @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(str(exc)) from None
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solution is not finite; matrix is numerically singular")
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite x is refused below
+            x = x + np.linalg.solve(a, b - a @ x)
+    except np.linalg.LinAlgError:
+        x = None
+    if x is None or not np.all(np.isfinite(x)):
+        # LU also fails on a regular matrix whose solution lies beyond the float range
+        raise SingularMatrixError(
+            "float solve failed: the matrix is singular to float precision "
+            "or the solution does not fit in a float"
+        )
     return x
 
 

@@ -284,7 +284,11 @@ def recursion_residual(
     if alpha is not None:
         alpha = coerce_decay(g.mode, alpha)
     if kind is MeasureKind.EIGENVECTOR or g.mode is Mode.FLOAT:
-        values = {v: coerce(Mode.FLOAT, x, f"value of node {v!r}") for v, x in values.items()}
+        # a float passes as it is, as in Graph.add_node; an exact value is converted
+        values = {
+            v: x if type(x) is float else coerce(Mode.FLOAT, x, f"value of node {v!r}")
+            for v, x in values.items()
+        }
     flow = in_flow(g, values, kind in (MeasureKind.PAGERANK, MeasureKind.KATZ_PRESTIGE))
     if kind is MeasureKind.EIGENVECTOR:
         data = spectral_data(g)

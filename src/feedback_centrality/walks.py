@@ -17,14 +17,22 @@ of the two undamped processes (alpha = 1, resp. alpha = 1/lambda) yield
 katz-prestige and eigenvector centrality.  ``verify_recursion`` checks the
 finite-horizon form of these identities exactly.
 
-Float ``sum_series`` steps a numpy state vector through the step matrix;
-``step`` sums over the edge list in the graph's mode, exactly if rational.
+Float ``sum_series`` steps a numpy state vector through the step matrix.
+Rational ``sum_series`` and ``total_per_step`` step integer numerators over
+one common denominator per step, on the graph's memoised integer table
+(``graph.integer_steps``), and form fractions only at the end.  ``step``
+advances one state over the edge list in the graph's mode, exactly if
+rational.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from fractions import Fraction
+from operator import mul
+from typing import Iterator
 
 import numpy as np
 
@@ -34,6 +42,7 @@ from .graph import (
     ClassTag,
     Graph,
     GraphClass,
+    IntegerSteps,
     Mode,
     Weight,
     adjacency_matrix,
@@ -41,11 +50,11 @@ from .graph import (
     coerce,
     coerce_decay,
     in_flow,
+    integer_steps,
     node_weight_vector,
     principal_eigenvalue,
     spectral_data,
     transition_matrix,
-    zero,
 )
 from .linalg import solve_refined
 from .measures import PARAMETRIC_KINDS, Measure, MeasureKind
@@ -117,19 +126,50 @@ def step(g: Graph, state: ProcessState) -> ProcessState:
     return ProcessState(state.kind, state.alpha, state.t + 1, nxt)
 
 
+def _integer_walk(
+    g: Graph, kind: ProcessKind, alpha: Fraction, steps: int
+) -> tuple[int, int, Iterator[list[int]]]:
+    """The rational walk on integers: ``(d, growth, numerators)``, where
+    ``numerators`` yields the integer vectors N_0..N_T (node order) and the
+    state at step t is N_t / (d * growth**t)."""
+    table = integer_steps(g, kind is ProcessKind.DISTRIBUTED)
+    weights = g.node_weights().values()
+    d = math.lcm(*(w.denominator for w in weights))
+    start = [w.numerator * (d // w.denominator) for w in weights]
+    return d, alpha.denominator * table.scale, _numerators(start, alpha.numerator, table, steps)
+
+
+def _numerators(cur: list[int], p: int, table: IntegerSteps, steps: int) -> Iterator[list[int]]:
+    """N_0 = ``cur``, then N_{t+1}[j] = p * sum of D*c(i, j) * N_t[i] over j's in-edges."""
+    yield cur
+    for _ in range(steps):
+        cur = [
+            p * sum(map(mul, integers, map(cur.__getitem__, sources)))
+            for sources, integers in table.rows
+        ]
+        yield cur
+
+
 def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> SeriesAccumulator:
     """Run the process for ``steps`` steps, accumulating the partial sum; a
-    float sum beyond the float range raises ``DomainError``."""
+    float sum beyond the float range raises ``DomainError``.
+
+    A rational graph runs on integers.  Its coefficients are scaled to
+    integers by one LCM D (``graph.integer_steps``), the state is an integer
+    vector N_t over one denominator d_t, and with alpha = p/q a step is
+    N_{t+1} = p*C*N_t, d_{t+1} = q*D*d_t, so the partial sum over d_t is
+    P <- P*q*D + N.  Fractions are formed once, at the end."""
     alpha = _check_args(g, alpha, steps)
     order = g.node_ids
 
     if g.mode is Mode.RATIONAL:
-        state = initial_state(g, kind, alpha)
-        partial = dict(state.amounts)
-        for _ in range(steps):
-            state = step(g, state)
-            for v in order:
-                partial[v] += state.amounts[v]
+        d, growth, numerators = _integer_walk(g, kind, alpha, steps)
+        partial_num = cur = next(numerators)
+        for cur in numerators:
+            partial_num = [s * growth + x for s, x in zip(partial_num, cur)]
+        d *= growth**steps
+        partial = {v: Fraction(s, d) for v, s in zip(order, partial_num)}
+        state = ProcessState(kind, alpha, steps, {v: Fraction(x, d) for v, x in zip(order, cur)})
     else:
         w = _step_matrix(g, kind)
         cur = node_weight_vector(g, order)
@@ -150,17 +190,24 @@ def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> Series
 def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> list[Weight]:
     """Total amount in the system at each of steps 0..T.
 
-    Steps the process with ``step`` in the graph's numeric mode and sums
-    each state in that mode.  For the distributed process with alpha = 1 on
-    a sink-free graph this sequence is constant — exactly so in rational
-    mode.
+    A rational graph runs the integer walk of ``sum_series`` and reduces one
+    ``Fraction`` per step; a float graph steps the process with ``step`` and
+    sums each state.  For the distributed process with alpha = 1 on a
+    sink-free graph this sequence is constant — exactly so in rational mode.
     """
     alpha = _check_args(g, alpha, steps)
+    if g.mode is Mode.RATIONAL:
+        d, growth, numerators = _integer_walk(g, kind, alpha, steps)
+        totals = []
+        for cur in numerators:
+            totals.append(Fraction(sum(cur), d))
+            d *= growth
+        return totals
     state = initial_state(g, kind, alpha)
-    totals = [sum(state.amounts.values(), zero(g.mode))]
+    totals = [sum(state.amounts.values(), 0.0)]
     for _ in range(steps):
         state = step(g, state)
-        totals.append(sum(state.amounts.values(), zero(g.mode)))
+        totals.append(sum(state.amounts.values(), 0.0))
     return totals
 
 

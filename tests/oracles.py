@@ -4,14 +4,15 @@ Everything here recomputes results through a different route than the
 library: explicit walk enumeration instead of state-vector iteration, dense
 numpy eigendecomposition instead of power iteration, least-squares
 stationary vectors instead of the replaced-row solve, Gaussian elimination
-over ``Fraction`` instead of fraction-free integer elimination, node groups
-folded one pair at a time instead of in one pass, the feedback term summed
-node by node over in-edges instead of in one pass over the edge table, float
-weight literals rounded from their exact value instead of read by
-``float()``, matrices written edge by edge instead of from the edge index,
-Tarjan's algorithm over the neighbour maps instead of integer successor
-lists, a plain line loop for the `.dg` format, and networkx for component
-structure.  Tests compare the two routes; neither side borrows code from the
+over ``Fraction`` instead of fraction-free integer elimination, walks
+stepped over ``Fraction`` amounts instead of integer numerators over one
+common denominator, node groups folded one pair at a time instead of in one
+pass, the feedback term summed node by node over in-edges instead of in one
+pass over the edge table, float weight literals rounded from their exact
+value instead of read by ``float()``, matrices written edge by edge instead
+of from the edge index, Tarjan's algorithm over the neighbour maps instead
+of integer successor lists, a plain line loop for the `.dg` format, and
+networkx for component structure.  Tests compare the two routes; neither side borrows code from the
 other.
 """
 
@@ -174,6 +175,39 @@ def damped_oracle(g: Graph, alpha: float, distributed: bool) -> dict[str, float]
     b = np.array([float(g.node_weight(v)) for v in order])
     x = np.linalg.solve(np.eye(n) - alpha * w, b)
     return {v: float(x[idx[v]]) for v in order}
+
+
+def fraction_walk(
+    g: Graph, kind: str, alpha: Weight, steps: int
+) -> tuple[dict[str, Fraction], dict[str, Fraction] | None, dict[str, Fraction], list[Fraction]]:
+    """The exact walk stepped over ``Fraction`` amounts, one multiply, divide
+    (distributed process) and add per edge and step.
+
+    Returns ``(partial_sum, cesaro, last, totals)``: the sum of the states at
+    steps 0..T, that sum divided by T (None when T = 0), the state at step T
+    and each state's total, all in node order.
+    """
+    if kind not in ("parallel", "distributed"):
+        raise ValueError(f"unknown process kind {kind!r}")
+    alpha = Fraction(alpha)
+    order = g.node_ids
+    degrees = {u: sum((w for _v, w in g.out_edges(u)), Fraction(0)) for u in order}
+    amounts = g.node_weights()
+    partial = dict(amounts)
+    totals = [sum(amounts.values(), Fraction(0))]
+    for _ in range(steps):
+        flow = dict.fromkeys(order, Fraction(0))
+        for u, v, w in g.edges():
+            term = w * amounts[u]
+            if kind == "distributed":
+                term /= degrees[u]
+            flow[v] += term
+        amounts = {v: alpha * acc for v, acc in flow.items()}
+        for v in order:
+            partial[v] += amounts[v]
+        totals.append(sum(amounts.values(), Fraction(0)))
+    cesaro = {v: partial[v] / steps for v in order} if steps >= 1 else None
+    return partial, cesaro, amounts, totals
 
 
 def fraction_gauss(

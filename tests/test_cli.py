@@ -697,6 +697,46 @@ class TestCheckAxioms:
         assert exc.value.code == 2
 
 
+# On the path a -> b -> c, I - alpha*A is unit triangular; at alpha = 1e300
+# the exact katz value of c is about 1e600, beyond the float range.
+PATH_TEXT = "node a 1\nnode b 1\nnode c 1\nedge a b 1\nedge b c 1\n"
+_AXIOMS_AT_1E300 = ("check-axioms", "--trials", "2", "--seed", "18", "--min-size", "3",
+                    "--max-size", "5", "--measure", "katz", "--alpha", "1e300", "--axiom")
+_SOLVE_BEYOND_FLOAT_REQUESTS = {
+    # the refinement residual overflowed with two numpy warnings
+    "check-axioms-edge-compensation": (*_AXIOMS_AT_1E300, "edge-compensation"),
+    # numpy's bare "Singular matrix"
+    "check-axioms-baseline": (*_AXIOMS_AT_1E300, "baseline"),
+    "centrality-katz-path": ("centrality", "--input", "{path}", "--measure", "katz",
+                             "--alpha", "1e300", "--mode", "float"),
+}
+
+
+@pytest.mark.parametrize("request_name", _SOLVE_BEYOND_FLOAT_REQUESTS)
+def test_float_solve_beyond_float_range_is_one_error_line(capsys, tmp_path, request_name):
+    path = tmp_path / "path.dg"
+    path.write_text(PATH_TEXT)
+    argv = [a.replace("{path}", str(path)) for a in _SOLVE_BEYOND_FLOAT_REQUESTS[request_name]]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, *argv)
+    assert caught == []
+    assert code == 1 and out == ""
+    assert err == (
+        "error: float solve failed: the matrix is singular to float precision "
+        "or the solution does not fit in a float\n"
+    )
+
+
+def test_rational_katz_beyond_float_range_is_exact(capsys, tmp_path):
+    path = tmp_path / "path.dg"
+    path.write_text(PATH_TEXT)
+    doc = run_json(capsys, "centrality", "--input", str(path), "--measure", "katz",
+                   "--alpha", "1e300", "--mode", "rational")
+    big = 10**300
+    assert doc["values"] == {"a": "1", "b": str(big + 1), "c": str(big * big + big + 1)}
+
+
 # exact (rational-mode) inputs whose weights or decays do not fit in a float
 _BEYOND_FLOAT_INPUTS = {
     "edge": "node a 1\nnode b 1\nedge a b 1e400\nedge b a 1\n",

@@ -30,6 +30,8 @@ from feedback_centrality import (
     spectral_data,
     transition_matrix,
 )
+from feedback_centrality import measures
+from feedback_centrality.graph import coerce
 from feedback_centrality.measures import _rational_system
 from .oracles import damped_oracle, ev_oracle, stationary_oracle
 from .strategies import rational_graphs, strongly_connected_graphs
@@ -310,6 +312,24 @@ def test_residual_on_a_float_graph_converts_exact_values(demo5_float, measure):
     assert recursion_residual(demo5_float, measure, exact) == recursion_residual(
         demo5_float, measure, floats
     )
+
+
+def test_residual_passes_plain_floats_through(demo5_float, monkeypatch):
+    # only an exact value is converted, so no message is built for a float
+    converted = []
+
+    def counting_coerce(mode, value, what):
+        converted.append(what)
+        return coerce(mode, value, what)
+
+    monkeypatch.setattr(measures, "coerce", counting_coerce)
+    values = {v: 1 / 3 for v in demo5_float.node_ids}
+    expected = recursion_residual(demo5_float, Measure(MeasureKind.KATZ, 0.1), values)
+    assert converted == []
+    values["v2"] = F(1, 3)
+    got = recursion_residual(demo5_float, Measure(MeasureKind.KATZ, 0.1), values)
+    assert converted == ["value of node 'v2'"]
+    assert got == expected
 
 
 def test_residual_takes_the_decay_in_the_graph_mode(demo5):

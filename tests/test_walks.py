@@ -3,8 +3,9 @@
 from dataclasses import fields
 from fractions import Fraction as F
 
+import hypothesis.strategies as st
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from feedback_centrality import (
     ClassTag,
@@ -29,7 +30,9 @@ from feedback_centrality import (
     total_per_step,
     verify_recursion,
 )
-from .oracles import walk_series
+from feedback_centrality.graph import integer_steps
+
+from .oracles import fraction_walk, walk_series
 from .strategies import rational_graphs
 
 
@@ -102,6 +105,70 @@ class TestAgainstWalkEnumeration:
         assert isinstance(acc.last, ProcessState)
         assert (acc.last.t, acc.last.kind, acc.last.alpha) == (6, kind, alpha)
         assert acc.last.amounts.keys() == set(g.node_ids)
+
+
+def empty_graph():
+    return Graph(Mode.RATIONAL)
+
+
+def edgeless_pair():
+    return Graph.build([("a", F(1, 3)), ("b", F(2))], (), Mode.RATIONAL)
+
+
+class TestIntegerWalk:
+    """The rational walk runs on integer numerators over one denominator per
+    step; the ``Fraction`` step loop it replaced is the oracle."""
+
+    @given(
+        g=st.one_of(st.builds(empty_graph), rational_graphs(max_nodes=5)),
+        kind=st.sampled_from(ProcessKind),
+        alpha=st.sampled_from([F(0), F(1, 10), F(1, 2), F(1), F(3, 2), F(2), 3]),
+        steps=st.integers(0, 6),
+    )
+    @example(g=empty_graph(), kind=ProcessKind.DISTRIBUTED, alpha=F(1), steps=3)
+    @example(g=empty_graph(), kind=ProcessKind.PARALLEL, alpha=F(0), steps=0)
+    @example(g=edgeless_pair(), kind=ProcessKind.PARALLEL, alpha=F(1, 2), steps=2)
+    @example(g=edgeless_pair(), kind=ProcessKind.DISTRIBUTED, alpha=2, steps=1)
+    @example(g=loop_pair(), kind=ProcessKind.DISTRIBUTED, alpha=F(0), steps=4)
+    @example(g=loop_pair(), kind=ProcessKind.PARALLEL, alpha=F(1), steps=0)
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_equals_the_fraction_step_loop(self, g, kind, alpha, steps):
+        partial, cesaro, last, totals = fraction_walk(g, kind.value, alpha, steps)
+        acc = sum_series(g, kind, alpha, steps)
+        pairs = ((acc.partial_sum, partial), (acc.cesaro, cesaro), (acc.last.amounts, last))
+        for got, want in pairs:
+            assert got == want
+            if want is not None:
+                assert list(got) == list(want)
+                assert all(type(x) is F for x in got.values())
+        assert (acc.last.kind, acc.last.alpha, acc.last.t) == (kind, F(alpha), steps)
+        assert type(acc.last.alpha) is F
+        got_totals = total_per_step(g, kind, alpha, steps)
+        assert got_totals == totals
+        assert all(type(t) is F for t in got_totals)
+
+    def test_table_is_memoised_per_process_and_cleared_by_edits(self):
+        g = loop_pair()
+        distributed = integer_steps(g, True)
+        assert integer_steps(g, True) is distributed
+        assert integer_steps(g, False) is not distributed
+        # b's out-degree is 2: its coefficients are 1/2, a's is 1; D = 2
+        assert distributed.scale == 2
+        assert distributed.rows == (((1,), (1,)), ((0, 1), (2, 1)))
+        g.add_node("c", F(1))
+        assert integer_steps(g, True) is not distributed
+        assert len(integer_steps(g, True).rows) == 3
+
+    def test_thousand_step_conservation_is_exact(self):
+        # out of reach of the Fraction step loop, which took about 11 s here
+        grid = (F(1, 2), F(1), F(3, 2), F(2))
+        g = generate(
+            GeneratorSpec(Family.STRONGLY_CONNECTED, size_range=(20, 20), weight_grid=grid, seed=3)
+        )
+        assert len(g) == 20 and not g.sinks()
+        totals = total_per_step(g, ProcessKind.DISTRIBUTED, F(1), 1000)
+        assert len(totals) == 1001
+        assert all(t == g.total_node_weight() for t in totals)
 
 
 class TestConservation:

@@ -300,12 +300,9 @@ def _evaluate(
         z = instance.node
         return [(f[z], g.node_weight(z), z)]
 
-    if tag is AxiomTag.CYCLE:
-        f = measure.compute(g)
-        average = g.total_node_weight() / len(g)
-        return [(f[v], average, v) for v in g.node_ids]
-
-    raise DomainError(f"unknown axiom {tag!r}")
+    f = measure.compute(g)  # AxiomTag.CYCLE
+    average = g.total_node_weight() / len(g)
+    return [(f[v], average, v) for v in g.node_ids]
 
 
 def check_axiom(
@@ -474,7 +471,7 @@ def generate(spec: GeneratorSpec) -> Graph:
             offset += size
         if family is Family.OUT_REGULAR:
             g = _rescale_out_degrees(g, _draw_weight(spec, rng))
-    elif family is Family.SEMI_OUT_REGULAR:
+    else:  # Family.SEMI_OUT_REGULAR
         n_sink = rng.randint(0, n // 3)
         n_source = rng.randint(0, (n - n_sink) // 3)
         core = names[: n - n_sink - n_source]
@@ -497,8 +494,6 @@ def generate(spec: GeneratorSpec) -> Graph:
             for v in picked:
                 g.add_edge(u, v, _draw_weight(spec, rng))
         g = _rescale_out_degrees(g, _draw_weight(spec, rng))
-    else:  # pragma: no cover - enum is exhaustive
-        raise DomainError(f"unknown family {family!r}")
 
     _check_family(spec.family, g)
     return g
@@ -697,10 +692,7 @@ def _build_instance(
         g = Graph.build(nodes, g.edges(), g.mode)
         return AxiomInstance(g, node=name)
 
-    if tag is AxiomTag.CYCLE:
-        return AxiomInstance(g)
-
-    raise DomainError(f"unknown axiom {tag!r}")
+    return AxiomInstance(g)  # AxiomTag.CYCLE
 
 
 @dataclass

@@ -412,12 +412,10 @@ def _cmd_transform(args, parser) -> int:
             computed = measure.compute(g)
             vu, vw = computed[u], computed[w]
         out = proportional_combine(g, u, w, vu, vw)
-    elif op == "combine-groups":
+    else:  # combine-groups
         # equal values: each member's share of its group is 1/|group|
         values = dict.fromkeys(g.node_ids, coerce(mode, 1, "value"))
         out, _values = combine_groups(g, _read_groups(args.groups), values)
-    else:  # pragma: no cover - argparse restricts choices
-        parser.error(f"unknown transform {op!r}")
 
     _write(serialize_graph(out, canonical=True), args.output)
     return 0

@@ -316,9 +316,6 @@ class Graph:
             and self._edges == other._edges
         )
 
-    def __hash__(self):  # pragma: no cover - graphs are not meant to be keys
-        raise TypeError("Graph is unhashable")
-
     def __repr__(self) -> str:
         return (
             f"<Graph mode={self.mode.value} nodes={len(self)} edges={self.num_edges}>"
@@ -834,17 +831,14 @@ def classify(g: Graph, cls: GraphClass) -> ClassVerdict:
             )
         return ClassVerdict(True)
 
-    if cls.tag is ClassTag.KATZ:
-        alpha = coerce_decay(Mode.FLOAT, cls.alpha)
-        data = spectral_data(g)
-        if alpha * data.lam > 1.0 - KATZ_MARGIN:
-            return ClassVerdict(
-                False,
-                f"alpha * lambda = {alpha * data.lam:.12g} exceeds the 1 - {KATZ_MARGIN:g} margin",
-            )
-        return ClassVerdict(True)
-
-    raise DomainError(f"unknown class {cls.tag!r}")
+    alpha = coerce_decay(Mode.FLOAT, cls.alpha)  # ClassTag.KATZ
+    data = spectral_data(g)
+    if alpha * data.lam > 1.0 - KATZ_MARGIN:
+        return ClassVerdict(
+            False,
+            f"alpha * lambda = {alpha * data.lam:.12g} exceeds the 1 - {KATZ_MARGIN:g} margin",
+        )
+    return ClassVerdict(True)
 
 
 # -- file format --------------------------------------------------------------

@@ -11,8 +11,8 @@ Three families live here:
   the cycle back into the original graph *exactly* (rational arithmetic
   end to end).
 * Profit — the marginal value an extra in-edge delivers under the damped
-  measures, defined constructively on a three-node probe graph, plus the
-  decomposition of a measure into per-edge profits.
+  measures, defined on a three-node probe graph and priced in closed form,
+  plus the decomposition of a measure into per-edge profits.
 """
 
 from __future__ import annotations
@@ -21,12 +21,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, GraphFormatError, SingularMatrixError
 from .graph import (
     Graph,
     Mode,
     Weight,
     coerce,
+    coerce_decay,
     opposite_graph,
     out_regularity,
     semi_out_regularity,
@@ -36,6 +37,7 @@ from .graph import (
 from .measures import (
     PARAMETRIC_KINDS,
     Measure,
+    MeasureKind,
     eigenvector_centrality,
     katz_prestige,
 )
@@ -405,6 +407,9 @@ class ProfitSpec:
             raise DomainError("source value must be non-negative")
 
 
+_PROFIT_ARGUMENTS = ("source value", "edge weight", "out-degree")
+
+
 def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
     """The probe graph behind the profit value.
 
@@ -413,11 +418,7 @@ def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
     remains, one aggregate edge to ``rest``.
     """
     args = (spec.source_value, spec.edge_weight, spec.out_degree)
-    if mode is Mode.RATIONAL:
-        x, y, z = (Fraction(t) for t in args)
-    else:
-        names = ("source value", "edge weight", "out-degree")
-        x, y, z = (coerce(mode, t, what) for t, what in zip(args, names))
+    x, y, z = (coerce(mode, t, what) for t, what in zip(args, _PROFIT_ARGUMENTS))
     g = Graph(mode)
     g.add_node("src", x)
     g.add_node("tgt", zero(mode))
@@ -431,20 +432,29 @@ def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
 
 
 def profit_value(measure: Measure, spec: ProfitSpec) -> Weight:
-    """Value the measure assigns to the target of the probe graph.
-
-    Defined for the damped measures (the probe graph is outside the
-    undamped measures' classes).  The numeric mode follows the argument
-    types: all-rational inputs stay exact.
-    """
+    """The target's value on the probe graph (``profit_graph``, the
+    definition it is tested against) in closed form, as the probe is
+    acyclic: (alpha * y / z) * x for pagerank, (alpha * y) * x for katz at
+    any decay, x, y, z the source value, edge weight and out-degree.  The
+    argument types pick the mode; errors are of the probe's classes."""
     if measure.kind not in PARAMETRIC_KINDS:
         raise DomainError(f"profit is not defined for {measure.kind.value}")
-    floaty = any(
-        isinstance(t, float)
-        for t in (spec.source_value, spec.edge_weight, spec.out_degree, measure.alpha)
-    )
+    args = (spec.source_value, spec.edge_weight, spec.out_degree)
+    floaty = any(isinstance(t, float) for t in (*args, measure.alpha))
     mode = Mode.FLOAT if floaty else Mode.RATIONAL
-    return measure.compute(profit_graph(spec, mode))["tgt"]
+    x, y, z = (coerce(mode, t, what) for t, what in zip(args, _PROFIT_ARGUMENTS))
+    if floaty:
+        z = y + (z - y) if z > y else y  # the probe's out-degree; a nan one adds no rest edge
+        if not all(map(math.isfinite, (x, y, z))):
+            raise GraphFormatError("profit arguments must be finite")
+    alpha = coerce_decay(mode, measure.alpha)
+    katz = measure.kind is MeasureKind.KATZ
+    if not katz and alpha >= 1:  # an exact decay just below 1 may round to 1.0
+        raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
+    value = (alpha * (y if katz else y / z)) * x
+    if floaty and not math.isfinite(value):
+        raise SingularMatrixError("profit value does not fit in a float")
+    return value
 
 
 def profit_decomposition(g: Graph, measure: Measure) -> dict[str, Weight]:
@@ -452,21 +462,19 @@ def profit_decomposition(g: Graph, measure: Measure) -> dict[str, Weight]:
 
     On a semi-out-regular graph (every non-sink spends the same total
     out-degree) the damped measures decompose exactly: the value of v is
-    b(v) plus the profit of every incoming edge, each priced with the
-    source's own value as the source_value.  Self-loops price themselves
-    like any other edge.
+    b(v) plus the profit of every in-edge (u, v), self-loops included, at
+    source value x_u.  One pass over the edges prices each by
+    ``profit_value``'s closed form (alpha * c) * x_u, c = w/outdeg(u) for
+    pagerank and w for katz: the decay damps c before it meets x_u.
     """
     if measure.kind not in PARAMETRIC_KINDS:
         raise DomainError(f"profit decomposition is not defined for {measure.kind.value}")
-    ok, _r = semi_out_regularity(g)
-    if not ok:
+    if not semi_out_regularity(g)[0]:
         raise DomainError("profit decomposition needs a semi-out-regular graph")
-    values = measure.compute(g)
-    out: dict[str, Weight] = {}
-    for v in g.node_ids:
-        acc = g.node_weight(v)
-        for u, wt in g.in_edges(v):
-            spec = ProfitSpec(values[u], wt, g.out_degree(u))
-            acc = acc + profit_value(measure, spec)
-        out[v] = acc
+    values = measure.compute(g).values
+    katz = measure.kind is MeasureKind.KATZ
+    alpha = coerce_decay(g.mode, measure.alpha)  # compute has checked it
+    out = g.node_weights()
+    for u, v, w in g.edges():
+        out[v] += (alpha * (w if katz else w / g.out_degree(u))) * values[u]
     return out

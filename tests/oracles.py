@@ -11,7 +11,8 @@ pass, the feedback term summed node by node over in-edges instead of in one
 pass over the edge table, float weight literals rounded from their exact
 value instead of read by ``float()``, matrices written edge by edge instead
 of from the edge index, Tarjan's algorithm over the neighbour maps instead
-of integer successor lists, a plain line loop for the `.dg` format, and
+of integer successor lists, a plain line loop for the `.dg` format, edge
+profits solved on their probe graph instead of taken in closed form, and
 networkx for component structure.  Tests compare the two routes; neither side borrows code from the
 other.
 """
@@ -27,9 +28,13 @@ from feedback_centrality import (
     DomainError,
     Graph,
     GraphFormatError,
+    Measure,
     Mode,
+    ProfitSpec,
     SingularMatrixError,
     Weight,
+    delete_edge,
+    profit_graph,
 )
 from feedback_centrality.graph import coerce, zero
 
@@ -175,6 +180,24 @@ def damped_oracle(g: Graph, alpha: float, distributed: bool) -> dict[str, float]
     b = np.array([float(g.node_weight(v)) for v in order])
     x = np.linalg.solve(np.eye(n) - alpha * w, b)
     return {v: float(x[idx[v]]) for v in order}
+
+
+def probe_profit(measure: Measure, spec: ProfitSpec, rest: bool = True) -> Weight:
+    """The profit of ``spec``'s edge by its definition: the measure solved on
+    ``profit_graph`` in the mode the argument types pick, read at ``tgt``.
+    ``rest=False`` drops the probe's rest edge, which a katz target's value
+    does not depend on.
+
+    A float solve whose matrix overflows ends in ``SingularMatrixError``;
+    numpy's overflow warning on the way there is not part of the answer.
+    """
+    args = (spec.source_value, spec.edge_weight, spec.out_degree, measure.alpha)
+    mode = Mode.FLOAT if any(isinstance(t, float) for t in args) else Mode.RATIONAL
+    g = profit_graph(spec, mode)
+    if not rest and g.has_edge("src", "rest"):
+        g = delete_edge(g, "src", "rest")
+    with np.errstate(over="ignore"):
+        return measure.compute(g)["tgt"]
 
 
 def fraction_walk(

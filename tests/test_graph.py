@@ -321,6 +321,11 @@ class TestGraphContainer:
         assert g1 == g2
         assert g1 != g1.to_float()
 
+    def test_graphs_are_not_hashable(self):
+        # equality compares contents, so a graph is no dict key or set member
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(build([("a", F(1))], []))
+
 
 # float-mode edge lines at the edge of the plain-line route; ids name the case
 _TWO_NODES = "node a 1\nnode b 2\n"

@@ -1,5 +1,6 @@
 """Graph surgeries: combines, edge scalings, the cycle pipeline, profits."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 
 from feedback_centrality import (
     DomainError,
+    FeedbackCentralityError,
     Family,
     GeneratorSpec,
     Graph,
@@ -35,10 +37,11 @@ from feedback_centrality import (
     proportional_combine,
     recombine,
     serialize_graph,
+    SingularMatrixError,
     synthesize_cycle_graph,
 )
 
-from .oracles import pairwise_combine, sequential_combine
+from .oracles import pairwise_combine, probe_profit, sequential_combine
 from .strategies import rational_graphs
 
 THIRTEENTHS = {"v1": F(2, 13), "v2": F(3, 13), "v3": F(3, 13), "v4": F(4, 13), "v5": F(1, 13)}
@@ -404,6 +407,12 @@ class TestProfit:
         assert tight.node_ids == ["src", "tgt"]
         assert tight.num_edges == 1
 
+    def test_probe_graph_keeps_floats_out_of_rational_mode(self):
+        # Specification change: a float argument was converted exactly; it is
+        # refused as a rational graph's weights are
+        with pytest.raises(TypeError, match="rational-mode graph given a float source value"):
+            profit_graph(ProfitSpec(0.5, F(1), F(1)), Mode.RATIONAL)
+
     def test_closed_forms_exact(self):
         x, y, z = F(1, 2), F(1), F(2)
         spec = ProfitSpec(x, y, z)
@@ -439,6 +448,51 @@ class TestProfit:
         for v in g.node_ids:
             assert rebuilt[v] == pytest.approx(exact[v], rel=1e-9)
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_decomposition_matches_katz_exactly(self, seed):
+        grid = (F(1, 2), F(1), F(2))
+        g = generate(
+            GeneratorSpec(Family.SEMI_OUT_REGULAR, size_range=(4, 9), weight_grid=grid, seed=seed)
+        )
+        # lambda is at most the common out-degree r, so alpha * lambda <= 1/2
+        measure = Measure(MeasureKind.KATZ, 1 / (2 * out_degree_of_non_sinks(g)))
+        rebuilt = profit_decomposition(g, measure)
+        assert rebuilt == measure.compute(g).values
+
+    def test_decomposition_damps_each_coefficient_before_the_value(self):
+        # c(u, v) * x_u is 1e310 for both in-edges of b, beyond the float range;
+        # alpha * c(u, v) is 1, so each profit and their sum stay finite
+        g = Graph.build(
+            [("a", 1e10), ("c", 3e10), ("b", 1.0)],
+            [("a", "b", 1e300), ("c", "b", 1e300)],
+            Mode.FLOAT,
+        )
+        measure = Measure(MeasureKind.KATZ, 1e-300)
+        rebuilt = profit_decomposition(g, measure)
+        exact = katz_centrality(g, 1e-300)
+        for v in g.node_ids:
+            assert math.isfinite(rebuilt[v])
+            assert rebuilt[v] == pytest.approx(exact[v], rel=1e-9)
+
+    def test_katz_profit_survives_an_overflowing_rest_edge(self):
+        # Specification change: the probe's rest node holds 1e200 * 1.0 * 1e200,
+        # beyond the float range, so solving the probe raises; the target's
+        # own value is 1e100, and the closed form returns it
+        measure, spec = Measure(MeasureKind.KATZ, 1e200), ProfitSpec(1e200, 1e-300, 1.0)
+        with pytest.raises(SingularMatrixError):
+            probe_profit(measure, spec)
+        assert profit_value(measure, spec) == pytest.approx(1e100, rel=1e-15)
+
+    def test_exact_katz_profit_needs_no_float_decay(self):
+        # Specification change: the probe's class test took the decay as a
+        # float, so an exact decay beyond the float range raised DomainError;
+        # the probe's spectrum is 0, and the exact value needs no float
+        alpha = F(10) ** 400
+        spec = ProfitSpec(F(1), F(1, 3), F(1))
+        with pytest.raises(DomainError, match="does not fit in a float"):
+            probe_profit(Measure(MeasureKind.KATZ, alpha), spec)
+        assert profit_value(Measure(MeasureKind.KATZ, alpha), spec) == alpha / 3
+
     def test_decomposition_needs_semi_out_regularity(self):
         g = Graph(Mode.RATIONAL)
         g.add_node("a", F(1))
@@ -447,3 +501,69 @@ class TestProfit:
         g.add_edge("b", "a", F(2))
         with pytest.raises(DomainError, match="semi-out-regular"):
             profit_decomposition(g, Measure(MeasureKind.PAGERANK, F(1, 2)))
+
+
+def out_degree_of_non_sinks(g: Graph):
+    return next(g.out_degree(v) for v in g.node_ids if g.out_degree(v) > 0)
+
+
+#: Profit arguments: zero, the smallest subnormal, exact and float values
+#: around 1, float values up to the edge of the range, inf, nan, an exact
+#: value beyond the float range, and integers (drawn separately).
+PROFIT_TOKENS = (
+    0, 5e-324, F(1, 3), F(1, 2), 1, 2, 1e17, 1e300, 1e308, math.inf, math.nan, F(10) ** 400,
+)
+#: Decays per measure, float and exact; the last pagerank decay rounds to 1.0
+#: as a float.
+PROFIT_DECAYS = {
+    MeasureKind.PAGERANK: (0, 0.0, 1e-300, F(1, 10), 0.5, F(17, 20), 0.85, F(10**20 - 1, 10**20)),
+    MeasureKind.KATZ: (
+        0, 1e-300, F(1, 10), 0.3, 2, 7.5, 1e17, 1e200, 1e300, F(10) ** 300, math.inf, math.nan,
+    ),
+}
+
+
+def probe_with_rest_overflow_excused(measure: Measure, spec: ProfitSpec):
+    """``probe_profit``, except where the closed form changed the
+    specification: a katz target's value does not depend on the out-degree,
+    so where solving the probe fails, the probe without its rest edge
+    decides."""
+    try:
+        return probe_profit(measure, spec)
+    except SingularMatrixError:
+        if measure.kind is not MeasureKind.KATZ:
+            raise
+        return probe_profit(measure, spec, rest=False)
+
+
+@st.composite
+def profit_cases(draw, kind):
+    token = st.sampled_from(PROFIT_TOKENS) | st.integers(0, 2**70)
+    x, y, z = draw(token), draw(token), draw(token)
+    if z < y:
+        y, z = z, y
+    try:
+        spec = ProfitSpec(x, y, z)
+    except DomainError:
+        assume(False)
+    return Measure(kind, draw(st.sampled_from(PROFIT_DECAYS[kind]))), spec
+
+
+@pytest.mark.parametrize("kind", sorted(PROFIT_DECAYS, key=lambda k: k.value))
+@settings(max_examples=2000, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_profit_value_matches_the_probe_graph(kind, data):
+    measure, spec = data.draw(profit_cases(kind))
+    try:
+        expected = probe_with_rest_overflow_excused(measure, spec)
+    except FeedbackCentralityError as exc:
+        with pytest.raises(FeedbackCentralityError) as raised:
+            profit_value(measure, spec)
+        assert type(raised.value) is type(exc)
+        return
+    got = profit_value(measure, spec)
+    assert type(got) is type(expected)
+    if isinstance(expected, F):
+        assert got == expected
+    else:
+        assert abs(got - expected) <= 4 * math.ulp(expected)

@@ -479,17 +479,13 @@ def generate(spec: GeneratorSpec) -> Graph:
         sinks = names[len(core) + n_source :]
         for v in names:
             g.add_node(v, _draw_weight(spec, rng))
-        if core:
-            _scc_block(g, core, spec, rng)
+        _scc_block(g, core, spec, rng)  # n_sink + n_source < n leaves a core
         for u in core:
             for s in sinks:
                 if rng.random() < 0.3:
                     g.add_edge(u, s, _draw_weight(spec, rng))
         for u in sources:
             choices = core + sinks
-            if not choices:
-                g.add_edge(u, u, _draw_weight(spec, rng))
-                continue
             picked = rng.sample(choices, rng.randint(1, min(3, len(choices))))
             for v in picked:
                 g.add_edge(u, v, _draw_weight(spec, rng))
@@ -593,10 +589,7 @@ def _fit_for_katz(g: Graph, alpha: float, headroom: float) -> Graph:
     current = alpha * lam * headroom
     if current <= _KATZ_TARGET:
         return g
-    scale: Weight = _KATZ_TARGET / current
-    if g.mode is Mode.RATIONAL:
-        scale = Fraction(scale).limit_denominator(10**9)
-    return _scale_edges(g, scale)
+    return _scale_edges(g, _KATZ_TARGET / current)
 
 
 def _relabel(g: Graph, prefix: str) -> Graph:
@@ -607,21 +600,10 @@ def _relabel(g: Graph, prefix: str) -> Graph:
     )
 
 
-def _pick_factor(rng: random.Random, mode: Mode) -> Weight:
+def _pick_factor(rng: random.Random) -> float:
     if rng.random() < 0.5:
-        value = round(rng.uniform(0.3, 0.8), 4)
-    else:
-        value = round(rng.uniform(1.25, 3.0), 4)
-    return Fraction(str(value)) if mode is Mode.RATIONAL else value
-
-
-def _fresh_name(g: Graph, base: str) -> str:
-    if base not in g:
-        return base
-    i = 2
-    while f"{base}{i}" in g:
-        i += 1
-    return f"{base}{i}"
+        return round(rng.uniform(0.3, 0.8), 4)
+    return round(rng.uniform(1.25, 3.0), 4)
 
 
 def _build_instance(
@@ -637,15 +619,15 @@ def _build_instance(
     def draw() -> Graph:
         return generate(replace(spec, seed=rng.getrandbits(63)))
 
-    g = draw()
-    factor = _pick_factor(rng, g.mode) if tag in (
+    g = draw()  # a float graph: the spec has no weight grid
+    factor = _pick_factor(rng) if tag in (
         AxiomTag.EDGE_MULTIPLICATION,
         AxiomTag.EDGE_COMPENSATION,
     ) else None
 
     if kind is MeasureKind.KATZ:
         headroom = (
-            max(float(factor), 1.0) if tag is AxiomTag.EDGE_MULTIPLICATION else 1.0
+            max(factor, 1.0) if tag is AxiomTag.EDGE_MULTIPLICATION else 1.0
         )
         g = _fit_for_katz(g, float(measure.alpha), headroom)
 
@@ -653,7 +635,7 @@ def _build_instance(
         h = _relabel(draw(), "w")
         if kind is MeasureKind.KATZ:
             h = _fit_for_katz(h, float(measure.alpha), 1.0)
-        elif kind is MeasureKind.EIGENVECTOR and g.mode is Mode.FLOAT:
+        elif kind is MeasureKind.EIGENVECTOR:
             _lams, lam_g = principal_eigenvalue(g)
             _lams_h, lam_h = principal_eigenvalue(h)
             if lam_h > 0 and lam_g > 0:
@@ -687,10 +669,10 @@ def _build_instance(
         return AxiomInstance(g, node=rng.choice(g.node_ids), factor=factor)
 
     if tag is AxiomTag.BASELINE:
-        name = _fresh_name(g, "iso")
-        nodes = [*g.node_weights().items(), (name, _draw_weight(spec, rng))]
+        # generated nodes are named v0, v1, ...
+        nodes = [*g.node_weights().items(), ("iso", _draw_weight(spec, rng))]
         g = Graph.build(nodes, g.edges(), g.mode)
-        return AxiomInstance(g, node=name)
+        return AxiomInstance(g, node="iso")
 
     return AxiomInstance(g)  # AxiomTag.CYCLE
 
@@ -766,7 +748,7 @@ def run_cell(
     if admissible == 0:
         status = CellStatus.SKIPPED
     elif admissible < trials:
-        raise RuntimeError(
+        raise DomainError(
             f"{axiom.label()} x {measure.name()}: only {admissible}/{trials} "
             f"admissible instances in {attempts} attempts"
         )
@@ -800,10 +782,12 @@ def satisfaction_matrix(
     PASS means every admissible instance passed; FAIL stores the first
     failing instance, shrunk and re-verified; SKIPPED means the corpus
     produced no admissible instance at all (the axiom does not apply on the
-    measure's class).  Each cell draws float graphs of the one family its
-    axiom and measure need, with node counts in ``size_range``.  Fully
-    deterministic for a given (size_range, trials, tol, seed).
-    ``axioms``/``measures`` restrict the grid.
+    measure's class); a cell with some, but fewer than ``trials``,
+    admissible instances in 20 * ``trials`` attempts raises ``DomainError``.
+    Each cell draws float graphs of the one family its axiom and measure
+    need, with node counts in ``size_range``.  Fully deterministic for a
+    given (size_range, trials, tol, seed).  ``axioms``/``measures`` restrict
+    the grid.
     """
     axioms = axioms if axioms is not None else ALL_AXIOMS
     measures = measures if measures is not None else MATRIX_MEASURES

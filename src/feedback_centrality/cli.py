@@ -33,7 +33,7 @@ from .axioms import (
     MATRIX_MEASURES,
     satisfaction_matrix,
 )
-from .errors import DomainError, FeedbackCentralityError, GraphFormatError
+from .errors import DomainError, FeedbackCentralityError, GraphFormatError, SingularMatrixError
 from .graph import (
     ClassTag,
     Graph,
@@ -198,7 +198,7 @@ def _cmd_simulate(args, parser) -> int:
     try:
         tail = geometric_tail_bound(g, kind, alpha, args.steps)
         tail_max = _fmt6(max(tail.values(), default=0.0))
-    except DomainError as exc:
+    except (DomainError, SingularMatrixError) as exc:  # no bound, or its solve failed
         tail_omitted = str(exc)
     recursion = recursion_omitted = None
     try:

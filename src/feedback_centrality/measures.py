@@ -158,7 +158,8 @@ def _damped_system(g: Graph, order: list[str], alpha: Weight, distributed: bool)
     if g.mode is Mode.RATIONAL:
         return _rational_system(g, order, alpha, distributed)
     m_float = transition_matrix if distributed else adjacency_matrix
-    return np.eye(len(order)) - alpha * m_float(g, order)
+    with np.errstate(over="ignore"):  # an infinite entry fails the solve
+        return np.eye(len(order)) - alpha * m_float(g, order)
 
 
 def _solve(mode: Mode, k, rhs: list[Weight]) -> list[Weight]:

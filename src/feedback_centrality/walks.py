@@ -17,12 +17,15 @@ of the two undamped processes (alpha = 1, resp. alpha = 1/lambda) yield
 katz-prestige and eigenvector centrality.  ``verify_recursion`` checks the
 finite-horizon form of these identities exactly.
 
-Float ``sum_series`` steps a numpy state vector through the step matrix.
-Rational ``sum_series`` and ``total_per_step`` step integer numerators over
-one common denominator per step, on the graph's memoised integer table
-(``graph.integer_steps``), and form fractions only at the end.  ``step``
-advances one state over the edge list in the graph's mode, exactly if
-rational.
+``step``, ``sum_series`` and ``total_per_step`` all run on one stepper,
+``_walk``.  A float walk steps a numpy vector through the step matrix, so
+one walk gives the same bits from every entry point.  A rational walk steps
+integer numerators over one common denominator per step: the coefficients
+are scaled to integers by one LCM D (``graph.integer_steps``), and with
+alpha = p/q a step is N_{t+1} = p*C*N_t, d_{t+1} = q*D*d_t, so no step
+takes a gcd and fractions are formed only at the end.  ``in_flow`` is left
+to ``verify_recursion``'s residual, the check that shares no code with the
+stepper.
 """
 
 from __future__ import annotations
@@ -42,7 +45,6 @@ from .graph import (
     ClassTag,
     Graph,
     GraphClass,
-    IntegerSteps,
     Mode,
     Weight,
     adjacency_matrix,
@@ -119,96 +121,102 @@ def initial_state(g: Graph, kind: ProcessKind, alpha: Weight) -> ProcessState:
     return ProcessState(kind, alpha, 0, g.node_weights())
 
 
-def step(g: Graph, state: ProcessState) -> ProcessState:
-    """Advance one step in the graph's numeric mode (exact for rational)."""
-    flow = in_flow(g, state.amounts, state.kind is ProcessKind.DISTRIBUTED)
-    nxt = {v: state.alpha * acc for v, acc in flow.items()}
-    return ProcessState(state.kind, state.alpha, state.t + 1, nxt)
-
-
-def _integer_walk(
-    g: Graph, kind: ProcessKind, alpha: Fraction, steps: int
-) -> tuple[int, int, Iterator[list[int]]]:
-    """The rational walk on integers: ``(d, growth, numerators)``, where
-    ``numerators`` yields the integer vectors N_0..N_T (node order) and the
-    state at step t is N_t / (d * growth**t)."""
+def _walk(
+    g: Graph, kind: ProcessKind, alpha: Weight, start: list[Weight], steps: int
+) -> Iterator:
+    """The states at steps 0..T of the walk from ``start`` (node order): numpy
+    vectors on a float graph, (N_t, d_t) pairs of integer numerators and one
+    common denominator on a rational one.  Float callers step under
+    ``np.errstate`` and refuse a non-finite result once, in ``_finite``."""
+    if g.mode is Mode.FLOAT:
+        w = _step_matrix(g, kind)
+        cur = np.array(start, dtype=np.float64)
+        yield cur
+        for _ in range(steps):
+            cur = alpha * w.dot(cur)  # the BLAS gemv `@` runs, without ufunc dispatch
+            yield cur
+        return
     table = integer_steps(g, kind is ProcessKind.DISTRIBUTED)
-    weights = g.node_weights().values()
-    d = math.lcm(*(w.denominator for w in weights))
-    start = [w.numerator * (d // w.denominator) for w in weights]
-    return d, alpha.denominator * table.scale, _numerators(start, alpha.numerator, table, steps)
-
-
-def _numerators(cur: list[int], p: int, table: IntegerSteps, steps: int) -> Iterator[list[int]]:
-    """N_0 = ``cur``, then N_{t+1}[j] = p * sum of D*c(i, j) * N_t[i] over j's in-edges."""
-    yield cur
+    d = math.lcm(*(x.denominator for x in start))
+    cur = [x.numerator * (d // x.denominator) for x in start]
+    yield cur, d
+    p, growth = alpha.numerator, alpha.denominator * table.scale
     for _ in range(steps):
         cur = [
             p * sum(map(mul, integers, map(cur.__getitem__, sources)))
             for sources, integers in table.rows
         ]
-        yield cur
+        d *= growth
+        yield cur, d
+
+
+def _finite(x, steps: int):
+    """``x``, or ``DomainError`` when a float in it is not finite."""
+    if not np.isfinite(x).all():
+        unit = "step" if steps == 1 else "steps"
+        raise DomainError(f"walk series does not fit in a float within {steps} {unit}")
+    return x
+
+
+def _amounts(g: Graph, state, steps: int) -> dict[str, Weight]:
+    """A state or sum of ``_walk``'s states by node, in the graph's mode."""
+    if g.mode is Mode.RATIONAL:
+        numerators, d = state
+        return {v: Fraction(x, d) for v, x in zip(g.node_ids, numerators)}
+    return dict(zip(g.node_ids, _finite(state, steps).tolist()))
+
+
+def step(g: Graph, state: ProcessState) -> ProcessState:
+    """Advance one step in the graph's numeric mode (exact for rational).  A
+    state whose nodes are not g's raises ``DomainError``, as does a float
+    step beyond the float range."""
+    alpha, order, t = _check_args(g, state.alpha), g.node_ids, state.t + 1
+    if state.amounts.keys() != set(order):
+        raise DomainError("the state was run on a graph with other nodes")
+    start = [coerce(g.mode, state.amounts[v], "process amount") for v in order]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite
+        _, cur = _walk(g, state.kind, alpha, start, 1)
+    return ProcessState(state.kind, alpha, t, _amounts(g, cur, t))
 
 
 def sum_series(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> SeriesAccumulator:
     """Run the process for ``steps`` steps, accumulating the partial sum; a
     float sum beyond the float range raises ``DomainError``.
 
-    A rational graph runs on integers.  Its coefficients are scaled to
-    integers by one LCM D (``graph.integer_steps``), the state is an integer
-    vector N_t over one denominator d_t, and with alpha = p/q a step is
-    N_{t+1} = p*C*N_t, d_{t+1} = q*D*d_t, so the partial sum over d_t is
-    P <- P*q*D + N.  Fractions are formed once, at the end."""
+    A rational partial sum stays over the state's denominator d_t:
+    P <- P*(d_t/d_{t-1}) + N_t.  Fractions are formed once, at the end."""
     alpha = _check_args(g, alpha, steps)
-    order = g.node_ids
-
+    states = _walk(g, kind, alpha, list(g.node_weights().values()), steps)
     if g.mode is Mode.RATIONAL:
-        d, growth, numerators = _integer_walk(g, kind, alpha, steps)
-        partial_num = cur = next(numerators)
-        for cur in numerators:
-            partial_num = [s * growth + x for s, x in zip(partial_num, cur)]
-        d *= growth**steps
-        partial = {v: Fraction(s, d) for v, s in zip(order, partial_num)}
-        state = ProcessState(kind, alpha, steps, {v: Fraction(x, d) for v, x in zip(order, cur)})
+        numerators, prev = [0] * len(g), 1
+        for cur, d in states:
+            growth, prev = d // prev, d
+            numerators = [s * growth + x for s, x in zip(numerators, cur)]
+        total, last = (numerators, d), (cur, d)
     else:
-        w = _step_matrix(g, kind)
-        cur = node_weight_vector(g, order)
-        partial_vec = cur.copy()
-        with np.errstate(over="ignore", invalid="ignore"):  # refused below
-            for _ in range(steps):
-                cur = alpha * (w @ cur)
-                partial_vec += cur
-        if not np.isfinite(partial_vec).all():
-            raise DomainError(f"walk series does not fit in a float within {steps} steps")
-        partial = {v: float(partial_vec[i]) for i, v in enumerate(order)}
-        amounts = {v: float(cur[i]) for i, v in enumerate(order)}
-        state = ProcessState(kind, alpha, steps, amounts)
-    cesaro = {v: partial[v] / steps for v in order} if steps >= 1 else None
-    return SeriesAccumulator(partial, cesaro, state)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite
+            last = next(states)
+            total = last.copy()
+            for last in states:
+                total += last
+    partial = _amounts(g, total, steps)
+    cesaro = {v: x / steps for v, x in partial.items()} if steps >= 1 else None
+    last = ProcessState(kind, alpha, steps, _amounts(g, last, steps))
+    return SeriesAccumulator(partial, cesaro, last)
 
 
 def total_per_step(g: Graph, kind: ProcessKind, alpha: Weight, steps: int) -> list[Weight]:
-    """Total amount in the system at each of steps 0..T.
-
-    A rational graph runs the integer walk of ``sum_series`` and reduces one
-    ``Fraction`` per step; a float graph steps the process with ``step`` and
-    sums each state.  For the distributed process with alpha = 1 on a
-    sink-free graph this sequence is constant — exactly so in rational mode.
-    """
+    """Total amount in the system at each of steps 0..T, each state of
+    ``sum_series`` summed in node order; a float total beyond the float
+    range raises ``DomainError``.  For the distributed process with alpha = 1
+    on a sink-free graph this sequence is constant — exactly so in rational
+    mode."""
     alpha = _check_args(g, alpha, steps)
+    states = _walk(g, kind, alpha, list(g.node_weights().values()), steps)
     if g.mode is Mode.RATIONAL:
-        d, growth, numerators = _integer_walk(g, kind, alpha, steps)
-        totals = []
-        for cur in numerators:
-            totals.append(Fraction(sum(cur), d))
-            d *= growth
-        return totals
-    state = initial_state(g, kind, alpha)
-    totals = [sum(state.amounts.values(), 0.0)]
-    for _ in range(steps):
-        state = step(g, state)
-        totals.append(sum(state.amounts.values(), 0.0))
-    return totals
+        return [Fraction(sum(cur), d) for cur, d in states]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused in _finite
+        return _finite([sum(cur.tolist(), 0.0) for cur in states], steps)
 
 
 def geometric_tail_bound(
@@ -224,7 +232,8 @@ def geometric_tail_bound(
     majorizes the step (alpha*A^T z = z - 1 <= theta*z with theta =
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
     When 1/max(z) is below float resolution theta rounds to 1 and there is
-    no certificate: ``DomainError``.
+    no certificate: ``DomainError``; when the solve for z fails,
+    ``SingularMatrixError``.
     """
     alpha = _check_args(g, alpha, steps)
     order = g.node_ids
@@ -258,8 +267,9 @@ def geometric_tail_bound(
         y_of = dict(zip(comp, y))
         return {v: scale / float(y_of[v]) for v in order}
 
-    at = adjacency_matrix(g).T
-    z = solve_refined(np.eye(len(order)) - a * at, np.ones(len(order)))
+    with np.errstate(over="ignore"):  # an infinite entry fails the solve
+        k = np.eye(len(order)) - a * adjacency_matrix(g).T
+    z = solve_refined(k, np.ones(len(order)))
     theta = 1.0 - 1.0 / float(z.max())
     if theta <= 0.0:
         return {v: 0.0 for v in order}
@@ -309,8 +319,7 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
     last = series.last
     kind, alpha, steps = last.kind, last.alpha, last.t
     order = g.node_ids
-    if last.amounts.keys() != set(order):
-        raise DomainError("the series was run on a graph with other nodes")
+    after = step(g, last)  # refuses a series whose nodes are not g's
 
     if kind is ProcessKind.DISTRIBUTED:
         if alpha < 1:
@@ -336,8 +345,6 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
     use_cesaro = measure.kind not in PARAMETRIC_KINDS
     if use_cesaro and steps < 1:
         raise DomainError("the cesaro branch needs at least one step")
-
-    after = step(g, last)
 
     vector = series.cesaro if use_cesaro else series.partial_sum
     assert vector is not None

@@ -1,5 +1,6 @@
 """The axiom checker: hand-built instances, generators, matrix machinery."""
 
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -30,12 +31,14 @@ from feedback_centrality import (
     katz_centrality,
     out_regularity,
     pagerank,
+    parse_graph,
     satisfaction_matrix,
     semi_out_regularity,
     shrink_instance,
 )
 from feedback_centrality.axioms import _relative_deviation
 
+from .conftest import GRAPH_DIR
 from .strategies import semi_out_regular_graphs
 
 NC = AxiomTag.NODE_COMBINATION
@@ -477,3 +480,66 @@ class TestValueGuarantees:
     @settings(max_examples=40, deadline=None)
     def test_corpus_must_be_semi_out_regular(self, g):
         assert semi_out_regularity(g)[0]
+
+
+def _demo5_float(prefix: str = "") -> Graph:
+    text = (GRAPH_DIR / "demo5.dg").read_text().replace(" v", f" {prefix}v")
+    return parse_graph(text, Mode.FLOAT)
+
+
+class TestRarelyReachedPaths:
+    """Branches that no other test runs, each reached through a public entry."""
+
+    def test_variant_label_names_the_variant(self):
+        axiom = AxiomId(AxiomTag.NODE_COMBINATION, NCVariant.PAIR_ONLY)
+        assert axiom.label() == "node-combination:pair-only"
+
+    def test_describe_names_the_edge_and_the_pair(self, demo5):
+        doc = AxiomInstance(demo5, edge=("v1", "v2"), nodes=("v3", "v4")).describe()
+        assert doc["edge"] == ["v1", "v2"]
+        assert doc["nodes"] == ["v3", "v4"]
+
+    def test_constant_weight_cycle_needs_nodes_and_one_component(self):
+        assert not is_constant_weight_cycle(Graph(Mode.RATIONAL))
+        two_loops = Graph.build(
+            [("a", F(1)), ("b", F(1))], [("a", "a", F(1)), ("b", "b", F(1))], Mode.RATIONAL
+        )
+        assert not is_constant_weight_cycle(two_loops)
+
+    def test_mismatches_name_a_cell_that_disagrees(self):
+        pagerank_only = {MeasureKind.PAGERANK: MATRIX_MEASURES[MeasureKind.PAGERANK]}
+        report = satisfaction_matrix(
+            size_range=(3, 5), trials=2, axioms=[AxiomId(AxiomTag.CYCLE)], measures=pagerank_only
+        )
+        key = (AxiomTag.CYCLE, MeasureKind.PAGERANK)
+        assert report.mismatches() == []
+        report.cells[key] = replace(report.cells[key], status=CellStatus.PASS)
+        assert report.mismatches() == ["cycle x pagerank: expected FAIL, got PASS"]
+
+    # a negative tolerance fails every float instance, so the shrinker runs
+    # until nothing more can be removed
+    def test_shrinking_keeps_the_deleted_edge(self):
+        axiom, pr = AxiomId(AxiomTag.EDGE_DELETION), MATRIX_MEASURES[MeasureKind.PAGERANK]
+        witness = shrink_instance(axiom, pr, AxiomInstance(_demo5_float(), edge=("v1", "v2")), -1.0)
+        assert witness.edge == ("v1", "v2") and witness.graph.has_edge("v1", "v2")
+        assert not check_axiom(axiom, pr, witness, -1.0).passed
+
+    def test_shrinking_keeps_the_combined_pair(self):
+        axiom, pr = AxiomId(AxiomTag.NODE_COMBINATION), MATRIX_MEASURES[MeasureKind.PAGERANK]
+        # any other removal breaks the pair's shared out-degree; x goes
+        g = Graph.build(
+            [*_demo5_float().node_weights().items(), ("x", 1.0)],
+            [*_demo5_float().edges(), ("x", "x", 2.0)],
+            Mode.FLOAT,
+        )
+        witness = shrink_instance(axiom, pr, AxiomInstance(g, nodes=("v1", "v4")), -1.0)
+        assert witness.graph == _demo5_float()
+        assert witness.nodes == ("v1", "v4")
+
+    def test_shrinking_reduces_the_second_locality_graph(self):
+        axiom, pr = AxiomId(AxiomTag.LOCALITY), MATRIX_MEASURES[MeasureKind.PAGERANK]
+        # nodes go first, in order; the self-loop on the last one goes after them
+        h = _demo5_float("w")
+        h = Graph.build(h.node_weights().items(), [*h.edges(), ("wv5", "wv5", 1.0)], Mode.FLOAT)
+        witness = shrink_instance(axiom, pr, AxiomInstance(_demo5_float(), other=h), -1.0)
+        assert witness.other == Graph.build([("wv5", 0.2)], (), Mode.FLOAT)

@@ -372,6 +372,24 @@ class TestSimulate:
         text = "node a 1\nnode b 1\nedge a b 1\n"
         self.no_certificate(capsys, tmp_path, mode, text, "1e300")
 
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_tail_bound_whose_matrix_overflows_is_omitted_with_the_solve_message(
+        self, capsys, tmp_path, mode
+    ):
+        # alpha * 1e17 overflows in I - alpha*A^T: a numpy warning, then exit 1
+        path = tmp_path / "g.dg"
+        path.write_text(OVERFLOWING_KATZ_TEXT)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(
+                capsys, "simulate", "--input", str(path), "--mode", mode,
+                "--process", "parallel", "--alpha", "1e300", "--steps", "0",
+            )
+        assert (code, err, caught) == (0, "", [])
+        diag = json.loads(out)["diagnostics"]
+        assert diag["tail_bound_max"] is None
+        assert diag["tail_bound_omitted"] == FLOAT_SOLVE_FAILED
+
     def test_exact_mass_beyond_float_range_is_omitted_with_a_reason(self, capsys, tmp_path):
         # exact, but (1e300/2)^5 overflows a float
         text = "node a 1\nnode b 1\nedge a b 1e300\nedge b a 1e300\n"
@@ -644,6 +662,17 @@ class TestEulerRoundTrip:
 
 
 class TestCheckAxioms:
+    def test_too_few_admissible_instances_is_an_error_line(self, capsys):
+        # was a RuntimeError traceback from axioms.run_cell
+        code, out, err = run(
+            capsys, "check-axioms", "--axiom", "edge-deletion", "--measure", "kp",
+            "--min-size", "1", "--max-size", "3", "--trials", "2", "--seed", "8",
+        )
+        assert code == 1 and out == ""
+        assert err == (
+            "error: edge-deletion x katz-prestige: only 1/2 admissible instances in 40 attempts\n"
+        )
+
     def test_single_cell_run(self, capsys):
         doc = run_json(
             capsys, "check-axioms", "--axiom", "locality", "--measure", "pr",
@@ -695,6 +724,28 @@ class TestCheckAxioms:
         with pytest.raises(SystemExit) as exc:
             main(["check-axioms", "--alpha", "0.3"])
         assert exc.value.code == 2
+
+
+FLOAT_SOLVE_FAILED = (
+    "float solve failed: the matrix is singular to float precision "
+    "or the solution does not fit in a float"
+)
+# alpha * 1e17 overflows when alpha = 1e300
+OVERFLOWING_KATZ_TEXT = "node a 1\nnode b 0\nedge a b 1e17\n"
+
+
+def test_katz_matrix_that_overflows_is_one_error_line(capsys, tmp_path):
+    # "RuntimeWarning: overflow encountered in multiply" came first
+    path = tmp_path / "g.dg"
+    path.write_text(OVERFLOWING_KATZ_TEXT)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(
+            capsys, "centrality", "--input", str(path), "--mode", "float",
+            "--measure", "katz", "--alpha", "1e300",
+        )
+    assert (code, out, caught) == (1, "", [])
+    assert err == f"error: {FLOAT_SOLVE_FAILED}\n"
 
 
 # On the path a -> b -> c, I - alpha*A is unit triangular; at alpha = 1e300

@@ -738,3 +738,25 @@ class TestClassification:
         lams.append(5.0)
         assert principal_eigenvalue(demo5_float)[0] == [pytest.approx(2.0, rel=1e-9)]
         assert spectral_data(demo5_float).values == [pytest.approx(2.0, rel=1e-9)]
+
+
+class TestRarelyReachedPaths:
+    """Branches that no other test runs, each reached through a public entry."""
+
+    def test_weight_of_an_unknown_edge_is_a_domain_error(self, demo5):
+        with pytest.raises(DomainError, match="unknown edge 'v1' -> 'v3'"):
+            demo5.edge_weight("v1", "v3")
+
+    def test_a_graph_never_equals_a_number(self, demo5):
+        assert demo5 != 1
+        assert not demo5 == 1
+
+    def test_graphs_of_two_modes_have_no_sum(self):
+        g = Graph.build([("a", F(1))], (), Mode.RATIONAL)
+        h = Graph.build([("b", 1.0)], (), Mode.FLOAT)
+        with pytest.raises(DomainError, match="different numeric modes"):
+            graph_sum(g, h)
+
+    def test_only_the_katz_class_carries_a_decay(self):
+        with pytest.raises(DomainError, match="all class carries no alpha"):
+            GraphClass(ClassTag.ALL, 0.5)

@@ -7,7 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from feedback_centrality import ConvergenceError, DomainError, SingularMatrixError
+from feedback_centrality import (
+    ConvergenceError,
+    DomainError,
+    Graph,
+    Mode,
+    SingularMatrixError,
+    pagerank,
+    principal_eigenvalue,
+)
 from feedback_centrality import linalg
 from feedback_centrality.linalg import (
     DENSE_EIG_LIMIT,
@@ -234,3 +242,28 @@ class TestGaussRational:
             np.array([float(v) for v in b]),
         )
         np.testing.assert_allclose([float(v) for v in exact], approx, rtol=1e-12)
+
+
+class TestRarelyReachedPaths:
+    """Guards that no other test runs, each reached through a public entry."""
+
+    def test_stalled_power_iteration_reports_its_change(self, monkeypatch):
+        # a 33-node cycle is past DENSE_EIG_LIMIT; unequal weights make its
+        # Perron vector non-uniform, so three steps cannot converge
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)
+        n = DENSE_EIG_LIMIT + 1
+        g = Graph.build(
+            [(f"v{i}", 1.0) for i in range(n)],
+            [(f"v{i}", f"v{(i + 1) % n}", float(i + 1)) for i in range(n)],
+            Mode.FLOAT,
+        )
+        with pytest.raises(ConvergenceError, match="after 3 steps") as exc:
+            principal_eigenvalue(g)
+        assert exc.value.residual > 0
+        assert f"(achieved relative change {exc.value.residual:.3e})" in str(exc.value)
+
+    def test_float_solve_past_the_dense_limit_is_a_domain_error(self):
+        n = linalg.DENSE_SOLVE_LIMIT + 1
+        g = Graph.build([(f"v{i}", 1.0) for i in range(n)], (), Mode.FLOAT)
+        with pytest.raises(DomainError, match=f"limited to {n - 1} unknowns, got {n}"):
+            pagerank(g, 0.5)

@@ -365,3 +365,17 @@ class TestCrossMode:
             scale = max((abs(x) for x in approx.values.values()), default=0.0)
             for v in g.node_ids:
                 assert abs(float(exact[v]) - approx[v]) <= 1e-9 * scale, (measure, v)
+
+
+class TestRarelyReachedPaths:
+    """Branches that no other test runs, each reached through a public entry."""
+
+    def test_residual_needs_a_value_for_each_node(self):
+        g = Graph.build([("a", F(1)), ("b", F(1))], [("a", "b", F(1))], Mode.RATIONAL)
+        with pytest.raises(DomainError, match="values do not cover exactly the graph's nodes"):
+            recursion_residual(g, Measure(MeasureKind.PAGERANK, F(1, 2)), {"a": F(1)})
+
+    def test_eigenvector_residual_refuses_an_acyclic_component(self):
+        g = Graph.build([("a", 1.0), ("b", 1.0)], [("a", "b", 1.0)], Mode.FLOAT)
+        with pytest.raises(DomainError, match="component of 'a' has eigenvalue 0"):
+            recursion_residual(g, Measure(MeasureKind.EIGENVECTOR), {"a": 1.0, "b": 1.0})

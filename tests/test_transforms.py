@@ -567,3 +567,30 @@ def test_profit_value_matches_the_probe_graph(kind, data):
         assert got == expected
     else:
         assert abs(got - expected) <= 4 * math.ulp(expected)
+
+
+class TestRarelyReachedPaths:
+    """Branches that no other test runs, each reached through a public entry."""
+
+    def test_regularize_refuses_a_component_without_node_weight(self):
+        g = Graph.build(
+            [("a", 0.0), ("b", 1.0)], [("a", "a", 1.0), ("b", "b", 1.0)], Mode.FLOAT
+        )
+        with pytest.raises(DomainError, match="some component has zero total node weight"):
+            ec_regularize(g)
+
+    def test_cycle_copy_skips_a_name_the_graph_already_has(self):
+        # a is visited twice per circuit; its second copy cannot be a#2
+        third = F(1, 3)
+        g = Graph.build(
+            [("a", third), ("a#2", third), ("b", third)],
+            [("a", "a#2", F(1)), ("a", "b", F(1)), ("a#2", "a", F(2)), ("b", "a", F(2))],
+            Mode.RATIONAL,
+        )
+        synth = synthesize_cycle_graph(g)
+        assert synth.groups == {"a": ["a", "a#3"], "a#2": ["a#2"], "b": ["b"]}
+        assert recombine(synth)[0] == g
+
+    def test_katz_prestige_has_no_profit_decomposition(self, demo5):
+        with pytest.raises(DomainError, match="not defined for katz-prestige"):
+            profit_decomposition(demo5, Measure(MeasureKind.KATZ_PRESTIGE))

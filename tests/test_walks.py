@@ -1,5 +1,6 @@
 """Walk processes: oracle agreement, conservation, tails, recursion checks."""
 
+import warnings
 from dataclasses import fields
 from fractions import Fraction as F
 
@@ -25,6 +26,7 @@ from feedback_centrality import (
     initial_state,
     katz_centrality,
     pagerank,
+    principal_eigenvalue,
     step,
     sum_series,
     total_per_step,
@@ -342,7 +344,88 @@ class TestKernelConsistency:
             assert acc.partial_sum[v] == pytest.approx(totals[v], rel=1e-12)
 
 
+class TestOneStepper:
+    """``step``, ``sum_series`` and ``total_per_step`` run on one stepper, so
+    one float walk gives the same bits from every entry point."""
+
+    @given(
+        family=st.sampled_from([Family.GENERAL, Family.STRONGLY_CONNECTED, Family.SUM_OF_SCCS]),
+        size=st.integers(1, 12),
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(ProcessKind),
+        damped=st.booleans(),
+        steps=st.integers(0, 40),
+    )
+    # 1000 undamped steps: the step-by-step walk drifted 2.2e-15 from the series
+    @example(
+        family=Family.STRONGLY_CONNECTED, size=10, seed=4,
+        kind=ProcessKind.DISTRIBUTED, damped=False, steps=1000,
+    )
+    @settings(max_examples=120, derandomize=True, deadline=None)
+    def test_float_entry_points_give_the_same_bits(self, family, size, seed, kind, damped, steps):
+        g = generate(GeneratorSpec(family, size_range=(size, size), seed=seed))
+        lam = principal_eigenvalue(g)[1] if kind is ProcessKind.PARALLEL else 1.0
+        alpha = (0.5 if damped else 1.0) / (lam if lam > 0 else 1.0)
+        state = initial_state(g, kind, alpha)
+        totals = [sum(state.amounts.values(), 0.0)]
+        for _ in range(steps):
+            state = step(g, state)
+            totals.append(sum(state.amounts.values(), 0.0))
+        assert state.amounts == sum_series(g, kind, alpha, steps).last.amounts
+        assert total_per_step(g, kind, alpha, steps) == totals
+
+    @given(
+        g=rational_graphs(max_nodes=5),
+        kind=st.sampled_from(ProcessKind),
+        alpha=st.sampled_from([F(0), F(1, 2), F(1), F(3, 2)]),
+        steps=st.integers(0, 6),
+    )
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    def test_rational_steps_equal_the_fraction_step_loop(self, g, kind, alpha, steps):
+        _partial, _cesaro, last, _totals = fraction_walk(g, kind.value, alpha, steps)
+        state = initial_state(g, kind, alpha)
+        for _ in range(steps):
+            state = step(g, state)
+        assert state.amounts == last
+        assert all(type(x) is F for x in state.amounts.values())
+
+    def test_float_walk_beyond_float_range_is_refused_by_every_entry(self):
+        g = Graph.build(
+            [("a", 1.0), ("b", 1.0)], [("a", "b", 1e300), ("b", "a", 1e300)], Mode.FLOAT
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # the totals were [2.0, 2e+300, inf, inf]
+            with pytest.raises(DomainError, match="within 3 steps"):
+                total_per_step(g, ProcessKind.PARALLEL, 1.0, 3)
+            state = step(g, initial_state(g, ProcessKind.PARALLEL, 1.0))
+            assert state.amounts == {"a": 1e300, "b": 1e300}
+            # the amounts were inf
+            with pytest.raises(DomainError, match="within 2 steps"):
+                step(g, state)
+        assert caught == []
+
+
+class TestStepChecksItsInput:
+    def test_state_of_another_graph_is_a_domain_error(self, demo5):
+        state = initial_state(loop_pair(), ProcessKind.DISTRIBUTED, F(1, 2))
+        with pytest.raises(DomainError, match="other nodes"):  # was KeyError: 'a'
+            step(demo5, state)
+
+    def test_float_decay_never_enters_rational_mode(self):
+        g = loop_pair()
+        state = ProcessState(ProcessKind.DISTRIBUTED, 0.5, 0, g.node_weights())
+        with pytest.raises(TypeError, match="float decay parameter"):  # gave float amounts
+            step(g, state)
+
+    def test_float_amount_never_enters_rational_mode(self):
+        state = ProcessState(ProcessKind.DISTRIBUTED, F(1, 2), 0, {"a": 1.0, "b": F(2)})
+        with pytest.raises(TypeError, match="float process amount"):
+            step(loop_pair(), state)
+
+
 NON_FINITE_DECAY_CALLS = {
+    "step": lambda g, a: step(g, ProcessState(ProcessKind.PARALLEL, a, 0, g.node_weights())),
     "sum_series-parallel": lambda g, a: sum_series(g, ProcessKind.PARALLEL, a, 2),
     "sum_series-distributed": lambda g, a: sum_series(g, ProcessKind.DISTRIBUTED, a, 2),
     "total_per_step": lambda g, a: total_per_step(g, ProcessKind.PARALLEL, a, 2),

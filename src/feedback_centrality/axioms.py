@@ -41,6 +41,7 @@ from .graph import (
     delete_edge,
     graph_sum,
     is_strongly_connected,
+    largest,
     out_regularity,
     principal_eigenvalue,
     semi_out_regularity,
@@ -328,13 +329,8 @@ def check_axiom(
             axiom, measure, instance, 0.0, effective_tol, False, str(exc)
         )
 
-    max_dev = 0.0
-    worst = None
-    for lhs, rhs, label in pairs:
-        dev = _relative_deviation(lhs, rhs)
-        if dev > max_dev:
-            max_dev = dev
-            worst = label
+    deviations = ((label, _relative_deviation(lhs, rhs)) for lhs, rhs, label in pairs)
+    worst, max_dev = largest(deviations, "deviation")
     if exact:
         passed = all(lhs == rhs for lhs, rhs, _label in pairs)
     else:
@@ -721,7 +717,7 @@ def run_cell(
     rng: random.Random,
 ) -> CellResult:
     attempts = admissible = passed = failed = skipped = 0
-    max_dev = 0.0
+    deviations = []
     witness = None
     witness_verdict = None
     cap = trials * 20
@@ -736,7 +732,7 @@ def run_cell(
             skipped += 1
             continue
         admissible += 1
-        max_dev = max(max_dev, verdict.max_deviation)
+        deviations.append(verdict.max_deviation)
         if verdict.passed:
             passed += 1
             continue
@@ -763,7 +759,7 @@ def run_cell(
         passed,
         failed,
         skipped,
-        max_dev,
+        largest(enumerate(deviations), "deviation")[1],
         witness,
         witness_verdict,
     )

@@ -33,7 +33,13 @@ from .axioms import (
     MATRIX_MEASURES,
     satisfaction_matrix,
 )
-from .errors import DomainError, FeedbackCentralityError, GraphFormatError, SingularMatrixError
+from .errors import (
+    ConvergenceError,
+    DomainError,
+    FeedbackCentralityError,
+    GraphFormatError,
+    SingularMatrixError,
+)
 from .graph import (
     ClassTag,
     Graph,
@@ -44,6 +50,7 @@ from .graph import (
     coerce,
     format_weight,
     is_strongly_connected,
+    largest,
     opposite_graph,
     out_regularity,
     parse_graph,
@@ -151,7 +158,7 @@ def _cmd_centrality(args, parser) -> int:
     residual = recursion_residual(g, measure, values.values)
     try:
         lams, lam = principal_eigenvalue(g)
-    except GraphFormatError as exc:  # an exact weight beyond the float range
+    except (GraphFormatError, ConvergenceError) as exc:  # beyond the float range
         spectral = {
             "component_eigenvalues": None,
             "spectral_radius": None,
@@ -166,13 +173,7 @@ def _cmd_centrality(args, parser) -> int:
         "measure": measure.name(),
         "class": _class_entry(measure.admits(g)),
         **spectral,
-        "max_recursion_residual": _fmt6(
-            coerce(
-                Mode.FLOAT,
-                max((abs(r) for r in residual.values()), default=0),
-                "recursion residual",
-            )
-        ),
+        "max_recursion_residual": _fmt6(largest(residual.items(), "recursion residual")[1]),
         "value_total": format_weight(values.total()),
     }
     arguments = {
@@ -197,7 +198,7 @@ def _cmd_simulate(args, parser) -> int:
     tail_max = tail_omitted = None
     try:
         tail = geometric_tail_bound(g, kind, alpha, args.steps)
-        tail_max = _fmt6(max(tail.values(), default=0.0))
+        tail_max = _fmt6(largest(tail.items(), "tail bound")[1])
     except (DomainError, SingularMatrixError) as exc:  # no bound, or its solve failed
         tail_omitted = str(exc)
     recursion = recursion_omitted = None

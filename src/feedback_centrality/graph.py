@@ -98,6 +98,22 @@ def all_equal(values: list[Weight], mode: Mode) -> bool:
     return hi - lo <= EQUAL_RTOL * max(abs(hi), abs(lo))
 
 
+def largest(pairs: Iterable[tuple], what: str) -> tuple:
+    """The first key whose value has the largest magnitude, and that
+    magnitude as a float: the one rule of every reported maximum.  A NaN
+    outranks every number; exact values compare exactly, and the winner
+    converts once through ``coerce`` ("<what> does not fit in a float").
+    ``(None, 0.0)`` when no value is non-zero."""
+    key, top = None, 0
+    for k, value in pairs:
+        size = abs(value)
+        if size != size:  # NaN
+            return k, math.nan
+        if size > top:
+            key, top = k, size
+    return key, coerce(Mode.FLOAT, top, what)
+
+
 def parse_weight(token: str, mode: Mode) -> Weight:
     """Parse a weight literal: decimal (``0.2``), integer, or rational ``p/q``.
 

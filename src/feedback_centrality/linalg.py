@@ -66,9 +66,7 @@ def _power_vector(a: np.ndarray, shift: float) -> np.ndarray:
         if change <= POWER_TOL:
             return x
     raise ConvergenceError(
-        f"power iteration stalled at relative change {change:.3e} "
-        f"after {POWER_MAX_ITER} steps",
-        residual=float(change),
+        f"power iteration stalled after {POWER_MAX_ITER} steps", residual=float(change)
     )
 
 
@@ -81,7 +79,8 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     uniform vectors and eigenvalue 0.  ``POWER_TOL`` and ``POWER_MAX_ITER``
     bound the power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
     ``ConvergenceError`` when a vector entry comes out zero or non-finite,
-    or the eigenvalue non-finite.
+    the eigenvalue non-finite, or the power shift beyond half the float
+    range; no numpy warning escapes.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -89,18 +88,24 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         raise DomainError(f"expected a square non-empty matrix, got shape {a.shape}")
     if a.min(initial=0.0) < 0:
         raise DomainError("matrix has negative entries")
-    col_shift = float(a.sum(axis=0).max(initial=0.0))
-    if col_shift == 0.0:
-        u = np.full(n, 1.0 / n)
-        return u, u.copy(), 0.0
-    if n <= DENSE_EIG_LIMIT:
-        x = _eig_vector(a)
-        y = _eig_vector(a.T)
-    else:
-        row_shift = float(a.sum(axis=1).max(initial=0.0))
-        x = _power_vector(a, col_shift)
-        y = _power_vector(np.ascontiguousarray(a.T), row_shift)
-    lam = float((y @ (a @ x)) / (y @ x))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
+        col_shift = float(a.sum(axis=0).max(initial=0.0))
+        if col_shift == 0.0:
+            u = np.full(n, 1.0 / n)
+            return u, u.copy(), 0.0
+        if n <= DENSE_EIG_LIMIT:
+            x = _eig_vector(a)
+            y = _eig_vector(a.T)
+        else:
+            row_shift = float(a.sum(axis=1).max(initial=0.0))
+            shift = max(col_shift, row_shift)
+            if not np.isfinite(2.0 * shift):  # an iterate of A + sI sums to at most 2s
+                raise ConvergenceError(
+                    f"power iteration shift {shift:.3e} exceeds half the float range"
+                )
+            x = _power_vector(a, col_shift)
+            y = _power_vector(np.ascontiguousarray(a.T), row_shift)
+        lam = float((y @ (a @ x)) / (y @ x))
     if not np.isfinite(lam):
         raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam

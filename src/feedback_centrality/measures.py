@@ -22,6 +22,7 @@ exception and exists only in float mode.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,7 +221,7 @@ def katz_prestige(g: Graph) -> CentralityVector:
         comp_weight = sum((g.node_weight(v) for v in comp), zero(g.mode))
         for v, share in zip(comp, _stationary_distribution(g, comp)):
             out[v] = share * comp_weight
-    return CentralityVector({v: out[v] for v in g.node_ids}, g.mode)
+    return _scaled_vector(g, out)
 
 
 def _stationary_distribution(g: Graph, comp: list[str]) -> list[Weight]:
@@ -263,7 +264,19 @@ def eigenvector_centrality(g: Graph) -> CentralityVector:
         scale = float(y @ b) / float(y @ x)
         for i, v in enumerate(comp):
             out[v] = float(x[i]) * scale
-    return CentralityVector({v: out[v] for v in g.node_ids}, Mode.FLOAT)
+    return _scaled_vector(g, out)
+
+
+def _scaled_vector(g: Graph, out: dict[str, Weight]) -> CentralityVector:
+    """``out`` in node order.  Katz prestige and eigenvector centrality scale
+    their vectors by node weights outside any solve, so a float value beyond
+    the float range is refused here: ``DomainError``."""
+    values = {v: out[v] for v in g.node_ids}
+    if g.mode is Mode.FLOAT:
+        for v, x in values.items():
+            if not math.isfinite(x):
+                raise DomainError(f"value of node {v!r} does not fit in a float")
+    return CentralityVector(values, g.mode)
 
 
 # -- recursion residuals ------------------------------------------------------

@@ -53,6 +53,7 @@ from .graph import (
     coerce_decay,
     in_flow,
     integer_steps,
+    largest,
     node_weight_vector,
     principal_eigenvalue,
     spectral_data,
@@ -233,52 +234,55 @@ def geometric_tail_bound(
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
     When 1/max(z) is below float resolution theta rounds to 1 and there is
     no certificate: ``DomainError``; when the solve for z fails,
-    ``SingularMatrixError``.
+    ``SingularMatrixError``.  A bound beyond the float range raises
+    ``DomainError``, with no numpy warning.
     """
     alpha = _check_args(g, alpha, steps)
     order = g.node_ids
     b = node_weight_vector(g, order)
 
-    if kind is ProcessKind.DISTRIBUTED:
-        # exact check first; a decay just below 1 can still round to 1.0
-        if alpha >= 1 or float(alpha) >= 1:
-            raise DomainError("distributed tail bound needs alpha < 1")
-        a = float(alpha)
-        tail = a ** (steps + 1) / (1.0 - a) * float(b.sum())
-        return {v: tail for v in order}
-
-    data = spectral_data(g)
-    if not classify(g, GraphClass(ClassTag.KATZ, alpha)):
-        raise DomainError(
-            f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
-            f"got {float(alpha) * data.lam:.12g}"
-        )
-    a = float(alpha)
-    if a == 0.0 or not order:
-        return {v: 0.0 for v in order}
-
-    if len(data.components) == 1 and data.lam > 0:
-        # One component with a cycle through it: g is strongly connected.
-        # The component lists the nodes in discovery order, not node order.
-        comp, y = data.components[0], data.left_vectors[0]
-        rate = a * data.lam
-        b_comp = node_weight_vector(g, comp)
-        scale = rate ** (steps + 1) / (1.0 - rate) * float(y @ b_comp)
-        y_of = dict(zip(comp, y))
-        return {v: scale / float(y_of[v]) for v in order}
-
-    with np.errstate(over="ignore"):  # an infinite entry fails the solve
-        k = np.eye(len(order)) - a * adjacency_matrix(g).T
-    z = solve_refined(k, np.ones(len(order)))
-    theta = 1.0 - 1.0 / float(z.max())
-    if theta <= 0.0:
-        return {v: 0.0 for v in order}
-    if not theta < 1.0:
-        raise DomainError(
-            "parallel tail bound has no contraction certificate: theta rounds to 1"
-        )
-    scale = theta ** (steps + 1) / (1.0 - theta) * float(z @ b)
-    return {v: scale / float(z[i]) for i, v in enumerate(order)}
+    # each branch picks the decay rate r, the mass m and per-node weights w of
+    # the bound r^(T+1)/(1-r) * m / w_v; a mass beyond the float range is refused
+    with np.errstate(over="ignore"):
+        if kind is ProcessKind.DISTRIBUTED:
+            # exact check first; a decay just below 1 can still round to 1.0
+            if alpha >= 1 or float(alpha) >= 1:
+                raise DomainError("distributed tail bound needs alpha < 1")
+            rate, mass, weight = float(alpha), float(b.sum()), dict.fromkeys(order, 1.0)
+        else:
+            data = spectral_data(g)
+            if not classify(g, GraphClass(ClassTag.KATZ, alpha)):
+                raise DomainError(
+                    f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
+                    f"got {float(alpha) * data.lam:.12g}"
+                )
+            a = float(alpha)
+            if a == 0.0 or not order:
+                return {v: 0.0 for v in order}
+            if len(data.components) == 1 and data.lam > 0:
+                # One component with a cycle through it: g is strongly connected.
+                # The component lists the nodes in discovery order, not node order.
+                comp, y = data.components[0], data.left_vectors[0]
+                rate, mass = a * data.lam, float(y @ node_weight_vector(g, comp))
+                weight = dict(zip(comp, y.tolist()))
+            else:
+                # an infinite entry fails the solve
+                k = np.eye(len(order)) - a * adjacency_matrix(g).T
+                z = solve_refined(k, np.ones(len(order)))
+                theta = 1.0 - 1.0 / float(z.max())
+                if theta <= 0.0:
+                    return {v: 0.0 for v in order}
+                if not theta < 1.0:
+                    raise DomainError(
+                        "parallel tail bound has no contraction certificate: "
+                        "theta rounds to 1"
+                    )
+                rate, mass, weight = theta, float(z @ b), dict(zip(order, z.tolist()))
+    scale = rate ** (steps + 1) / (1.0 - rate) * mass
+    bound = {v: scale / weight[v] for v in order}
+    if not all(map(math.isfinite, bound.values())):
+        raise DomainError("tail bound does not fit in a float")
+    return bound
 
 
 @dataclass
@@ -360,19 +364,12 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
     else:
         predicted = {v: -after.amounts[v] for v in order}
 
-    max_residual = coerce(
-        Mode.FLOAT, max((abs(r) for r in residual.values()), default=0), "recursion residual"
-    )
-    max_mismatch = coerce(
-        Mode.FLOAT,
-        max((abs(residual[v] - predicted[v]) for v in order), default=0),
-        "prediction mismatch",
-    )
+    mismatch = ((v, residual[v] - predicted[v]) for v in order)
     return RecursionCheck(
         measure,
         "cesaro" if use_cesaro else "partial_sum",
         residual,
         predicted,
-        max_residual,
-        max_mismatch,
+        largest(residual.items(), "recursion residual")[1],
+        largest(mismatch, "prediction mismatch")[1],
     )

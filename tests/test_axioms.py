@@ -1,5 +1,6 @@
 """The axiom checker: hand-built instances, generators, matrix machinery."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from feedback_centrality import (
     AxiomInstance,
     AxiomTag,
     CellStatus,
+    CentralityVector,
     DomainError,
     EXPECTED_MATRIX,
     Family,
@@ -36,7 +38,8 @@ from feedback_centrality import (
     semi_out_regularity,
     shrink_instance,
 )
-from feedback_centrality.axioms import _relative_deviation
+from feedback_centrality import axioms
+from feedback_centrality.axioms import AxiomVerdict, _relative_deviation, run_cell
 
 from .conftest import GRAPH_DIR
 from .strategies import semi_out_regular_graphs
@@ -229,6 +232,25 @@ class TestNodeScalings:
         assert check_axiom(axiom, KATZ_QUARTER, inst).passed
         assert not check_axiom(axiom, PR_HALF, inst).passed
 
+    def test_nan_deviation_fails_and_names_its_node(self, monkeypatch):
+        # b's deviation is nan; a comparison-based maximum dropped it and
+        # passed the instance with deviation 0.0 at node None
+        vector = CentralityVector({"a": 1.0, "b": float("nan")}, Mode.FLOAT)
+        monkeypatch.setattr(Measure, "compute", lambda self, g: vector)
+        inst = AxiomInstance(graph=two_cycle().to_float(), node="a", factor=2.0)
+        verdict = check_axiom(AxiomId(AxiomTag.EDGE_MULTIPLICATION), PR_HALF, inst)
+        assert not verdict.passed
+        assert verdict.worst_node == "b" and verdict.max_deviation != verdict.max_deviation
+
+    def test_katz_prestige_beyond_float_range_is_skipped(self):
+        # the component's node weight 2e308 overflowed: every value was inf,
+        # every deviation nan, and the instance passed
+        g = parse_graph("node a 1e308\nnode b 1e308\nedge a b 1\nedge b a 2\n", Mode.FLOAT)
+        inst = AxiomInstance(graph=g, node="a", factor=2.0)
+        verdict = check_axiom(AxiomId(AxiomTag.EDGE_COMPENSATION), KP, inst)
+        assert verdict.skipped and not verdict.passed
+        assert verdict.skipped_reason == "value of node 'a' does not fit in a float"
+
     def test_factor_must_be_positive(self):
         with pytest.raises(PreconditionError, match="positive"):
             check_axiom(
@@ -397,6 +419,18 @@ class TestSatisfactionMatrix:
         )
         assert set(report.cells) == {(AxiomTag.LOCALITY, MeasureKind.PAGERANK)}
         assert report.mismatches() == []
+
+    def test_nan_deviation_is_the_cell_maximum_wherever_it_falls(self, monkeypatch):
+        # max(0.25, nan) is 0.25, so a running max read 0.5
+        deviations = iter([0.25, float("nan"), 0.5])
+
+        def verdict(axiom, measure, instance, tol):
+            return AxiomVerdict(axiom, measure, instance, next(deviations), tol, True)
+
+        monkeypatch.setattr(axioms, "check_axiom", verdict)
+        cell = run_cell(AxiomId(AxiomTag.CYCLE), PR_HALF, (3, 4), 3, 1e-8, random.Random(0))
+        assert cell.admissible == 3
+        assert cell.max_deviation != cell.max_deviation
 
 
 class TestShrinking:

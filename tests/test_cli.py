@@ -925,3 +925,108 @@ def test_any_request_gives_a_result_or_an_error_line(fuzz_input, text, argv):
         assert err == "" and json.loads(out.getvalue())["command"] == argv[0]
     else:
         assert (code, err[:6]) in ((1, "error:"), (2, "usage:"), (2, "error:"))
+
+
+# near-max-float inputs: every weight fits in a float, but a sum, a product or
+# a Perron value of them does not
+_NEAR_MAX_INPUTS = {
+    "nan-ab": "node a 1e300\nnode b 1\nedge a b 1e10\n",
+    "nan-ba": "node b 1\nnode a 1e300\nedge a b 1e10\n",
+    "huge-nodes": "node a 1e308\nnode b 1e308\nedge a b 1\nedge b a 2\n",
+    "huge-edges": "node a 1\nnode b 1\nedge a a 1.7e308\nedge a b 1.7e308\nedge b a 1.7e308\n",
+    "huge-cycle33": "".join(f"node v{i} 1\n" for i in range(33))
+    + "".join(f"edge v{i} v{(i + 1) % 33} 1.7e308\n" for i in range(33))
+    + "edge v0 v5 1.7e308\n",
+}
+_NEAR_MAX_REQUESTS = {
+    "pr": ("centrality", "--measure", "pr"),
+    "kp": ("centrality", "--measure", "kp"),
+    "ev": ("centrality", "--measure", "ev"),
+    "katz-0": ("centrality", "--measure", "katz", "--alpha", "0"),
+    "katz-tiny": ("centrality", "--measure", "katz", "--alpha", "1e-310"),
+    "dist": ("simulate", "--process", "distributed", "--alpha", "1/2", "--steps", "3"),
+    "par": ("simulate", "--process", "parallel", "--alpha", "1/2", "--steps", "3"),
+    "classify": ("classify",),
+}
+
+
+def _near_max_request(tmp_path, graph, request_name, mode):
+    """(exit code, stdout, stderr, warnings) of one request on one input."""
+    path = tmp_path / f"{graph}.dg"
+    path.write_text(_NEAR_MAX_INPUTS[graph])
+    argv = [*_NEAR_MAX_REQUESTS[request_name], "--input", str(path), "--mode", mode]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(argv)
+    return code, out.getvalue(), err.getvalue(), caught
+
+
+def _maxima(doc):
+    diagnostics = doc["diagnostics"]
+    recursion = diagnostics.get("recursion") or {}
+    return (
+        diagnostics.get("max_recursion_residual"),
+        diagnostics.get("tail_bound_max"),
+        recursion.get("max_residual"),
+        recursion.get("max_prediction_mismatch"),
+    )
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("request_name", _NEAR_MAX_REQUESTS)
+@pytest.mark.parametrize("graph", _NEAR_MAX_INPUTS)
+def test_near_max_float_input_gives_finite_values_or_one_error_line(
+    tmp_path, graph, request_name, mode
+):
+    # at the parent: numpy warnings, inf and nan values with exit 0, and
+    # 200 000 power steps on nan for huge-cycle33
+    code, out, err, caught = _near_max_request(tmp_path, graph, request_name, mode)
+    assert caught == []
+    assert code in (0, 1)
+    if code == 1:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert err == ""
+        values = json.loads(out)["values_full"] or {}
+        for text in values.values():
+            F(text)  # raises on "inf" and "nan"
+
+
+@pytest.mark.parametrize("mode", ["rational", "float"])
+@pytest.mark.parametrize("request_name", _NEAR_MAX_REQUESTS)
+def test_node_order_does_not_change_a_maximum(tmp_path, request_name, mode):
+    # node b's katz residual 1 - (0 * inf + 1) is nan: max() dropped it
+    # when a came first
+    runs = [_near_max_request(tmp_path, g, request_name, mode) for g in ("nan-ab", "nan-ba")]
+    assert [code for code, *_ in runs] == [runs[0][0]] * 2
+    if runs[0][0] == 0:
+        assert _maxima(json.loads(runs[0][1])) == _maxima(json.loads(runs[1][1]))
+
+
+def test_nan_residual_is_printed_in_either_node_order(tmp_path):
+    for graph in ("nan-ab", "nan-ba"):
+        code, out, _err, _caught = _near_max_request(tmp_path, graph, "katz-0", "float")
+        assert code == 0
+        assert json.loads(out)["diagnostics"]["max_recursion_residual"] == "nan"
+
+
+@pytest.mark.parametrize("request_name", ["pr", "kp"])
+def test_exact_values_print_when_the_perron_value_overflows(tmp_path, request_name):
+    # both exited 1 with "Perron eigenvalue is not finite: inf" after two warnings
+    code, out, err, caught = _near_max_request(tmp_path, "huge-edges", request_name, "rational")
+    assert (code, err, caught) == (0, "", [])
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["spectral_radius"] is None
+    assert diagnostics["spectral_omitted"] == "Perron eigenvalue is not finite: inf"
+    assert diagnostics["max_recursion_residual"] == "0"
+
+
+def test_tail_bound_beyond_float_range_is_omitted(tmp_path):
+    # tail_bound_max was "inf", after a numpy overflow warning
+    code, out, err, caught = _near_max_request(tmp_path, "huge-nodes", "dist", "rational")
+    assert (code, err, caught) == (0, "", [])
+    diagnostics = json.loads(out)["diagnostics"]
+    assert diagnostics["tail_bound_max"] is None
+    assert diagnostics["tail_bound_omitted"] == "tail bound does not fit in a float"

@@ -740,6 +740,63 @@ class TestClassification:
         assert spectral_data(demo5_float).values == [pytest.approx(2.0, rel=1e-9)]
 
 
+def _largest_oracle(values):
+    """(index, exact magnitude) of the first largest |value|: the first NaN
+    if there is one, (None, 0) when every value is zero."""
+    for i, v in enumerate(values):
+        if v != v:
+            return i, v
+    sizes = [abs(v) if isinstance(v, float) and abs(v) == float("inf") else abs(F(v))
+             for v in values]
+    top = max(sizes, default=0)
+    return (sizes.index(top), top) if top else (None, 0)
+
+
+_MAGNITUDES = st.one_of(
+    st.integers(-(10**20), 10**20),
+    st.fractions(),
+    st.floats(),  # with inf, -inf and nan
+    st.sampled_from([0, -0.0, F(10**309), -(10**309) - 1, 1.7e308, float("nan")]),
+)
+
+
+class TestLargest:
+    """``graph.largest``, the one rule by which every maximum is reported."""
+
+    @given(st.lists(_MAGNITUDES, max_size=8))
+    @example([1.0, float("nan")])  # Python's max drops a NaN that is not first
+    @example([F(10**309), 2.0])
+    @settings(max_examples=500, derandomize=True, deadline=None)
+    def test_matches_the_exact_oracle(self, values):
+        key, top = _largest_oracle(values)
+        try:
+            want = key, float(top)
+        except OverflowError:
+            with pytest.raises(DomainError, match="^probe value does not fit in a float$"):
+                graph.largest(enumerate(values), "probe value")
+            return
+        got = graph.largest(enumerate(values), "probe value")
+        assert type(got[1]) is float
+        assert str(got) == str(want)  # nan compares unequal; its text does not
+
+    def test_nan_outranks_every_number_in_any_position(self):
+        nan = float("nan")
+        for pairs in ([("a", 1e300), ("b", nan)], [("b", nan), ("a", 1e300)]):
+            key, top = graph.largest(pairs, "x")
+            assert key == "b" and top != top
+        assert graph.largest([("a", float("inf")), ("b", nan)], "x")[0] == "b"
+
+    def test_no_non_zero_value_gives_no_key(self):
+        assert graph.largest([], "x") == (None, 0.0)
+        assert graph.largest([("a", F(0)), ("b", -0.0)], "x") == (None, 0.0)
+
+    def test_exact_values_compare_exactly_and_keep_their_error_text(self):
+        near = F(2**60 + 1, 2**60)  # 1.0 once rounded
+        assert graph.largest([("a", 1.0), ("b", -near)], "x") == ("b", 1.0)
+        with pytest.raises(DomainError, match="^recursion residual does not fit in a float$"):
+            graph.largest([("a", F(-(10**400), 3))], "recursion residual")
+
+
 class TestRarelyReachedPaths:
     """Branches that no other test runs, each reached through a public entry."""
 

@@ -1,5 +1,6 @@
 """Perron solver, the refined float solve and exact rational elimination."""
 
+import re
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -261,6 +262,38 @@ class TestRarelyReachedPaths:
             principal_eigenvalue(g)
         assert exc.value.residual > 0
         assert f"(achieved relative change {exc.value.residual:.3e})" in str(exc.value)
+
+    def test_stalled_power_iteration_states_its_change_once(self, monkeypatch):
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)
+        n = DENSE_EIG_LIMIT + 1
+        with pytest.raises(ConvergenceError) as exc:
+            perron_triple(cycle(n) + np.diag(np.arange(n, dtype=float)))
+        change = f"{exc.value.residual:.3e}"
+        assert str(exc.value).count(change) == 1
+        assert str(exc.value) == (
+            f"power iteration stalled after 3 steps (achieved relative change {change})"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_perron_value_beyond_float_range_is_refused_without_a_warning(self):
+        # the column sums and the Rayleigh quotient overflowed with two warnings
+        a = np.array([[1.7e308, 1.7e308], [1.7e308, 0.0]])
+        with pytest.raises(ConvergenceError, match="^Perron eigenvalue is not finite: inf$"):
+            perron_triple(a)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "weight,chord,shift", [(1.7e308, True, "inf"), (1e308, False, "1.000e+308")]
+    )
+    def test_power_shift_beyond_half_the_float_range_is_refused(self, weight, chord, shift):
+        # an iterate of A + sI sums to up to 2s; an infinite shift (a chord
+        # doubles a column sum) or one whose double overflows ran all
+        # POWER_MAX_ITER steps on nan, with warnings
+        a = cycle(DENSE_EIG_LIMIT + 1, weight)
+        a[5, 0] = weight if chord else 0.0
+        message = f"power iteration shift {shift} exceeds half the float range"
+        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+            perron_triple(a)
 
     def test_float_solve_past_the_dense_limit_is_a_domain_error(self):
         n = linalg.DENSE_SOLVE_LIMIT + 1

@@ -25,6 +25,7 @@ from feedback_centrality import (
     katz_centrality,
     katz_prestige,
     pagerank,
+    parse_graph,
     principal_eigenvalue,
     recursion_residual,
     spectral_data,
@@ -365,6 +366,24 @@ class TestCrossMode:
             scale = max((abs(x) for x in approx.values.values()), default=0.0)
             for v in g.node_ids:
                 assert abs(float(exact[v]) - approx[v]) <= 1e-9 * scale, (measure, v)
+
+
+# node weights 1e308 fit in a float; their component total 2e308 does not
+HUGE_NODES = "node a 1e308\nnode b 1e308\nedge a b 1\nedge b a 2\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("measure", [katz_prestige, eigenvector_centrality])
+def test_undamped_value_beyond_float_range_is_a_domain_error(measure):
+    # both values were inf, with no error
+    g = parse_graph(HUGE_NODES, Mode.FLOAT)
+    with pytest.raises(DomainError, match="^value of node 'a' does not fit in a float$"):
+        measure(g)
+
+
+def test_undamped_values_of_huge_nodes_stay_exact_in_rational_mode():
+    g = parse_graph(HUGE_NODES, Mode.RATIONAL)
+    assert katz_prestige(g).total() == 2 * 10**308
 
 
 class TestRarelyReachedPaths:

@@ -26,6 +26,7 @@ from feedback_centrality import (
     initial_state,
     katz_centrality,
     pagerank,
+    parse_graph,
     principal_eigenvalue,
     step,
     sum_series,
@@ -260,6 +261,19 @@ class TestTailBounds:
         alpha = F(1, 2) if mode is Mode.RATIONAL else 0.5
         assert geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, 5) == {}
         assert geometric_tail_bound(g, ProcessKind.DISTRIBUTED, alpha, 5) == {}
+
+    # node weights 1e308 fit in a float; their total 2e308 does not
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("kind", list(ProcessKind))
+    @pytest.mark.parametrize("edges", ["edge a b 1\nedge b a 2\n", "edge a b 1\n"])
+    def test_bound_beyond_float_range_is_a_domain_error(self, mode, kind, edges):
+        # the bound was inf, after a numpy overflow warning from the mass
+        # b.sum() or z @ b
+        g = parse_graph(f"node a 1e308\nnode b 1e308\n{edges}", mode)
+        alpha = F(1, 2) if mode is Mode.RATIONAL else 0.5
+        with pytest.raises(DomainError, match="^tail bound does not fit in a float$"):
+            geometric_tail_bound(g, kind, alpha, 3)
 
     def test_zero_decay_has_zero_tail(self):
         g = loop_pair().to_float()

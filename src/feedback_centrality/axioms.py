@@ -28,7 +28,7 @@ import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .errors import DomainError, PreconditionError
+from .errors import DomainError, PreconditionError, SingularMatrixError
 from .graph import (
     ClassTag,
     Graph,
@@ -324,7 +324,7 @@ def check_axiom(
 
     try:
         pairs = _evaluate(axiom, measure, instance)
-    except DomainError as exc:
+    except (DomainError, SingularMatrixError) as exc:
         return AxiomVerdict(
             axiom, measure, instance, 0.0, effective_tol, False, str(exc)
         )

@@ -180,9 +180,9 @@ class Graph:
     built — transforms return new graphs.
 
     Derived structure (the edge index, out- and in-neighbour maps,
-    out-degrees, integer walk tables, SCC partition, spectral data) is
-    computed once and shared, read-only like the graph; ``add_node``/
-    ``add_edge`` clear it.
+    out-degrees, step coefficients, integer walk tables, SCC partition,
+    spectral data) is computed once and shared, read-only like the graph;
+    ``add_node``/``add_edge`` clear it.
     """
 
     __slots__ = ("mode", "_weights", "_edges", "_memo")
@@ -224,12 +224,13 @@ class Graph:
         if self._memo:
             self._memo.clear()
 
-    def _derived(self, compute):
-        """``compute(self)``, computed on first request and shared after that."""
+    def _derived(self, compute, *args):
+        """``compute(self, *args)``, computed once and shared after that."""
+        key = (compute, *args)
         try:
-            return self._memo[compute]
+            return self._memo[key]
         except KeyError:
-            value = self._memo[compute] = compute(self)
+            value = self._memo[key] = compute(self, *args)
             return value
 
     def _coerce(self, weight: Weight) -> Weight:
@@ -595,80 +596,97 @@ def adjacency_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
     Rows index the *target*: (A @ x)[v] sums c(u, v) * x[u] over predecessors
     u of v, which is the shape every recursion here uses.  ``order`` lists
     distinct nodes of g, or ``DomainError`` names the id that is unknown or
-    listed twice.  A float graph's matrix is one write from the edge index; a
-    rational graph converts each edge inside ``order`` and raises
-    ``GraphFormatError`` when its weight does not fit in a float.
+    listed twice.  A rational graph converts each edge inside ``order`` and
+    raises ``GraphFormatError`` when its weight does not fit in a float.
     """
-    if order is not None:
-        _check_order(g, order)
-    if g.mode is Mode.FLOAT:
-        idx = g._derived(_edge_index)
-        n = len(idx.position)
-        src, dst, weight = idx.src, idx.dst, idx.weight
-        if order is not None and order != g.node_ids:
-            # each node's place in order, -1 outside it
-            place = np.full(n, -1)
-            place[[idx.position[v] for v in order]] = np.arange(len(order))
-            src, dst = place[src], place[dst]
-            inside = (src >= 0) & (dst >= 0)
-            src, dst, weight = src[inside], dst[inside], weight[inside]
-            n = len(order)
-        a = np.zeros((n, n))
-        a[dst, src] = weight
-        return a
-    order = order if order is not None else g.node_ids
-    pos = {v: i for i, v in enumerate(order)}
-    a = np.zeros((len(order), len(order)))
-    try:
-        for u, v, w in g.edges():
-            if u in pos and v in pos:
-                a[pos[v], pos[u]] = float(w)
-    except OverflowError:  # the helper raises the typed error
-        _to_float(w, f"weight of edge {u!r} -> {v!r}", GraphFormatError)
-    return a
+    return _coefficient_matrix(g, order, False)
 
 
 def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
-    """Adjacency with each column divided by its node's out-degree.
+    """The distributed step matrix: adjacency with each column divided by its
+    node's out-degree, as ``step_coefficients`` gives it.
 
     Columns of sinks are zero.  When ``order`` restricts to a subset, the
     divisor is still the node's full out-degree in g.
     """
-    a = adjacency_matrix(g, order)
-    order = order if order is not None else g.node_ids
-    deg = np.array(
-        [_to_float(g.out_degree(u), f"out-degree of node {u!r}", GraphFormatError) for u in order],
-        dtype=np.float64,
-    )
-    np.divide(a, deg, out=a, where=deg > 0)
+    return _coefficient_matrix(g, order, True)
+
+
+def _coefficient_matrix(g: Graph, order: list[str] | None, distributed: bool) -> np.ndarray:
+    """The step coefficients of the edges inside ``order`` in one write from
+    the edge index; a rational graph converts each one it uses."""
+    if order is not None:
+        _check_order(g, order)
+    idx = g._derived(_edge_index)
+    n = len(idx.position)
+    src, dst, c = idx.src, idx.dst, g._derived(_coefficients, distributed)
+    edges = None  # all of them
+    if order is not None and order != g.node_ids:
+        # each node's place in order, -1 outside it
+        place = np.full(n, -1)
+        place[[idx.position[v] for v in order]] = np.arange(len(order))
+        src, dst = place[src], place[dst]
+        edges = np.flatnonzero((src >= 0) & (dst >= 0))
+        src, dst, n = src[edges], dst[edges], len(order)
+    if g.mode is Mode.FLOAT:
+        c = c if edges is None else c[edges]
+    else:
+        edges = range(len(c)) if edges is None else edges.tolist()
+        try:
+            c = [float(c[i]) for i in edges]
+        except OverflowError:  # only a raw weight exceeds 1: the helper names its edge
+            keys = list(g._edges)
+            for i in edges:
+                _to_float(c[i], "weight of edge {!r} -> {!r}".format(*keys[i]), GraphFormatError)
+    a = np.zeros((n, n))
+    a[dst, src] = c
     return a
 
 
+def _coefficients(g: Graph, distributed: bool):
+    """``step_coefficients`` as one table: a read-only float64 array on the
+    edge index of a float graph, a tuple of ``Fraction``s on a rational one."""
+    if g.mode is Mode.RATIONAL:
+        degrees = g._derived(_out_degrees) if distributed else None
+        return tuple(w / degrees[u] if distributed else w for (u, _v), w in g._edges.items())
+    idx = g._derived(_edge_index)
+    if not distributed:
+        return idx.weight
+    n = len(idx.position)
+    c = idx.weight / np.fromiter(g._derived(_out_degrees).values(), np.float64, n)[idx.src]
+    c /= _sum_by(idx.src, c, n)[idx.src]
+    c.flags.writeable = False
+    return c
+
+
+def step_coefficients(g: Graph, distributed: bool) -> Iterator[tuple[tuple[str, str], Weight]]:
+    """Each edge (u, v) with its step coefficient c(u, v) in edge order, in
+    the graph's mode: w(u, v)/outdeg(u) when ``distributed``, else w(u, v);
+    memoised per process kind.  A float graph then divides each source's
+    coefficients by their sum in edge order, which removes the rounding left
+    in it (1 for a non-sink) and keeps long conserved walks drift-free."""
+    c = g._derived(_coefficients, distributed)
+    return zip(g._edges, c if g.mode is Mode.RATIONAL else c.tolist())
+
+
 def in_flow(g: Graph, x: dict[str, Weight], distributed: bool) -> dict[str, Weight]:
-    """Per node v, the sum over in-edges (u, v) of c(u, v) * x[u], each term
-    divided by outdeg(u) when ``distributed``: the feedback term that every
+    """Per node v, the sum over in-edges (u, v) of c(u, v) * x[u], c the
+    ``step_coefficients`` of the process: the feedback term that every
     measure and walk shares, exact in rational mode, summed in edge order.
 
     ``x`` gives a value for every node.  Float mode computes the terms on the
     edge index and adds them in that order, so each sum is bit for bit the
     one a loop over the edges would make.
     """
-    degrees = g._derived(_out_degrees) if distributed else None
     if g.mode is Mode.FLOAT:
         idx = g._derived(_edge_index)
-        n = len(idx.position)
         xs = np.array([x[v] for v in idx.position], dtype=np.float64)
         with np.errstate(all="ignore"):  # as Python floats: inf and nan, no warning
-            terms = idx.weight * xs[idx.src]
-            if distributed:
-                terms /= np.fromiter(degrees.values(), np.float64, n)[idx.src]
-        return dict(zip(idx.position, _sum_by(idx.dst, terms, n).tolist()))
+            terms = g._derived(_coefficients, distributed) * xs[idx.src]
+        return dict(zip(idx.position, _sum_by(idx.dst, terms, len(idx.position)).tolist()))
     out = dict.fromkeys(g._weights, zero(g.mode))
-    for (u, v), w in g._edges.items():
-        term = w * x[u]
-        if distributed:
-            term /= degrees[u]
-        out[v] += term
+    for (u, v), c in step_coefficients(g, distributed):
+        out[v] += c * x[u]
     return out
 
 
@@ -677,42 +695,29 @@ class IntegerSteps:
     """A rational graph's walk coefficients c(u, v) on one denominator:
     ``scale`` is the LCM D of their denominators, and ``rows[j]`` pairs the
     positions i (node order) of node j's in-neighbours with the integers
-    D * c(i, j).  c is w(u, v)/outdeg(u) for the distributed process and
-    w(u, v) for the parallel one."""
+    D * c(i, j), c the process's ``step_coefficients``."""
 
     scale: int
     rows: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
 def _integer_steps(g: Graph, distributed: bool) -> IntegerSteps:
-    if distributed:
-        degrees = g._derived(_out_degrees)
-        coefficients = {(u, v): w / degrees[u] for (u, v), w in g._edges.items()}
-    else:
-        coefficients = g._edges
-    scale = math.lcm(*(c.denominator for c in coefficients.values()))
+    coefficients = g._derived(_coefficients, distributed)
+    scale = math.lcm(*(c.denominator for c in coefficients))
     position = {v: i for i, v in enumerate(g._weights)}
     rows: list[tuple[list[int], list[int]]] = [([], []) for _ in position]
-    for (u, v), c in coefficients.items():
+    for (u, v), c in zip(g._edges, coefficients):
         sources, integers = rows[position[v]]
         sources.append(position[u])
         integers.append(c.numerator * (scale // c.denominator))
     return IntegerSteps(scale, tuple((tuple(s), tuple(i)) for s, i in rows))
 
 
-def _distributed_integer_steps(g: Graph) -> IntegerSteps:
-    return _integer_steps(g, True)
-
-
-def _parallel_integer_steps(g: Graph) -> IntegerSteps:
-    return _integer_steps(g, False)
-
-
 def integer_steps(g: Graph, distributed: bool) -> IntegerSteps:
     """The rational graph's ``IntegerSteps`` for one process, memoised per
     process kind.  The decay stays out of the table, so every decay shares
     it."""
-    return g._derived(_distributed_integer_steps if distributed else _parallel_integer_steps)
+    return g._derived(_integer_steps, distributed)
 
 
 # -- graph classes -----------------------------------------------------------

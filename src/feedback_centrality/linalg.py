@@ -79,8 +79,9 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     uniform vectors and eigenvalue 0.  ``POWER_TOL`` and ``POWER_MAX_ITER``
     bound the power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
     ``ConvergenceError`` when a vector entry comes out zero or non-finite,
-    the eigenvalue non-finite, or the power shift beyond half the float
-    range; no numpy warning escapes.
+    or the eigenvalue non-finite; no numpy warning escapes.  Power iteration
+    whose shift lies beyond half the float range runs on A/max(A) and
+    multiplies the eigenvalue back.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -93,19 +94,20 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         if col_shift == 0.0:
             u = np.full(n, 1.0 / n)
             return u, u.copy(), 0.0
+        scale = 1.0  # lambda of the matrix the vectors come from, times this
         if n <= DENSE_EIG_LIMIT:
             x = _eig_vector(a)
             y = _eig_vector(a.T)
         else:
             row_shift = float(a.sum(axis=1).max(initial=0.0))
-            shift = max(col_shift, row_shift)
-            if not np.isfinite(2.0 * shift):  # an iterate of A + sI sums to at most 2s
-                raise ConvergenceError(
-                    f"power iteration shift {shift:.3e} exceeds half the float range"
-                )
+            if not np.isfinite(2.0 * max(col_shift, row_shift)):
+                # an iterate of A + sI sums to up to 2s: iterate on A/max(A)
+                scale = float(a.max())
+                a = a / scale
+                col_shift, row_shift = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
             x = _power_vector(a, col_shift)
             y = _power_vector(np.ascontiguousarray(a.T), row_shift)
-        lam = float((y @ (a @ x)) / (y @ x))
+        lam = scale * float((y @ (a @ x)) / (y @ x))
     if not np.isfinite(lam):
         raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam

@@ -42,6 +42,7 @@ from .graph import (
     in_flow,
     node_weight_vector,
     spectral_data,
+    step_coefficients,
     strongly_connected_components,
     transition_matrix,
     zero,
@@ -142,14 +143,14 @@ def _rational_system(
     g: Graph, order: list[str], alpha: Weight, distributed: bool
 ) -> list[list[Weight]]:
     """Exact rows of I - alpha * M over ``order``, M the transition matrix
-    (distributed) or the adjacency, built from the edge list: one update per
-    edge inside ``order``, each divided by the node's full out-degree in g."""
+    (distributed) or the adjacency, built from the step coefficients: one
+    update per edge inside ``order``, c(u, v) taken over u's full out-degree
+    in g."""
     pos = {v: i for i, v in enumerate(order)}
     rows: list[list[Weight]] = [[int(u == v) for u in order] for v in order]
-    for u, v, w in g.edges():
+    for (u, v), c in step_coefficients(g, distributed):
         if u in pos and v in pos:
-            c = alpha * w
-            rows[pos[v]][pos[u]] -= c / g.out_degree(u) if distributed else c
+            rows[pos[v]][pos[u]] -= alpha * c
     return rows
 
 
@@ -158,6 +159,12 @@ def _damped_system(g: Graph, order: list[str], alpha: Weight, distributed: bool)
     rational mode, a dense float array in float mode."""
     if g.mode is Mode.RATIONAL:
         return _rational_system(g, order, alpha, distributed)
+    return _float_system(g, order, alpha, distributed)
+
+
+def _float_system(g: Graph, order: list[str], alpha: float, distributed: bool) -> np.ndarray:
+    """I - alpha * M over ``order`` as a dense float array, on a graph of
+    either mode."""
     m_float = transition_matrix if distributed else adjacency_matrix
     with np.errstate(over="ignore"):  # an infinite entry fails the solve
         return np.eye(len(order)) - alpha * m_float(g, order)

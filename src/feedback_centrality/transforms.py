@@ -31,6 +31,7 @@ from .graph import (
     opposite_graph,
     out_regularity,
     semi_out_regularity,
+    step_coefficients,
     strongly_connected_components,
     zero,
 )
@@ -164,7 +165,8 @@ def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
 
 
 def out_degree_normalize(g: Graph) -> Graph:
-    """Divide each edge by its source's out-degree.
+    """Divide each edge by its source's out-degree: the distributed step
+    coefficients become the edge weights.
 
     Non-sink nodes become 1-out-regular, and both distributed-feedback
     measures are untouched: the transition matrix is unchanged entry by
@@ -172,7 +174,7 @@ def out_degree_normalize(g: Graph) -> Graph:
     """
     return Graph.build(
         g.node_weights().items(),
-        ((a, b, wt / g.out_degree(a)) for a, b, wt in g.edges()),
+        ((a, b, c) for (a, b), c in step_coefficients(g, True)),
         g.mode,
     )
 
@@ -210,14 +212,12 @@ def ec_regularize(g: Graph) -> Graph:
 def compute_impacts(g: Graph) -> dict[tuple[str, str], Weight]:
     """Impact of each edge: the katz-prestige flow it carries.
 
-    impact(u, v) = KP(u) * c(u, v) / outdeg(u).  At every node the incoming
-    impacts sum to the node's katz-prestige, as do the outgoing ones, so
-    impacts form a circulation.
+    impact(u, v) = KP(u) * w(u, v) / outdeg(u), KP(u) times the distributed
+    step coefficient.  At every node the incoming impacts sum to the node's
+    katz-prestige, as do the outgoing ones, so impacts form a circulation.
     """
     kp = katz_prestige(g)
-    return {
-        (u, v): kp[u] * wt / g.out_degree(u) for u, v, wt in g.edges()
-    }
+    return {(u, v): kp[u] * c for (u, v), c in step_coefficients(g, True)}
 
 
 @dataclass
@@ -475,6 +475,6 @@ def profit_decomposition(g: Graph, measure: Measure) -> dict[str, Weight]:
     katz = measure.kind is MeasureKind.KATZ
     alpha = coerce_decay(g.mode, measure.alpha)  # compute has checked it
     out = g.node_weights()
-    for u, v, w in g.edges():
-        out[v] += (alpha * (w if katz else w / g.out_degree(u))) * values[u]
+    for (u, v), c in step_coefficients(g, not katz):
+        out[v] += (alpha * c) * values[u]
     return out

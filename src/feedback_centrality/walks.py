@@ -5,10 +5,10 @@ move amounts along edges, scaled by a decay ``alpha`` per step:
 
 * DISTRIBUTED — a node splits its amount over its out-edges in proportion
   to edge weight; what a sink holds leaves the system.  The step matrix is
-  the out-degree-normalized adjacency.
+  ``transition_matrix``, the out-degree-normalized adjacency.
 * PARALLEL — every edge transports the full amount times its weight, so a
   node with several out-edges multiplies mass.  The step matrix is the raw
-  adjacency.
+  adjacency.  Both scatter ``graph.step_coefficients``, as the solves do.
 
 The bridge to the measures: partial sums of the distributed process with
 alpha < 1 solve the pagerank recursion, partial sums of the parallel process
@@ -24,8 +24,8 @@ integer numerators over one common denominator per step: the coefficients
 are scaled to integers by one LCM D (``graph.integer_steps``), and with
 alpha = p/q a step is N_{t+1} = p*C*N_t, d_{t+1} = q*D*d_t, so no step
 takes a gcd and fractions are formed only at the end.  ``in_flow`` is left
-to ``verify_recursion``'s residual, the check that shares no code with the
-stepper.
+to ``verify_recursion``'s residual, the check that reads the same
+coefficients but shares no stepping code with the stepper.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .graph import (
     transition_matrix,
 )
 from .linalg import solve_refined
-from .measures import PARAMETRIC_KINDS, Measure, MeasureKind
+from .measures import PARAMETRIC_KINDS, Measure, MeasureKind, _float_system
 
 
 class ProcessKind(enum.Enum):
@@ -101,22 +101,6 @@ def _check_args(g: Graph, alpha: Weight, steps: int = 0) -> Weight:
     return alpha
 
 
-def _step_matrix(g: Graph, kind: ProcessKind) -> np.ndarray:
-    """Float step matrix; distributed columns are renormalized to exact sums.
-
-    The renormalization removes the rounding the per-entry division leaves in
-    the column sums (mathematically they are exactly 1 for non-sinks), which
-    is what keeps long conserved runs drift-free to ~1e-13.
-    """
-    if kind is ProcessKind.PARALLEL:
-        return adjacency_matrix(g)
-    m = transition_matrix(g)
-    sums = m.sum(axis=0)
-    nonzero = sums > 0
-    m[:, nonzero] /= sums[nonzero]
-    return m
-
-
 def initial_state(g: Graph, kind: ProcessKind, alpha: Weight) -> ProcessState:
     alpha = _check_args(g, alpha)
     return ProcessState(kind, alpha, 0, g.node_weights())
@@ -130,7 +114,7 @@ def _walk(
     common denominator on a rational one.  Float callers step under
     ``np.errstate`` and refuse a non-finite result once, in ``_finite``."""
     if g.mode is Mode.FLOAT:
-        w = _step_matrix(g, kind)
+        w = (transition_matrix if kind is ProcessKind.DISTRIBUTED else adjacency_matrix)(g)
         cur = np.array(start, dtype=np.float64)
         yield cur
         for _ in range(steps):
@@ -266,9 +250,8 @@ def geometric_tail_bound(
                 rate, mass = a * data.lam, float(y @ node_weight_vector(g, comp))
                 weight = dict(zip(comp, y.tolist()))
             else:
-                # an infinite entry fails the solve
-                k = np.eye(len(order)) - a * adjacency_matrix(g).T
-                z = solve_refined(k, np.ones(len(order)))
+                # I - a*A^T; an infinite entry fails the solve
+                z = solve_refined(_float_system(g, order, a, False).T, np.ones(len(order)))
                 theta = 1.0 - 1.0 / float(z.max())
                 if theta <= 0.0:
                     return {v: 0.0 for v in order}

@@ -100,14 +100,30 @@ def nx_components(g: Graph) -> list[set[str]]:
     return [set(c) for c in nx.strongly_connected_components(to_networkx(g))]
 
 
-def _target_row_adjacency(g: Graph, order: list[str]) -> np.ndarray:
-    """A[i, j] = float weight of edge order[j] -> order[i], one edge at a time."""
+def _target_row_adjacency(
+    g: Graph, order: list[str], weight: dict[tuple[str, str], Weight] | None = None
+) -> np.ndarray:
+    """A[i, j] = float weight of edge order[j] -> order[i], one edge at a
+    time; ``weight`` replaces the edge weights when given."""
     idx = {v: i for i, v in enumerate(order)}
     a = np.zeros((len(order), len(order)))
     for u, v, w in g.edges():
         if u in idx and v in idx:
-            a[idx[v], idx[u]] = float(w)
+            a[idx[v], idx[u]] = float(w if weight is None else weight[(u, v)])
     return a
+
+
+def distributed_coefficients(g: Graph) -> dict[tuple[str, str], Weight]:
+    """c(u, v) = w(u, v) / ``g.out_degree(u)`` per edge.  In float mode each
+    source's coefficients are then divided by their sum, added up from 0.0
+    in edge order."""
+    c = {(u, v): w / g.out_degree(u) for u, v, w in g.edges()}
+    if g.mode is Mode.RATIONAL:
+        return c
+    sums: dict[str, float] = {}
+    for (u, _v), x in c.items():
+        sums[u] = sums.get(u, 0.0) + x
+    return {(u, v): x / sums[u] for (u, v), x in c.items()}
 
 
 def dominant_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -277,16 +293,14 @@ def per_node_in_flow(
     g: Graph, x: dict[str, Weight], distributed: bool
 ) -> dict[str, Weight]:
     """For each node v in node order, the sum over ``g.in_edges(v)`` of
-    c(u, v) * x[u], each term divided by ``g.out_degree(u)`` when
-    ``distributed``; terms are added in in-edge order."""
+    c(u, v) * x[u], c the edge weight or, when ``distributed``, the
+    ``distributed_coefficients``; terms are added in in-edge order."""
+    c = distributed_coefficients(g) if distributed else None
     out: dict[str, Weight] = {}
     for v in g.node_ids:
         acc = _zero(g)
         for u, w in g.in_edges(v):
-            term = w * x[u]
-            if distributed:
-                term /= g.out_degree(u)
-            acc += term
+            acc += (c[(u, v)] if distributed else w) * x[u]
         out[v] = acc
     return out
 

@@ -251,6 +251,19 @@ class TestNodeScalings:
         assert verdict.skipped and not verdict.passed
         assert verdict.skipped_reason == "value of node 'a' does not fit in a float"
 
+    def test_float_solve_failure_is_skipped(self):
+        # on the path a -> b -> c the katz value of c at decay 1e300 is about
+        # 1e600: the float solve's SingularMatrixError escaped check_axiom
+        text = "node a 1\nnode b 1\nnode c 1\nnode z 1\nedge a b 1\nedge b c 1\n"
+        katz = Measure(MeasureKind.KATZ, 1e300)
+        inst = AxiomInstance(graph=parse_graph(text, Mode.FLOAT), node="z")
+        verdict = check_axiom(AxiomId(AxiomTag.BASELINE), katz, inst)
+        assert verdict.skipped and not verdict.passed
+        assert verdict.skipped_reason == (
+            "float solve failed: the matrix is singular to float precision "
+            "or the solution does not fit in a float"
+        )
+
     def test_factor_must_be_positive(self):
         with pytest.raises(PreconditionError, match="positive"):
             check_axiom(

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from feedback_centrality import (
+    AxiomTag,
     Graph,
     Mode,
     ProcessKind,
@@ -754,10 +755,6 @@ PATH_TEXT = "node a 1\nnode b 1\nnode c 1\nedge a b 1\nedge b c 1\n"
 _AXIOMS_AT_1E300 = ("check-axioms", "--trials", "2", "--seed", "18", "--min-size", "3",
                     "--max-size", "5", "--measure", "katz", "--alpha", "1e300", "--axiom")
 _SOLVE_BEYOND_FLOAT_REQUESTS = {
-    # the refinement residual overflowed with two numpy warnings
-    "check-axioms-edge-compensation": (*_AXIOMS_AT_1E300, "edge-compensation"),
-    # numpy's bare "Singular matrix"
-    "check-axioms-baseline": (*_AXIOMS_AT_1E300, "baseline"),
     "centrality-katz-path": ("centrality", "--input", "{path}", "--measure", "katz",
                              "--alpha", "1e300", "--mode", "float"),
 }
@@ -777,6 +774,30 @@ def test_float_solve_beyond_float_range_is_one_error_line(capsys, tmp_path, requ
         "error: float solve failed: the matrix is singular to float precision "
         "or the solution does not fit in a float\n"
     )
+
+
+@pytest.mark.parametrize(
+    "axiom,cell",
+    [
+        # the refinement residual overflowed with two numpy warnings; then
+        # the request exited 1 with the float solve's error line
+        ("edge-compensation", {"status": "PASS", "attempts": 3, "admissible": 2, "skipped": 1}),
+        # exited 1 with the float solve's error line (at first numpy's bare
+        # "Singular matrix")
+        ("baseline", {"status": "SKIPPED", "attempts": 2, "admissible": 0, "skipped": 2}),
+    ],
+    ids=["edge-compensation", "baseline"],
+)
+def test_float_solve_beyond_float_range_skips_the_instance(capsys, axiom, cell):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        doc = run_json(capsys, *_AXIOMS_AT_1E300, axiom)
+    assert caught == []
+    diagnostics = doc["diagnostics"]
+    got = diagnostics["cells"][f"{axiom} x katz"]
+    assert {key: got[key] for key in cell} == cell
+    expected = ["baseline x katz: expected PASS, got SKIPPED"] if axiom == "baseline" else []
+    assert diagnostics["expected_mismatches"] == expected
 
 
 def test_rational_katz_beyond_float_range_is_exact(capsys, tmp_path):
@@ -909,22 +930,107 @@ def fuzz_input(tmp_path_factory):
 )
 @settings(max_examples=600, derandomize=True, deadline=None)
 def test_any_request_gives_a_result_or_an_error_line(fuzz_input, text, argv):
-    fuzz_input.unlink(missing_ok=True)  # truncating a file in place can be slow
-    fuzz_input.write_text(text)
+    _write_fresh(fuzz_input, text)
+    code, out = _result_or_error_line([*argv, "--input", str(fuzz_input)])
+    if code == 0:
+        assert json.loads(out)["command"] == argv[0]
+
+
+def _write_fresh(path, text):
+    path.unlink(missing_ok=True)  # truncating a file in place can be slow
+    path.write_text(text)
+
+
+def _result_or_error_line(argv):
+    """(exit code, stdout) of one in-process request, after checking that no
+    warning escaped and that stderr is empty on success and one ``error:`` or
+    ``usage:`` report otherwise."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         with warnings.catch_warnings(record=True) as caught:  # a warning would reach stderr
             warnings.simplefilter("always")
             try:
-                code = main([*argv, "--input", str(fuzz_input)])
+                code = main(argv)
             except SystemExit as exc:  # argparse's usage errors
                 code = exc.code
     assert caught == []
     err = err.getvalue()
     if code == 0:
-        assert err == "" and json.loads(out.getvalue())["command"] == argv[0]
+        assert err == ""
     else:
         assert (code, err[:6]) in ((1, "error:"), (2, "usage:"), (2, "error:"))
+    return code, out.getvalue()
+
+
+# requests over the verbs _fuzz_requests leaves out; "{dir}" stands for the
+# directory of the input file, which also holds a groups file
+_FUZZ_TEXTS = ("node a 1/2\nnode b 1/2\nedge a b 1\nedge b a 1\n",
+               "node a 1/4\nnode b 3/4\nedge a b 1\nedge b a 1/2\nedge b b 1/2\n",
+               "node a 1\nnode b 1\nnode c 0\nedge a b 2\nedge b a 1\nedge b c 1\nedge c a 2\n")
+_FUZZ_GROUPS = ("group a a\ngroup b a\n", "group b b\ngroup c b\ngroup d d\n",
+                "group a a\ngroup a b\n", "group e a\n", "# no groups\n", "group a\n")
+_FUZZ_TRANSFORMS = ("em", "ec", "opposite", "normalize", "regularize", "combine", "combine-groups")
+_FUZZ_AXIOMS = (*(tag.value for tag in AxiomTag), "node-combination:pair-only",
+                "node-combination:x", "x")
+_FUZZ_SIZES = ("0", "1", "2", "3", "5", "7")
+
+
+@st.composite
+def _fuzz_other_requests(draw):
+    decay = st.sampled_from(_FUZZ_DECAYS)
+    measure = st.sampled_from(["pr", "katz", "kp", "ev"])
+    mode = ["--mode", draw(st.sampled_from(["rational", "float"]))]
+    verb = draw(st.sampled_from(["transform", "euler-construct", "check-axioms"]))
+    if verb == "euler-construct":
+        groups = ["--groups", "{dir}/cycle.groups"] if draw(st.booleans()) else []
+        return [verb, "--input", "{dir}/g.dg", "--output", "{dir}/cycle.dg", *groups]
+    if verb == "check-axioms":
+        args = [verb, "--trials", draw(st.sampled_from(["-1", "0", "1", "2", "3"])),
+                "--seed", str(draw(st.integers(0, 99))),
+                "--min-size", draw(st.sampled_from(_FUZZ_SIZES)),
+                "--max-size", draw(st.sampled_from(_FUZZ_SIZES))]
+        if draw(st.booleans()):
+            args += ["--axiom", draw(st.sampled_from(_FUZZ_AXIOMS))]
+        if draw(st.booleans()):
+            args += ["--measure", draw(measure)]
+        if draw(st.booleans()):
+            args += ["--alpha", draw(decay)]
+        if draw(st.booleans()):
+            args += ["--tolerance", draw(st.sampled_from(["1e-8", "0", "-1", "nan"]))]
+        return args
+    op = draw(st.sampled_from(_FUZZ_TRANSFORMS))
+    args = [verb, op, "--input", "{dir}/g.dg", *(mode if op != "regularize" else [])]
+    if op in ("em", "ec"):
+        args += ["--node", draw(st.sampled_from("abcde")), "--factor", draw(decay)]
+    elif op == "combine":
+        args += ["--nodes", draw(st.sampled_from(["a,b", "b,a", "a,a", "a,e", "a", "a,b,c"]))]
+        given = draw(st.sampled_from(["values", "measure", "neither"]))
+        if given == "values":
+            args += ["--values", f"{draw(decay)},{draw(decay)}"]
+        elif given == "measure":
+            args += ["--measure", draw(measure)]
+            args += ["--alpha", draw(decay)] if draw(st.booleans()) else []
+    elif op == "combine-groups":
+        args += ["--groups", "{dir}/g.groups"]
+    return args
+
+
+@given(
+    text=st.one_of(st.sampled_from(_FUZZ_TEXTS), dg_texts()),
+    groups=st.sampled_from(_FUZZ_GROUPS),
+    argv=_fuzz_other_requests(),
+)
+@example(  # a float solve that fails inside an axiom check skips the instance
+    text=_FUZZ_TEXTS[0], groups=_FUZZ_GROUPS[0], argv=[*_AXIOMS_AT_1E300, "edge-compensation"]
+)
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_other_verbs_give_a_result_or_an_error_line(fuzz_input, text, groups, argv):
+    _write_fresh(fuzz_input, text)
+    _write_fresh(fuzz_input.with_suffix(".groups"), groups)
+    argv = [a.replace("{dir}", str(fuzz_input.parent)) for a in argv]
+    code, out = _result_or_error_line(argv)
+    if code == 0 and argv[0] != "transform":
+        assert json.loads(out)["command"] == argv[0]
 
 
 # near-max-float inputs: every weight fits in a float, but a sum, a product or
@@ -937,6 +1043,12 @@ _NEAR_MAX_INPUTS = {
     "huge-cycle33": "".join(f"node v{i} 1\n" for i in range(33))
     + "".join(f"edge v{i} v{(i + 1) % 33} 1.7e308\n" for i in range(33))
     + "edge v0 v5 1.7e308\n",
+    "huge-pair": "node a 1\nnode b 1\nedge a b 1e308\nedge b a 1e308\n",
+    **{
+        f"huge-plain-cycle{n}": "".join(f"node v{i} 1\n" for i in range(n))
+        + "".join(f"edge v{i} v{(i + 1) % n} 1e308\n" for i in range(n))
+        for n in (32, 33)
+    },
 }
 _NEAR_MAX_REQUESTS = {
     "pr": ("centrality", "--measure", "pr"),
@@ -1021,6 +1133,28 @@ def test_exact_values_print_when_the_perron_value_overflows(tmp_path, request_na
     assert diagnostics["spectral_radius"] is None
     assert diagnostics["spectral_omitted"] == "Perron eigenvalue is not finite: inf"
     assert diagnostics["max_recursion_residual"] == "0"
+
+
+def test_distributed_residual_divides_before_it_multiplies(tmp_path):
+    # w * x overflowed before the division by the out-degree: the residual was "inf"
+    code, out, err, caught = _near_max_request(tmp_path, "huge-pair", "pr", "float")
+    assert (code, err, caught) == (0, "", [])
+    doc = json.loads(out)
+    assert doc["values"] == {"a": "6.66667", "b": "6.66667"}
+    assert doc["diagnostics"]["max_recursion_residual"] == "0"
+
+
+def test_power_iteration_past_half_the_float_range_finds_the_perron_value(tmp_path):
+    # the 33-node cycle, past DENSE_EIG_LIMIT, exited 1 with "power iteration
+    # shift 1.000e+308 exceeds half the float range"
+    radii = []
+    for n in (32, 33):
+        code, out, err, caught = _near_max_request(
+            tmp_path, f"huge-plain-cycle{n}", "classify", "float"
+        )
+        assert (code, err, caught) == (0, "", [])
+        radii.append(json.loads(out)["diagnostics"]["spectral_radius"])
+    assert radii == ["1e+308", "1e+308"]
 
 
 def test_tail_bound_beyond_float_range_is_omitted(tmp_path):

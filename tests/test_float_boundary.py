@@ -122,3 +122,37 @@ def test_only_the_graph_module_names_overflow_error():
         if any(isinstance(n, ast.Name) and n.id == "OverflowError" for n in ast.walk(tree)):
             offenders.append(path.name)
     assert offenders == []
+
+
+def _divides_by_out_degree(node: ast.AST) -> bool:
+    if not isinstance(node, (ast.BinOp, ast.AugAssign)) or not isinstance(node.op, ast.Div):
+        return False
+    divisor = node.right if isinstance(node, ast.BinOp) else node.value
+    return (
+        isinstance(divisor, ast.Call)
+        and isinstance(divisor.func, ast.Attribute)
+        and divisor.func.attr == "out_degree"
+    )
+
+
+def test_only_the_graph_module_divides_by_an_out_degree():
+    # the step coefficient w/outdeg(u) is formed once, in graph.py; the axiom
+    # generator's rescale of a drawn graph to a target out-degree is the one
+    # other division, and keeps the generated corpora as they are
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and func.name == "_rescale_out_degrees"
+            for node in ast.walk(func)
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if _divides_by_out_degree(node) and id(node) not in exempt
+        ]
+    assert offenders == []

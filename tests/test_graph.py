@@ -38,13 +38,14 @@ from feedback_centrality import (
     successors,
     transition_matrix,
 )
-from feedback_centrality import ProcessKind, graph, walks
+from feedback_centrality import graph
 from feedback_centrality.graph import in_flow, node_weight_vector
 
 from .conftest import GRAPH_DIR
 from .oracles import (
     _target_row_adjacency,
     dict_tarjan,
+    distributed_coefficients,
     exact_float_weight,
     nx_components,
     per_node_in_flow,
@@ -614,10 +615,7 @@ class TestEdgeIndex:
             expected = _target_row_adjacency(g, layout)
             got = adjacency_matrix(g, given_order)
             assert got.dtype == np.float64 and np.array_equal(got, expected)
-            for j, u in enumerate(layout):
-                deg = float(g.out_degree(u))
-                if deg > 0:
-                    expected[:, j] /= deg
+            expected = _target_row_adjacency(g, layout, distributed_coefficients(g))
             assert np.array_equal(transition_matrix(g, given_order), expected)
 
     @given(st.data())
@@ -646,8 +644,6 @@ class TestEdgeIndex:
             lambda: adjacency_matrix(g, sub),
             lambda: transition_matrix(g),
             lambda: transition_matrix(g, sub),
-            lambda: walks._step_matrix(g, ProcessKind.DISTRIBUTED),
-            lambda: walks._step_matrix(g, ProcessKind.PARALLEL),
         ]
         before = [call().copy() for call in calls]
         for call in calls:
@@ -656,7 +652,8 @@ class TestEdgeIndex:
             assert np.array_equal(call(), first)
 
         index = g._derived(graph._edge_index)
-        for array in (index.src, index.dst, index.weight):
+        coefficients = g._derived(graph._coefficients, True)
+        for array in (index.src, index.dst, index.weight, coefficients):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
@@ -669,6 +666,48 @@ class TestEdgeIndex:
         assert list(index.position) == demo5.node_ids
         edges = [(u, v) for u, v, _w in demo5.edges()]
         assert [(demo5.node_ids[s], demo5.node_ids[d]) for s, d in zip(index.src, index.dst)] == edges
+
+
+class TestStepCoefficients:
+    """One table of step coefficients c(u, v) feeds the matrices and the
+    feedback term."""
+
+    # 0.1/0.8, 0.1/0.8 and 0.6/0.8 round to a sum of 1 - 2**-53
+    SPLIT = ([("a", 1.0), ("b", 1.0), ("c", 1.0)], [("a", "b", 0.1), ("a", "c", 0.1), ("a", "a", 0.6)])
+
+    def test_float_transition_columns_are_renormalised(self):
+        # the column was 0.7499999999999999, 0.125, 0.125: each w/outdeg as divided
+        g = build(*self.SPLIT, Mode.FLOAT)
+        column = transition_matrix(g)[:, 0].tolist()
+        assert column == [0.75, 0.12500000000000003, 0.12500000000000003]
+        assert column[1] + column[2] + column[0] == 1.0  # the sum in edge order
+
+    def test_rational_transition_converts_each_coefficient_once(self):
+        # float(1/10) / float(3/10) is 0.33333333333333337, and a weight
+        # without a float image raised GraphFormatError
+        nodes = [("a", F(1)), ("b", F(1)), ("c", F(1))]
+        g = build(nodes, [("a", "b", F(1, 10)), ("a", "c", F(1, 5))])
+        assert transition_matrix(g)[:, 0].tolist() == [0.0, 0.3333333333333333, 0.6666666666666666]
+        huge = build(nodes, [("a", "b", F(10) ** 400), ("a", "c", F(1))])
+        assert transition_matrix(huge)[:, 0].tolist() == [0.0, 1.0, 0.0]
+        with pytest.raises(GraphFormatError, match="edge 'a' -> 'b' does not fit in a float"):
+            adjacency_matrix(huge)
+
+    def test_float_distributed_in_flow_is_c_times_x(self):
+        # w * x overflowed before the division by the out-degree: inf
+        g = build([("a", 1.0), ("b", 1.0)], [("a", "b", 1e308), ("b", "a", 1e308)], Mode.FLOAT)
+        assert in_flow(g, {"a": 2.0, "b": 3.0}, True) == {"a": 3.0, "b": 2.0}
+        split = build(*self.SPLIT, Mode.FLOAT)
+        assert in_flow(split, {"a": 8.0, "b": 0.0, "c": 0.0}, True)["a"] == 6.0
+
+    def test_table_is_memoised_per_process_kind(self):
+        g = build(*self.SPLIT, Mode.FLOAT)
+        distributed = g._derived(graph._coefficients, True)
+        assert g._derived(graph._coefficients, True) is distributed
+        assert g._derived(graph._coefficients, False) is g._derived(graph._edge_index).weight
+        assert list(graph.step_coefficients(g, True)) == [
+            (("a", "b"), 0.12500000000000003), (("a", "c"), 0.12500000000000003), (("a", "a"), 0.75)
+        ]
 
 
 class TestClassification:

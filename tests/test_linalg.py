@@ -1,6 +1,5 @@
 """Perron solver, the refined float solve and exact rational elimination."""
 
-import re
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
@@ -282,17 +281,23 @@ class TestRarelyReachedPaths:
             perron_triple(a)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize(
-        "weight,chord,shift", [(1.7e308, True, "inf"), (1e308, False, "1.000e+308")]
-    )
-    def test_power_shift_beyond_half_the_float_range_is_refused(self, weight, chord, shift):
-        # an iterate of A + sI sums to up to 2s; an infinite shift (a chord
-        # doubles a column sum) or one whose double overflows ran all
-        # POWER_MAX_ITER steps on nan, with warnings
-        a = cycle(DENSE_EIG_LIMIT + 1, weight)
-        a[5, 0] = weight if chord else 0.0
-        message = f"power iteration shift {shift} exceeds half the float range"
-        with pytest.raises(ConvergenceError, match=f"^{re.escape(message)}$"):
+    def test_power_iteration_beyond_half_the_float_range_runs_on_a_rescaled_matrix(self):
+        # an iterate of A + sI sums to up to 2s; a shift whose double
+        # overflows ran all POWER_MAX_ITER steps on nan with warnings, and
+        # was then refused as beyond half the float range
+        n = DENSE_EIG_LIMIT + 1
+        x, y, lam = perron_triple(cycle(n, 1e308))
+        assert lam == 1e308
+        assert np.array_equal(x, np.full(n, 1 / n)) and np.array_equal(y, x)
+        # the chord v0 -> v5 makes the shift infinite, yet the Perron value
+        # 1.0226 * 1.7e308 is a float
+        a = cycle(n, 1.7e308)
+        a[5, 0] = 1.7e308
+        lam = perron_triple(a)[2]
+        assert lam == pytest.approx(1.7e308 * max(abs(np.linalg.eigvals(a / 1.7e308))), rel=1e-12)
+        # a loop at v0 instead: 1.0815 * 1.7e308 is not
+        a[5, 0], a[0, 0] = 0.0, 1.7e308
+        with pytest.raises(ConvergenceError, match="^Perron eigenvalue is not finite: inf$"):
             perron_triple(a)
 
     def test_float_solve_past_the_dense_limit_is_a_domain_error(self):

@@ -322,6 +322,28 @@ class TestImpacts:
             build_impact_multigraph(g)
 
 
+def test_float_transforms_read_the_renormalised_coefficients():
+    # 0.1/0.8, 0.1/0.8 and 0.6/0.8 round to 0.125, 0.125 and
+    # 0.7499999999999999, which each transform used as divided; the step
+    # coefficients divide them by their sum, 1 - 2**-53
+    g = Graph.build(
+        [("a", 1.0), ("b", 1.0), ("c", 1.0)],
+        [("a", "b", 0.1), ("a", "c", 0.1), ("a", "a", 0.6), ("b", "a", 0.8), ("c", "a", 0.8)],
+        Mode.FLOAT,
+    )
+    c = [0.12500000000000003, 0.12500000000000003, 0.75, 1.0, 1.0]
+    assert [w for _u, _v, w in out_degree_normalize(g).edges()] == c
+    kp = katz_prestige(g)
+    impacts = compute_impacts(g)
+    assert list(impacts.values()) == [kp[u] * x for (u, _v), x in zip(impacts, c)]
+    pr_half = Measure(MeasureKind.PAGERANK, 0.5)
+    x = pagerank(g, 0.5)
+    profits = profit_decomposition(g, pr_half)
+    assert profits["b"] == 1.0 + (0.5 * c[0]) * x["a"]
+    for result in (impacts, profits):
+        assert all(type(value) is float for value in result.values())
+
+
 class TestCycleSynthesis:
     def test_demo5_unrolls_to_thirteen(self, demo5):
         synth = synthesize_cycle_graph(demo5)

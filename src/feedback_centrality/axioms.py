@@ -783,8 +783,10 @@ def satisfaction_matrix(
     Each cell draws float graphs of the one family its axiom and measure
     need, with node counts in ``size_range``.  Fully deterministic for a
     given (size_range, trials, tol, seed).  ``axioms``/``measures`` restrict
-    the grid.
+    the grid.  ``trials`` < 1 raises ``DomainError``: no draw, no verdict.
     """
+    if trials < 1:
+        raise DomainError(f"trials must be at least 1, got {trials}")
     axioms = axioms if axioms is not None else ALL_AXIOMS
     measures = measures if measures is not None else MATRIX_MEASURES
 

@@ -126,18 +126,23 @@ def _read_graph(path: str, mode: Mode) -> Graph:
     return parse_graph(Path(path).read_text(), mode)
 
 
+def _option_weight(option: str, text: str, mode: Mode) -> Weight:
+    """``parse_weight`` of a numeric option's value; its errors name the option."""
+    try:
+        return parse_weight(text, mode)
+    except GraphFormatError as exc:
+        raise DomainError(str(exc).replace("weight literal", option)) from None
+
+
 def _resolve_measure(
     args, parser: argparse.ArgumentParser, mode: Mode
 ) -> tuple[Measure, str | None]:
     kind = _MEASURE_ALIASES[args.measure]
     if kind in PARAMETRIC_KINDS:
-        alpha_text = args.alpha
-        if alpha_text is None:
-            if kind is MeasureKind.PAGERANK:
-                alpha_text = _DEFAULT_PAGERANK_ALPHA
-            else:
-                parser.error(f"--alpha is required for {args.measure}")
-        return Measure(kind, parse_weight(alpha_text, mode)), alpha_text
+        if args.alpha is None and kind is not MeasureKind.PAGERANK:
+            parser.error(f"--alpha is required for {args.measure}")
+        alpha_text = _DEFAULT_PAGERANK_ALPHA if args.alpha is None else args.alpha
+        return Measure(kind, _option_weight("--alpha", alpha_text, mode)), alpha_text
     if args.alpha is not None:
         parser.error(f"{args.measure} takes no --alpha")
     return Measure(kind), None
@@ -190,7 +195,7 @@ def _cmd_simulate(args, parser) -> int:
     mode = Mode(args.mode)
     g = _read_graph(args.input, mode)
     kind = ProcessKind(args.process)
-    alpha = parse_weight(args.alpha, mode)
+    alpha = _option_weight("--alpha", args.alpha, mode)
     if args.steps < 0:
         parser.error("--steps must be non-negative")
     series = sum_series(g, kind, alpha, args.steps)
@@ -259,7 +264,7 @@ def _cmd_classify(args, parser) -> int:
         "eigenvector": _class_entry(classify(g, GraphClass(ClassTag.EV))),
     }
     if args.alpha is not None:
-        alpha = parse_weight(args.alpha, Mode.FLOAT)
+        alpha = _option_weight("--alpha", args.alpha, Mode.FLOAT)
         classes["katz"] = _class_entry(classify(g, GraphClass(ClassTag.KATZ, alpha)))
     diagnostics = {
         "nodes": len(g),
@@ -287,10 +292,8 @@ def _cmd_check_axioms(args, parser) -> int:
     if args.measure is not None:
         kind = _MEASURE_ALIASES[args.measure]
         measure = MATRIX_MEASURES[kind]
-        if args.alpha is not None:
-            if kind not in PARAMETRIC_KINDS:
-                parser.error(f"{args.measure} takes no --alpha")
-            measure = Measure(kind, parse_weight(args.alpha, Mode.FLOAT))
+        if args.alpha is not None:  # refused for a measure without a decay
+            measure, _alpha = _resolve_measure(args, parser, Mode.FLOAT)
         measures = {kind: measure}
     elif args.alpha is not None:
         parser.error("--alpha needs --measure")
@@ -387,9 +390,9 @@ def _cmd_transform(args, parser) -> int:
     op = args.op
 
     if op == "em":
-        out = edge_multiplication(g, args.node, parse_weight(args.factor, mode))
+        out = edge_multiplication(g, args.node, _option_weight("--factor", args.factor, mode))
     elif op == "ec":
-        out = edge_compensation(g, args.node, parse_weight(args.factor, mode))
+        out = edge_compensation(g, args.node, _option_weight("--factor", args.factor, mode))
     elif op == "opposite":
         out = opposite_graph(g)
     elif op == "normalize":
@@ -405,7 +408,7 @@ def _cmd_transform(args, parser) -> int:
             value_pair = args.values.split(",")
             if len(value_pair) != 2:
                 parser.error("--values expects 'a,b'")
-            vu, vw = (parse_weight(t, mode) for t in value_pair)
+            vu, vw = (_option_weight("--values", t, mode) for t in value_pair)
         else:
             if args.measure is None:
                 parser.error("combine needs --values or --measure")

@@ -14,8 +14,8 @@ The bridge to the measures: partial sums of the distributed process with
 alpha < 1 solve the pagerank recursion, partial sums of the parallel process
 with alpha * lambda < 1 solve the katz recursion, and the long-run averages
 of the two undamped processes (alpha = 1, resp. alpha = 1/lambda) yield
-katz-prestige and eigenvector centrality.  ``verify_recursion`` checks the
-finite-horizon form of these identities exactly.
+katz-prestige and eigenvector centrality.  ``_limit`` picks the measure,
+and ``verify_recursion`` checks the finite-horizon identities exactly.
 
 ``step``, ``sum_series`` and ``total_per_step`` all run on one stepper,
 ``_walk``.  A float walk steps a numpy vector through the step matrix, so
@@ -42,20 +42,16 @@ import numpy as np
 from .errors import DomainError
 from .graph import (
     KATZ_MARGIN,
-    ClassTag,
     Graph,
-    GraphClass,
     Mode,
     Weight,
     adjacency_matrix,
-    classify,
     coerce,
     coerce_decay,
     in_flow,
     integer_steps,
     largest,
     node_weight_vector,
-    principal_eigenvalue,
     spectral_data,
     transition_matrix,
 )
@@ -235,7 +231,7 @@ def geometric_tail_bound(
             rate, mass, weight = float(alpha), float(b.sum()), dict.fromkeys(order, 1.0)
         else:
             data = spectral_data(g)
-            if not classify(g, GraphClass(ClassTag.KATZ, alpha)):
+            if _limit(g, kind, alpha).kind is not MeasureKind.KATZ:  # no geometric tail
                 raise DomainError(
                     f"parallel tail bound needs alpha * lambda <= 1 - {KATZ_MARGIN:g}, "
                     f"got {float(alpha) * data.lam:.12g}"
@@ -268,6 +264,34 @@ def geometric_tail_bound(
     return bound
 
 
+def _limit(g: Graph, kind: ProcessKind, alpha: Weight) -> Measure:
+    """The measure that the walk's series converges to on g, by the decay:
+
+    * distributed, alpha < 1                   -> pagerank(alpha), partial sum
+    * distributed, alpha = 1                   -> katz-prestige, cesaro average
+    * parallel, g in the KATZ(alpha) class     -> katz(alpha), partial sum
+    * parallel, alpha*lambda within 1e-6 of 1  -> eigenvector, cesaro average
+    * any other decay, or a graph the measure does not admit -> DomainError
+    """
+    if kind is ProcessKind.DISTRIBUTED and alpha < 1:
+        measure = Measure(MeasureKind.PAGERANK, alpha)
+    elif kind is ProcessKind.DISTRIBUTED and alpha == 1:
+        measure = Measure(MeasureKind.KATZ_PRESTIGE)
+    elif kind is ProcessKind.DISTRIBUTED:
+        raise DomainError(f"distributed series with alpha = {alpha} matches no measure")
+    elif Measure(MeasureKind.KATZ, alpha).admits(g):  # refuses a decay with no float image
+        measure = Measure(MeasureKind.KATZ, alpha)
+    elif abs(float(alpha) * spectral_data(g).lam - 1.0) <= KATZ_MARGIN:
+        measure = Measure(MeasureKind.EIGENVECTOR)
+    else:
+        x = float(alpha) * spectral_data(g).lam
+        raise DomainError(f"parallel series with alpha * lambda = {x:.12g} matches no measure")
+    verdict = measure.admits(g)
+    if not verdict:
+        raise DomainError(f"graph is outside the {measure.kind.value} class: {verdict.reason}")
+    return measure
+
+
 @dataclass
 class RecursionCheck:
     """Outcome of matching a finite series against a measure's recursion.
@@ -294,47 +318,18 @@ def verify_recursion(g: Graph, series: SeriesAccumulator) -> RecursionCheck:
     Writing x for the partial sum up to T and W for the step matrix:
     x - alpha*W*x - b = -p(T+1), always.  Divided by T this becomes the
     undamped statement for the Cesaro average m = x/T: m - W*m =
-    (b - p(T+1))/T.  The branch taken (and the measure the series is
-    converging to) is picked by the decay:
-
-    * distributed, alpha < 1      -> pagerank(alpha), partial sum
-    * distributed, alpha = 1      -> katz-prestige, cesaro average
-    * parallel, g in the KATZ(alpha) class        -> katz(alpha), partial sum
-    * parallel, alpha*lambda within 1e-6 of 1     -> eigenvector, cesaro
-    * anything else -> DomainError
+    (b - p(T+1))/T.  The measure is ``_limit``'s, and so is its DomainError.
     """
     last = series.last
     kind, alpha, steps = last.kind, last.alpha, last.t
     order = g.node_ids
     after = step(g, last)  # refuses a series whose nodes are not g's
-
-    if kind is ProcessKind.DISTRIBUTED:
-        if alpha < 1:
-            measure = Measure(MeasureKind.PAGERANK, alpha)
-        elif alpha == 1:
-            measure = Measure(MeasureKind.KATZ_PRESTIGE)
-        else:
-            raise DomainError(
-                f"distributed series with alpha = {alpha} matches no measure"
-            )
-    else:
-        in_class = classify(g, GraphClass(ClassTag.KATZ, alpha))
-        product = float(alpha) * principal_eigenvalue(g)[1]
-        if in_class:
-            measure = Measure(MeasureKind.KATZ, alpha)
-        elif abs(product - 1.0) <= KATZ_MARGIN:
-            measure = Measure(MeasureKind.EIGENVECTOR)
-        else:
-            raise DomainError(
-                f"parallel series with alpha * lambda = {product:.12g} matches no measure"
-            )
+    measure = _limit(g, kind, alpha)
     # damped measures are limits of partial sums, undamped ones of Cesaro averages
     use_cesaro = measure.kind not in PARAMETRIC_KINDS
-    if use_cesaro and steps < 1:
-        raise DomainError("the cesaro branch needs at least one step")
-
     vector = series.cesaro if use_cesaro else series.partial_sum
-    assert vector is not None
+    if vector is None:  # a series of T = 0 steps has no Cesaro average
+        raise DomainError("the cesaro branch needs at least one step")
     flow = in_flow(g, vector, kind is ProcessKind.DISTRIBUTED)
 
     residual = {

@@ -298,6 +298,34 @@ class TestSimulate:
         assert "matches no measure" in diag["recursion_omitted"]
         assert "alpha * lambda" in diag["tail_bound_omitted"]
 
+    # a decay matched by a measure whose class the graph lies outside: the
+    # limit was named anyway, while `centrality` refused the same measure
+    OUTSIDE_CLASS = {
+        "kp": ("node a 1\nnode b 1\nedge a b 1\n", "distributed", "1",
+               "graph is outside the katz-prestige class: "
+               "node 'a' forms a component with no cycle through it"),
+        "ev": ("node a 1\nnode b 1\nnode c 1\nedge a a 2\nedge b c 1\nedge c b 1\n",
+               "parallel", "1/2",
+               "graph is outside the eigenvector class: "
+               "component principal eigenvalues differ: 1 vs 2"),
+    }
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("limit", list(OUTSIDE_CLASS))
+    def test_limit_outside_its_class_says_why_the_recursion_is_missing(
+        self, capsys, tmp_path, limit, mode
+    ):
+        text, process, alpha, reason = self.OUTSIDE_CLASS[limit]
+        path = tmp_path / "g.dg"
+        path.write_text(text)
+        doc = run_json(
+            capsys, "simulate", "--input", str(path), "--mode", mode,
+            "--process", process, "--alpha", alpha, "--steps", "5",
+        )
+        diag = doc["diagnostics"]
+        assert diag["recursion"] is None
+        assert diag["recursion_omitted"] == reason
+
     def test_zero_steps_has_no_cesaro(self, capsys):
         doc = run_json(
             capsys, "simulate", "--input", DEMO5, "--mode", "rational",
@@ -721,10 +749,65 @@ class TestCheckAxioms:
         err = usage_error(capsys, "check-axioms", "--measure", "kp", "--alpha", "0.5")
         assert "kp takes no --alpha" in err
 
+    @pytest.mark.parametrize(
+        "trials,axiom,measure", [("0", "cycle", "kp"), ("-3", "baseline", "pr")]
+    )
+    def test_fewer_than_one_trial_is_an_error_line(self, capsys, trials, axiom, measure):
+        # drew nothing, and reported every cell SKIPPED
+        code, out, err = run(
+            capsys, "check-axioms", "--trials", trials, "--axiom", axiom, "--measure", measure
+        )
+        assert (code, out, err) == (1, "", f"error: trials must be at least 1, got {trials}\n")
+
     def test_alpha_needs_a_measure(self):
         with pytest.raises(SystemExit) as exc:
             main(["check-axioms", "--alpha", "0.3"])
         assert exc.value.code == 2
+
+
+class TestOptionValues:
+    """A bad numeric option value is an error line that names the option; it
+    was reported as a "weight literal", as if it came from the graph file."""
+
+    ALPHA_REQUESTS = {
+        "centrality": ("centrality", "--input", DEMO5, "--measure", "katz"),
+        "simulate": ("simulate", "--input", DEMO5, "--process", "parallel"),
+        "classify": ("classify", "--input", DEMO5),
+        "check-axioms": ("check-axioms", "--axiom", "cycle", "--measure", "katz"),
+        "combine": ("transform", "combine", "--input", DEMO5, "--nodes", "v1,v2",
+                    "--measure", "katz"),
+    }
+    # the value, and the error line it gives in float mode
+    BAD_VALUES = {
+        "1e400": "error: {} '1e400' does not fit in a float\n",
+        "x": "error: bad {} 'x'\n",
+    }
+
+    def request(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        return err
+
+    @pytest.mark.parametrize("value", list(BAD_VALUES))
+    @pytest.mark.parametrize("verb", list(ALPHA_REQUESTS))
+    def test_alpha_value_names_the_option(self, capsys, verb, value):
+        argv = self.ALPHA_REQUESTS[verb]
+        mode = ("--mode", "float") if "--input" in argv else ()
+        err = self.request(capsys, *argv, *mode, "--alpha", value)
+        assert err == self.BAD_VALUES[value].format("--alpha")
+
+    @pytest.mark.parametrize("value", list(BAD_VALUES))
+    @pytest.mark.parametrize("op", ["em", "ec"])
+    def test_factor_value_names_the_option(self, capsys, op, value):
+        err = self.request(capsys, "transform", op, "--input", DEMO5, "--mode", "float",
+                           "--node", "v1", "--factor", value)
+        assert err == self.BAD_VALUES[value].format("--factor")
+
+    @pytest.mark.parametrize("value", list(BAD_VALUES))
+    def test_combining_value_names_the_option(self, capsys, value):
+        err = self.request(capsys, "transform", "combine", "--input", DEMO5, "--mode", "float",
+                           "--nodes", "v1,v2", "--values", f"1,{value}")
+        assert err == self.BAD_VALUES[value].format("--values")
 
 
 FLOAT_SOLVE_FAILED = (

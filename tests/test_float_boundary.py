@@ -156,3 +156,27 @@ def test_only_the_graph_module_divides_by_an_out_degree():
             if _divides_by_out_degree(node) and id(node) not in exempt
         ]
     assert offenders == []
+
+
+def test_only_the_limit_rule_names_a_walks_measure():
+    # walks._limit is the one map from a process and a decay to a measure;
+    # every other function in walks.py reaches a measure through it, and a
+    # class decision only through Measure.admits
+    tree = ast.parse((PACKAGE / "walks.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert imported.isdisjoint({"classify", "GraphClass", "ClassTag", "principal_eigenvalue"})
+    offenders = [
+        f"{func.name}:{node.lineno}"
+        for func in ast.walk(tree)
+        if isinstance(func, ast.FunctionDef) and func.name != "_limit"
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "Measure"
+    ]
+    assert offenders == []

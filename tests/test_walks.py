@@ -34,6 +34,7 @@ from feedback_centrality import (
     verify_recursion,
 )
 from feedback_centrality.graph import integer_steps
+from feedback_centrality.measures import PARAMETRIC_KINDS
 
 from .oracles import fraction_walk, walk_series
 from .strategies import rational_graphs
@@ -342,6 +343,81 @@ class TestVerifyRecursion:
         series = sum_series(loop_pair(), ProcessKind.DISTRIBUTED, F(1, 2), 5)
         with pytest.raises(DomainError, match="other nodes"):
             verify_recursion(demo5, series)
+
+
+SINK_PAIR = "node a 1\nnode b 1\nedge a b 1\n"
+# component eigenvalues 2 (the loop at a) and 1 (the 2-cycle b, c)
+LOOP_AND_CYCLE = "node a 1\nnode b 1\nnode c 1\nedge a a 2\nedge b c 1\nedge c b 1\n"
+LOOP_PAIR = "node a 1\nnode b 2\nedge a b 2\nedge b a 1\nedge b b 1\n"  # loop_pair(), lambda 2
+
+# one row per outcome of the limit rule: (graph, process, decay, the kind of
+# the limit, or the start of the DomainError's message)
+LIMIT_ROWS = {
+    "pagerank": (LOOP_PAIR, ProcessKind.DISTRIBUTED, F(1, 2), MeasureKind.PAGERANK),
+    "katz-prestige": (LOOP_PAIR, ProcessKind.DISTRIBUTED, F(1), MeasureKind.KATZ_PRESTIGE),
+    "katz": (LOOP_PAIR, ProcessKind.PARALLEL, F(1, 4), MeasureKind.KATZ),
+    "eigenvector": (LOOP_PAIR, ProcessKind.PARALLEL, F(1, 2), MeasureKind.EIGENVECTOR),
+    "distributed-beyond-one": (
+        LOOP_PAIR, ProcessKind.DISTRIBUTED, F(2), "distributed series with alpha = 2"
+    ),
+    "parallel-beyond-band": (
+        LOOP_PAIR, ProcessKind.PARALLEL, F(1),
+        "parallel series with alpha * lambda = 2 matches no measure",
+    ),
+    "katz-prestige-class": (
+        SINK_PAIR, ProcessKind.DISTRIBUTED, F(1),
+        "graph is outside the katz-prestige class: "
+        "node 'a' forms a component with no cycle through it",
+    ),
+    "eigenvector-class": (
+        LOOP_AND_CYCLE, ProcessKind.PARALLEL, F(1, 2),
+        "graph is outside the eigenvector class: component principal eigenvalues differ: 1 vs 2",
+    ),
+}
+
+
+class TestLimitRule:
+    """``verify_recursion`` names the measure of ``walks._limit``, and only
+    on a graph in that measure's class."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("row", list(LIMIT_ROWS))
+    def test_each_outcome_of_the_rule(self, row, mode):
+        text, kind, alpha, outcome = LIMIT_ROWS[row]
+        g = parse_graph(text, mode)
+        alpha = alpha if mode is Mode.RATIONAL else float(alpha)
+        series = sum_series(g, kind, alpha, 3)
+        if isinstance(outcome, str):
+            with pytest.raises(DomainError) as exc:
+                verify_recursion(g, series)
+            assert str(exc.value).startswith(outcome)
+            return
+        measure = verify_recursion(g, series).measure
+        assert measure.kind is outcome
+        assert measure.alpha == (alpha if outcome in PARAMETRIC_KINDS else None)
+
+    @given(
+        family=st.sampled_from(Family),
+        size=st.integers(1, 7),
+        seed=st.integers(0, 2**32),
+        exact=st.booleans(),
+        kind=st.sampled_from(ProcessKind),
+        # decays at, and just around, 1 (distributed) and 1/lambda (parallel)
+        scale=st.sampled_from([F(1, 2), 1 - F(2, 10**6), F(1), 1 + F(1, 10**7), F(2)]),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_a_named_limit_is_computable(self, family, size, seed, exact, kind, scale):
+        grid = (F(1, 2), F(1), F(3, 2), F(2)) if exact else None
+        g = generate(GeneratorSpec(family, (size, size), grid, seed))
+        lam = principal_eigenvalue(g)[1] if kind is ProcessKind.PARALLEL else 1.0
+        alpha = scale / F(lam if lam > 0 else 1.0)
+        alpha = alpha if exact else float(alpha)
+        series = sum_series(g, kind, alpha, 3)
+        try:
+            check = verify_recursion(g, series)
+        except DomainError:
+            return
+        check.measure.compute(g.to_float())  # the limit named is in its class
 
 
 class TestKernelConsistency:

@@ -27,6 +27,7 @@ import enum
 import random
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import isfinite
 
 from .errors import DomainError, PreconditionError, SingularMatrixError
 from .graph import (
@@ -784,9 +785,13 @@ def satisfaction_matrix(
     need, with node counts in ``size_range``.  Fully deterministic for a
     given (size_range, trials, tol, seed).  ``axioms``/``measures`` restrict
     the grid.  ``trials`` < 1 raises ``DomainError``: no draw, no verdict.
+    So does a ``tol`` that is not a finite number >= 0: a negative or NaN
+    tolerance fails every float cell, an infinite one passes every cell.
     """
     if trials < 1:
         raise DomainError(f"trials must be at least 1, got {trials}")
+    if not (isfinite(tol) and tol >= 0):
+        raise DomainError(f"tolerance must be a finite number >= 0, got {tol}")
     axioms = axioms if axioms is not None else ALL_AXIOMS
     measures = measures if measures is not None else MATRIX_MEASURES
 

@@ -2,7 +2,8 @@
 
 Everything here recomputes results through a different route than the
 library: explicit walk enumeration instead of state-vector iteration, dense
-numpy eigendecomposition instead of power iteration, least-squares
+numpy eigendecomposition instead of power iteration, power iteration tested
+after every step instead of once per block, least-squares
 stationary vectors instead of the replaced-row solve, Gaussian elimination
 over ``Fraction`` instead of fraction-free integer elimination, walks
 stepped over ``Fraction`` amounts instead of integer numerators over one
@@ -139,6 +140,26 @@ def dominant_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     y = np.abs(left[:, j].real)
     y = y / y.sum()
     return x, y, lam
+
+
+def stepwise_power_vector(
+    a: np.ndarray, shift: float, tol: float, max_iter: int
+) -> tuple[np.ndarray, float]:
+    """Power iteration on A + shift*I from the uniform vector, normalized
+    to sum 1 and tested after every step.  Returns the iterate and its
+    relative change max |x_new - x| / max(x_new) once that change is at most
+    ``tol``, or after ``max_iter`` steps, whichever comes first."""
+    n = a.shape[0]
+    x = np.full(n, 1.0 / n)
+    change = np.inf
+    for _ in range(max_iter):
+        y = a @ x + shift * x
+        y = y / y.sum()
+        change = float(np.abs(y - x).max() / y.max())
+        x = y
+        if change <= tol:
+            break
+    return x, change
 
 
 def ev_oracle(g: Graph) -> dict[str, float]:

@@ -759,6 +759,20 @@ class TestCheckAxioms:
         )
         assert (code, out, err) == (1, "", f"error: trials must be at least 1, got {trials}\n")
 
+    @pytest.mark.parametrize("tolerance,shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_tolerance_that_is_not_a_finite_number_at_least_0_is_an_error_line(
+        self, capsys, tolerance, shown
+    ):
+        # -1 and nan reported every cell FAIL, inf every cell PASS, each with
+        # a NaN or Infinity token in the JSON
+        code, out, err = run(
+            capsys, "check-axioms", "--trials", "2", "--axiom", "locality", "--measure", "pr",
+            "--max-size", "5", "--tolerance", tolerance,
+        )
+        assert (code, out, err) == (
+            1, "", f"error: tolerance must be a finite number >= 0, got {shown}\n"
+        )
+
     def test_alpha_needs_a_measure(self):
         with pytest.raises(SystemExit) as exc:
             main(["check-axioms", "--alpha", "0.3"])
@@ -1016,7 +1030,16 @@ def test_any_request_gives_a_result_or_an_error_line(fuzz_input, text, argv):
     _write_fresh(fuzz_input, text)
     code, out = _result_or_error_line([*argv, "--input", str(fuzz_input)])
     if code == 0:
-        assert json.loads(out)["command"] == argv[0]
+        assert _strict_json(out)["command"] == argv[0]
+
+
+def _refuse_constant(token):
+    raise ValueError(f"{token} is not a JSON number")
+
+
+def _strict_json(text):
+    """The document in ``text``; a NaN, Infinity or -Infinity token fails."""
+    return json.loads(text, parse_constant=_refuse_constant)
 
 
 def _write_fresh(path, text):
@@ -1079,7 +1102,7 @@ def _fuzz_other_requests(draw):
         if draw(st.booleans()):
             args += ["--alpha", draw(decay)]
         if draw(st.booleans()):
-            args += ["--tolerance", draw(st.sampled_from(["1e-8", "0", "-1", "nan"]))]
+            args += ["--tolerance", draw(st.sampled_from(["1e-8", "0", "-1", "nan", "inf"]))]
         return args
     op = draw(st.sampled_from(_FUZZ_TRANSFORMS))
     args = [verb, op, "--input", "{dir}/g.dg", *(mode if op != "regularize" else [])]
@@ -1106,6 +1129,11 @@ def _fuzz_other_requests(draw):
 @example(  # a float solve that fails inside an axiom check skips the instance
     text=_FUZZ_TEXTS[0], groups=_FUZZ_GROUPS[0], argv=[*_AXIOMS_AT_1E300, "edge-compensation"]
 )
+@example(  # passed every cell and printed "tolerance": Infinity
+    text=_FUZZ_TEXTS[0], groups=_FUZZ_GROUPS[0],
+    argv=["check-axioms", "--trials", "1", "--max-size", "3", "--axiom", "locality",
+          "--measure", "pr", "--tolerance", "inf"],
+)
 @settings(max_examples=300, derandomize=True, deadline=None)
 def test_other_verbs_give_a_result_or_an_error_line(fuzz_input, text, groups, argv):
     _write_fresh(fuzz_input, text)
@@ -1113,7 +1141,7 @@ def test_other_verbs_give_a_result_or_an_error_line(fuzz_input, text, groups, ar
     argv = [a.replace("{dir}", str(fuzz_input.parent)) for a in argv]
     code, out = _result_or_error_line(argv)
     if code == 0 and argv[0] != "transform":
-        assert json.loads(out)["command"] == argv[0]
+        assert _strict_json(out)["command"] == argv[0]
 
 
 # near-max-float inputs: every weight fits in a float, but a sum, a product or

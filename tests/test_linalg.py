@@ -23,7 +23,7 @@ from feedback_centrality.linalg import (
     perron_triple,
     solve_refined,
 )
-from .oracles import dominant_eig, fraction_gauss
+from .oracles import dominant_eig, fraction_gauss, stepwise_power_vector
 
 
 def random_irreducible(rng, n):
@@ -38,6 +38,30 @@ def cycle(n, w=2.0):
     a = np.zeros((n, n))
     for i in range(n):
         a[(i + 1) % n, i] = w
+    return a
+
+
+def float_large_shaped(rng, n, density):
+    """A random Hamiltonian cycle plus either each other edge with
+    probability 0.2 or 7 random out-edges per node, weights in [0.25, 3]."""
+    perm = rng.permutation(n)
+    if density == "dense":
+        mask = rng.random((n, n)) < 0.2
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        for u in range(n):
+            mask[u, rng.choice(n, size=7, replace=False)] = True
+    mask[perm, np.roll(perm, -1)] = True
+    src, dst = np.nonzero(mask)
+    a = np.zeros((n, n))
+    a[dst, src] = np.round(rng.uniform(0.25, 3.0, len(src)), 4)
+    return a
+
+
+def weighted_cycle(rng, n):
+    """A cycle with unequal weights: shifted power iteration converges slowly."""
+    a = np.zeros((n, n))
+    a[np.roll(np.arange(n), -1), np.arange(n)] = rng.uniform(0.5, 2.0, n)
     return a
 
 
@@ -120,6 +144,76 @@ class TestPerron:
             perron_triple(np.array([[-1.0]]))
         with pytest.raises(DomainError):
             perron_triple(np.zeros((2, 3)))
+
+
+_BLOCKED_CASES = {
+    **{
+        f"{n}-{density}": (float_large_shaped, n, density)
+        for n, density in (
+            (DENSE_EIG_LIMIT + 1, "dense"), (DENSE_EIG_LIMIT + 1, "sparse"), (50, "dense"),
+            (50, "sparse"), (200, "dense"), (200, "sparse"), (500, "sparse"),
+        )
+    },
+    **{f"cycle-{n}": (weighted_cycle, n) for n in (DENSE_EIG_LIMIT + 1, 48, 64)},
+}
+
+
+class TestBlockedPowerIteration:
+    """The power path, which normalizes and tests once per POWER_BLOCK
+    steps, against power iteration tested after every step and against
+    dense eig."""
+
+    @pytest.mark.parametrize("case", [*_BLOCKED_CASES, "cycle-1e308"])
+    def test_agrees_with_stepwise_iteration_and_dense_eig(self, case):
+        if case == "cycle-1e308":  # runs on A/max(A)
+            a = cycle(DENSE_EIG_LIMIT + 1, 1e308)
+        else:
+            make, *args = _BLOCKED_CASES[case]
+            a = make(np.random.default_rng([*_BLOCKED_CASES].index(case)), *args)
+        x, y, lam = perron_triple(a)
+        scale = a.max()
+        b = a / scale
+        xs, change_x = stepwise_power_vector(
+            b, b.sum(axis=0).max(), linalg.POWER_TOL, linalg.POWER_MAX_ITER
+        )
+        ys, change_y = stepwise_power_vector(
+            b.T, b.sum(axis=1).max(), linalg.POWER_TOL, linalg.POWER_MAX_ITER
+        )
+        assert max(change_x, change_y) <= linalg.POWER_TOL
+        xo, yo, lamo = dominant_eig(b)
+        for vx, vy, vlam in ((xs, ys, float(ys @ (b @ xs)) / float(ys @ xs)), (xo, yo, lamo)):
+            np.testing.assert_allclose(x, vx, rtol=0, atol=1e-10)
+            np.testing.assert_allclose(y, vy, rtol=0, atol=1e-10)
+            assert lam == pytest.approx(scale * vlam, rel=1e-12)
+        # one more step on B = (A + sI)/(2s) barely moves either vector.  The
+        # stopping test bounds the change of the last step only; on a cycle
+        # the subdominant modes rotate, so the next change can be a little
+        # larger (1.1 * POWER_TOL on 64-node cycles, stepwise or blocked)
+        for m, v in ((b, x), (b.T, y)):
+            shift = m.sum(axis=0).max()
+            step = (m + shift * np.eye(len(m))) / (2 * shift) @ v
+            step /= step.sum()
+            assert np.abs(step - v).max() <= 2 * linalg.POWER_TOL * step.max()
+
+    @pytest.mark.parametrize("cap", [3, 13])
+    def test_stops_after_exactly_the_step_cap(self, cap, monkeypatch):
+        # neither cap is a multiple of POWER_BLOCK; the change reported is
+        # that of step cap, not of the end of its block
+        assert cap % linalg.POWER_BLOCK
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", cap)
+        n = DENSE_EIG_LIMIT + 1
+        a = cycle(n) + np.diag(np.arange(n, dtype=float))
+        with pytest.raises(ConvergenceError) as exc:
+            perron_triple(a)
+        shift = a.sum(axis=0).max()
+        change = {k: stepwise_power_vector(a, shift, 0.0, k)[1] for k in (cap - 1, cap, cap + 1)}
+        assert exc.value.residual == pytest.approx(change[cap], rel=1e-9)
+        assert exc.value.residual != pytest.approx(change[cap - 1], rel=1e-3)
+        assert exc.value.residual != pytest.approx(change[cap + 1], rel=1e-3)
+        shown = f"{exc.value.residual:.3e}"
+        assert str(exc.value) == (
+            f"power iteration stalled after {cap} steps (achieved relative change {shown})"
+        )
 
 
 class TestSolveRefined:

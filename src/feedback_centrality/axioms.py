@@ -31,13 +31,10 @@ from math import isfinite
 
 from .errors import DomainError, PreconditionError, SingularMatrixError
 from .graph import (
-    ClassTag,
     Graph,
-    GraphClass,
     Mode,
     Weight,
     all_equal,
-    classify,
     coerce,
     delete_edge,
     graph_sum,
@@ -314,13 +311,13 @@ def check_axiom(
 
     Raises PreconditionError for malformed instances; returns a skipped
     verdict when the measure's class excludes a graph the check needs.
-    Rational-mode instances are held to exact equality (tolerance 0) for
-    the measures that compute exactly: they pass only when every pair is
-    equal, whatever the float deviation reads.
+    Rational-mode instances are held to exact equality (tolerance 0): they
+    pass only when every pair is equal, whatever the float deviation reads.
+    Eigenvector centrality refuses a rational graph, so it skips them.
     """
     _validate_instance(axiom, instance)
     g = instance.graph
-    exact = g.mode is Mode.RATIONAL and measure.kind is not MeasureKind.EIGENVECTOR
+    exact = g.mode is Mode.RATIONAL
     effective_tol = 0.0 if exact else tol
 
     try:
@@ -503,7 +500,7 @@ def _check_family(family: Family, g: Graph) -> None:
     elif family is Family.CYCLE:
         ok = is_constant_weight_cycle(g)
     elif family is Family.SUM_OF_SCCS:
-        ok = classify(g, GraphClass(ClassTag.KP)).ok
+        ok = Measure(MeasureKind.KATZ_PRESTIGE).admits(g).ok
     if not ok:
         raise DomainError(f"generated graph fails the {family.value} predicate")
 
@@ -647,9 +644,8 @@ def _build_instance(
             # Deleting an edge never raises the decay bound, so any edge keeps
             # the damped measures admissible; only the structural classes need
             # a deletable chord.
-            cls = measure.graph_class()
             for candidate in edges:
-                if classify(delete_edge(g, *candidate), cls).ok:
+                if measure.admits(delete_edge(g, *candidate)).ok:
                     chosen = candidate
                     break
         return AxiomInstance(g, edge=chosen)

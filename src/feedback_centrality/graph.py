@@ -79,12 +79,17 @@ def coerce_decay(mode: Mode, alpha: Weight) -> Weight:
     """The decay parameter as a number of ``mode``, as ``coerce`` gives it; a
     non-finite or negative decay raises ``DomainError``.  The one check of a
     decay that every measure and walk shares."""
-    alpha = coerce(mode, alpha, "decay parameter")
-    if isinstance(alpha, float) and not math.isfinite(alpha):
-        raise DomainError(f"decay parameter must be finite, got {alpha}")
+    value = coerce(mode, alpha, "decay parameter")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise DomainError(f"decay parameter must be finite, got {value}")
+    check_decay_sign(alpha)
+    return value
+
+
+def check_decay_sign(alpha: Weight) -> None:
+    """The one refusal of a negative decay, judged and shown as given."""
     if alpha < 0:
-        raise DomainError(f"decay parameter must be non-negative, got {alpha}")
-    return alpha
+        raise DomainError(f"decay parameter must be non-negative, got {format_weight(alpha)}")
 
 
 def all_equal(values: list[Weight], mode: Mode) -> bool:
@@ -153,14 +158,15 @@ def _quote(token: str) -> str:
     return repr(token) if len(token) <= 40 else f"{token[:40]!r}..."
 
 
-def format_weight(w: Weight) -> str:
-    """Serialize a weight: lowest-terms ``p/q`` (or bare integer) for
-    rationals, shortest round-trip decimal for floats.
+def format_weight(w: Weight | int) -> str:
+    """Serialize a number: lowest-terms ``p/q`` (or bare integer) for an int
+    or a rational, shortest round-trip decimal for a float.  Error messages
+    and measure names show their numbers by it too.
 
     ``DomainError`` when an exact value has more digits than Python converts
     (``sys.get_int_max_str_digits()``), which no ``.dg`` reader could parse.
     """
-    if isinstance(w, Fraction):
+    if isinstance(w, (int, Fraction)):
         try:
             if w.denominator == 1:
                 return str(w.numerator)
@@ -739,8 +745,8 @@ class GraphClass:
 
     def __post_init__(self):
         if self.tag is ClassTag.KATZ:
-            if self.alpha is None or self.alpha < 0:
-                raise DomainError("KATZ class needs a decay alpha >= 0")
+            if self.alpha is None:  # its sign and finiteness are classify's
+                raise DomainError("KATZ class needs a decay alpha")
         elif self.alpha is not None:
             raise DomainError(f"{self.tag.value} class carries no alpha")
 

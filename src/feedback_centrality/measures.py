@@ -36,9 +36,11 @@ from .graph import (
     Mode,
     Weight,
     adjacency_matrix,
+    check_decay_sign,
     classify,
     coerce,
     coerce_decay,
+    format_weight,
     in_flow,
     node_weight_vector,
     spectral_data,
@@ -59,6 +61,10 @@ class MeasureKind(enum.Enum):
 
 #: Kinds whose recursion carries a decay parameter.
 PARAMETRIC_KINDS = frozenset({MeasureKind.PAGERANK, MeasureKind.KATZ})
+
+#: Each measure's graph class; Katz's carries the measure's decay.
+_CLASS_TAGS = {MeasureKind.PAGERANK: ClassTag.ALL, MeasureKind.KATZ: ClassTag.KATZ,
+               MeasureKind.KATZ_PRESTIGE: ClassTag.KP, MeasureKind.EIGENVECTOR: ClassTag.EV}
 
 
 @dataclass
@@ -92,7 +98,8 @@ class Measure:
     """A centrality measure: a kind plus, where the kind needs one, a decay.
 
     ``alpha`` must match the numeric mode of the graphs it will be applied
-    to (Fraction for rational, float for float).
+    to (Fraction for rational, float for float).  The measure owns its
+    domain: the decay's sign and bound, and the class (``check_class``).
     """
 
     kind: MeasureKind
@@ -102,29 +109,26 @@ class Measure:
         if self.kind in PARAMETRIC_KINDS:
             if self.alpha is None:
                 raise DomainError(f"{self.kind.value} needs a decay parameter")
-            if self.alpha < 0:
-                raise DomainError("decay parameter must be non-negative")
-            if self.kind is MeasureKind.PAGERANK and self.alpha >= 1:
-                raise DomainError("pagerank decay must satisfy alpha < 1")
+            check_decay_sign(self.alpha)
+            if self.kind is MeasureKind.PAGERANK:
+                check_pagerank_decay(self.alpha)
         elif self.alpha is not None:
             raise DomainError(f"{self.kind.value} takes no decay parameter")
 
     def name(self) -> str:
         if self.alpha is not None:
-            return f"{self.kind.value}({self.alpha})"
+            return f"{self.kind.value}({format_weight(self.alpha)})"
         return self.kind.value
 
-    def graph_class(self) -> GraphClass:
-        if self.kind is MeasureKind.PAGERANK:
-            return GraphClass(ClassTag.ALL)
-        if self.kind is MeasureKind.KATZ:
-            return GraphClass(ClassTag.KATZ, self.alpha)
-        if self.kind is MeasureKind.KATZ_PRESTIGE:
-            return GraphClass(ClassTag.KP)
-        return GraphClass(ClassTag.EV)
-
     def admits(self, g: Graph) -> ClassVerdict:
-        return classify(g, self.graph_class())
+        alpha = self.alpha if self.kind is MeasureKind.KATZ else None
+        return classify(g, GraphClass(_CLASS_TAGS[self.kind], alpha))
+
+    def check_class(self, g: Graph) -> None:
+        """The one refusal of a graph outside the measure's class."""
+        verdict = self.admits(g)
+        if not verdict:
+            raise DomainError(f"graph is outside the {self.kind.value} class: {verdict.reason}")
 
     def compute(self, g: Graph) -> CentralityVector:
         if self.kind is MeasureKind.PAGERANK:
@@ -134,6 +138,13 @@ class Measure:
         if self.kind is MeasureKind.KATZ_PRESTIGE:
             return katz_prestige(g)
         return eigenvector_centrality(g)
+
+
+def check_pagerank_decay(alpha: Weight) -> Weight:
+    """``alpha``, after the one refusal of a decay beyond pagerank's bound."""
+    if alpha >= 1:
+        raise DomainError(f"pagerank needs 0 <= alpha < 1, got {format_weight(alpha)}")
+    return alpha
 
 
 # -- linear-system measures ---------------------------------------------------
@@ -192,9 +203,7 @@ def pagerank(g: Graph, alpha: Weight) -> CentralityVector:
     M is the out-degree-normalized adjacency; sink nodes pass nothing on.
     Defined for every graph.
     """
-    alpha = coerce_decay(g.mode, alpha)
-    if alpha >= 1:
-        raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
+    alpha = check_pagerank_decay(coerce_decay(g.mode, alpha))
     return _solve_damped(g, alpha, distributed=True)
 
 
@@ -206,9 +215,7 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
     the boundary and the solve becomes meaningless past it.
     """
     alpha = coerce_decay(g.mode, alpha)
-    verdict = classify(g, GraphClass(ClassTag.KATZ, alpha))
-    if not verdict:
-        raise DomainError(f"graph is outside the katz class: {verdict.reason}")
+    Measure(MeasureKind.KATZ, alpha).check_class(g)
     return _solve_damped(g, alpha, distributed=False)
 
 
@@ -220,9 +227,7 @@ def katz_prestige(g: Graph) -> CentralityVector:
     the component's total node weight.  Requires the graph to be a disjoint
     union of strongly connected graphs.
     """
-    verdict = classify(g, GraphClass(ClassTag.KP))
-    if not verdict:
-        raise DomainError(f"graph is outside the katz-prestige class: {verdict.reason}")
+    Measure(MeasureKind.KATZ_PRESTIGE).check_class(g)
     out: dict[str, Weight] = {}
     for comp in strongly_connected_components(g).components:
         comp_weight = sum((g.node_weight(v) for v in comp), zero(g.mode))
@@ -261,9 +266,7 @@ def eigenvector_centrality(g: Graph) -> CentralityVector:
         raise DomainError(
             "eigenvector centrality is float-only; convert the graph with to_float()"
         )
-    verdict = classify(g, GraphClass(ClassTag.EV))
-    if not verdict:
-        raise DomainError(f"graph is outside the eigenvector class: {verdict.reason}")
+    Measure(MeasureKind.EIGENVECTOR).check_class(g)
     data = spectral_data(g)
     out: dict[str, float] = {}
     for comp, x, y in zip(data.components, data.right_vectors, data.left_vectors):

@@ -28,6 +28,7 @@ from .graph import (
     Weight,
     coerce,
     coerce_decay,
+    format_weight,
     opposite_graph,
     out_regularity,
     semi_out_regularity,
@@ -39,6 +40,7 @@ from .measures import (
     PARAMETRIC_KINDS,
     Measure,
     MeasureKind,
+    check_pagerank_decay,
     eigenvector_centrality,
     katz_prestige,
 )
@@ -124,7 +126,7 @@ def edge_multiplication(g: Graph, u: str, factor: Weight) -> Graph:
     g._require_node(u)
     factor = coerce(g.mode, factor, "factor")
     if factor <= 0:
-        raise DomainError(f"edge multiplication needs a factor > 0, got {factor}")
+        raise DomainError(f"edge multiplication needs a factor > 0, got {format_weight(factor)}")
     return Graph.build(
         g.node_weights().items(),
         ((a, b, wt * factor if a == u else wt) for a, b, wt in g.edges()),
@@ -145,7 +147,7 @@ def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
     g._require_node(u)
     factor = coerce(g.mode, factor, "factor")
     if factor <= 0:
-        raise DomainError(f"edge compensation needs a factor > 0, got {factor}")
+        raise DomainError(f"edge compensation needs a factor > 0, got {format_weight(factor)}")
 
     def compensated(a: str, b: str, wt: Weight) -> Weight:
         if a == u and b != u:
@@ -189,11 +191,7 @@ def ec_regularize(g: Graph) -> Graph:
     like the eigenvector measure itself, and every component must carry
     positive node weight so that r is strictly positive.
     """
-    if g.mode is Mode.RATIONAL:
-        raise DomainError(
-            "eigenvector-based regularization is float-only; convert with to_float()"
-        )
-    r = eigenvector_centrality(opposite_graph(g))
+    r = eigenvector_centrality(opposite_graph(g))  # refuses a rational graph
     if min(r.values.values(), default=1.0) <= 0:
         raise DomainError(
             "regularization needs positive reverse eigenvector values; "
@@ -249,7 +247,7 @@ def build_impact_multigraph(g: Graph) -> ImpactMultigraph:
     total = g.total_node_weight()
     if total != 1:
         raise DomainError(
-            f"total node weight must be exactly 1, got {total}; "
+            f"total node weight must be exactly 1, got {format_weight(total)}; "
             "rescale the node weights first"
         )
     impacts = compute_impacts(g)
@@ -262,7 +260,8 @@ def build_impact_multigraph(g: Graph) -> ImpactMultigraph:
     scale = math.lcm(*(imp.denominator for imp in impacts.values()))
     if scale > SCALE_CAP:
         raise DomainError(
-            f"impact denominators need a scale of {scale}, beyond the cap {SCALE_CAP}"
+            f"impact denominators need a scale of {format_weight(scale)}, "
+            f"beyond the cap {SCALE_CAP}"
         )
     multiplicity: dict[tuple[str, str], int] = {}
     for edge, imp in impacts.items():
@@ -449,8 +448,8 @@ def profit_value(measure: Measure, spec: ProfitSpec) -> Weight:
             raise GraphFormatError("profit arguments must be finite")
     alpha = coerce_decay(mode, measure.alpha)
     katz = measure.kind is MeasureKind.KATZ
-    if not katz and alpha >= 1:  # an exact decay just below 1 may round to 1.0
-        raise DomainError(f"pagerank needs 0 <= alpha < 1, got {alpha}")
+    if not katz:  # an exact decay just below 1 may round to 1.0
+        check_pagerank_decay(alpha)
     value = (alpha * (y if katz else y / z)) * x
     if floaty and not math.isfinite(value):
         raise SingularMatrixError("profit value does not fit in a float")

@@ -48,6 +48,7 @@ from .graph import (
     adjacency_matrix,
     coerce,
     coerce_decay,
+    format_weight,
     in_flow,
     integer_steps,
     largest,
@@ -278,7 +279,9 @@ def _limit(g: Graph, kind: ProcessKind, alpha: Weight) -> Measure:
     elif kind is ProcessKind.DISTRIBUTED and alpha == 1:
         measure = Measure(MeasureKind.KATZ_PRESTIGE)
     elif kind is ProcessKind.DISTRIBUTED:
-        raise DomainError(f"distributed series with alpha = {alpha} matches no measure")
+        raise DomainError(
+            f"distributed series with alpha = {format_weight(alpha)} matches no measure"
+        )
     elif Measure(MeasureKind.KATZ, alpha).admits(g):  # refuses a decay with no float image
         measure = Measure(MeasureKind.KATZ, alpha)
     elif abs(float(alpha) * spectral_data(g).lam - 1.0) <= KATZ_MARGIN:
@@ -286,9 +289,7 @@ def _limit(g: Graph, kind: ProcessKind, alpha: Weight) -> Measure:
     else:
         x = float(alpha) * spectral_data(g).lam
         raise DomainError(f"parallel series with alpha * lambda = {x:.12g} matches no measure")
-    verdict = measure.admits(g)
-    if not verdict:
-        raise DomainError(f"graph is outside the {measure.kind.value} class: {verdict.reason}")
+    measure.check_class(g)
     return measure
 
 

@@ -251,6 +251,14 @@ class TestNodeScalings:
         assert verdict.skipped and not verdict.passed
         assert verdict.skipped_reason == "value of node 'a' does not fit in a float"
 
+    def test_rational_eigenvector_instance_is_skipped_by_the_measure(self):
+        # a rational instance is exact for every measure; the eigenvector
+        # measure's float-only refusal skips it, with no second copy here
+        inst = AxiomInstance(graph=two_cycle(), other=two_cycle(("c", "d")))
+        verdict = check_axiom(AxiomId(AxiomTag.LOCALITY), EV, inst)
+        assert verdict.skipped and verdict.tolerance == 0.0
+        assert verdict.skipped_reason.startswith("eigenvector centrality is float-only;")
+
     def test_float_solve_failure_is_skipped(self):
         # on the path a -> b -> c the katz value of c at decay 1e300 is about
         # 1e600: the float solve's SingularMatrixError escaped check_axiom

@@ -823,6 +823,38 @@ class TestOptionValues:
                            "--nodes", "v1,v2", "--values", f"1,{value}")
         assert err == self.BAD_VALUES[value].format("--values")
 
+    # an exact value with more digits than str() converts, and the text that
+    # showed it: each raised ValueError ("Exceeds the limit (4300 digits)")
+    DIGIT_LIMIT_ERROR = (
+        f"error: exact value has more than {sys.get_int_max_str_digits()} digits to print\n"
+    )
+    DIGIT_LIMIT_REQUESTS = {
+        "negative-decay": ("simulate", "--input", DEMO5, "--process", "distributed",
+                           "--alpha=-1e5000", "--steps", "2"),
+        "limit-rule-decay": ("simulate", "--input", DEMO5, "--process", "distributed",
+                             "--alpha=1e5000", "--steps", "2"),
+        "katz-name": ("centrality", "--input", DEMO5, "--measure", "katz", "--alpha=1e-5000"),
+        "pagerank-name": ("centrality", "--input", DEMO5, "--measure", "pr", "--alpha=1e-5000"),
+        "limit-measure-name": ("simulate", "--input", DEMO5, "--process", "parallel",
+                               "--alpha=1e-5000", "--steps", "2"),
+        "em-factor": ("transform", "em", "--input", DEMO5, "--node", "v1",
+                      "--factor=-1e5000"),
+        "ec-factor": ("transform", "ec", "--input", DEMO5, "--node", "v1",
+                      "--factor=-1e5000"),
+    }
+
+    @pytest.mark.parametrize("request_name", list(DIGIT_LIMIT_REQUESTS))
+    def test_number_past_the_digit_limit_is_one_error_line(self, capsys, request_name):
+        err = self.request(capsys, *self.DIGIT_LIMIT_REQUESTS[request_name], "--mode", "rational")
+        assert err == self.DIGIT_LIMIT_ERROR
+
+    def test_impact_total_past_the_digit_limit_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "g.dg"
+        path.write_text("node a 1e-5000\nnode b 1\nedge a b 1\nedge b a 1\n")
+        err = self.request(capsys, "euler-construct", "--input", str(path),
+                           "--output", str(tmp_path / "cycle.dg"))
+        assert err == self.DIGIT_LIMIT_ERROR
+
 
 FLOAT_SOLVE_FAILED = (
     "float solve failed: the matrix is singular to float precision "
@@ -991,7 +1023,8 @@ class TestSharedParser:
 
 # requests over .dg texts from the parse gate's token pool, in both modes
 _FUZZ_DECAYS = ("1/2", "0.85", "1", "0", "1/10", "1e300", "1e400", "5e-324", "-1", "nan", "inf",
-                "3/0", "x")
+                "3/0", "x", "1e5000", "-1e5000", "1e-5000")
+_DEMO5_TEXT = Path(DEMO5).read_text()
 
 
 @st.composite
@@ -1023,6 +1056,25 @@ def fuzz_input(tmp_path_factory):
 @example(  # an exact value too long for str(), a ValueError
     text="node a 1\nnode b 1\nedge a a 1e300\nedge a b 1\n",
     argv=["simulate", "--process", "parallel", "--alpha", "1e300", "--steps", "12",
+          "--mode", "rational"],
+)
+@example(  # each exact decay below shows in a message or a name; str() raised ValueError
+    text=_DEMO5_TEXT,
+    argv=["simulate", "--process", "distributed", "--alpha=-1e5000", "--steps", "2",
+          "--mode", "rational"],
+)
+@example(
+    text=_DEMO5_TEXT,
+    argv=["simulate", "--process", "distributed", "--alpha=1e5000", "--steps", "2",
+          "--mode", "rational"],
+)
+@example(text=_DEMO5_TEXT, argv=["centrality", "--measure", "katz", "--alpha=1e-5000",
+                                 "--mode", "rational"])
+@example(text=_DEMO5_TEXT, argv=["centrality", "--measure", "pr", "--alpha=1e-5000",
+                                 "--mode", "rational"])
+@example(
+    text=_DEMO5_TEXT,
+    argv=["simulate", "--process", "parallel", "--alpha=1e-5000", "--steps", "2",
           "--mode", "rational"],
 )
 @settings(max_examples=600, derandomize=True, deadline=None)
@@ -1128,6 +1180,16 @@ def _fuzz_other_requests(draw):
 )
 @example(  # a float solve that fails inside an axiom check skips the instance
     text=_FUZZ_TEXTS[0], groups=_FUZZ_GROUPS[0], argv=[*_AXIOMS_AT_1E300, "edge-compensation"]
+)
+@example(  # the factor shows in the refusal; str() of it raised ValueError
+    text=_DEMO5_TEXT, groups=_FUZZ_GROUPS[0],
+    argv=["transform", "em", "--input", "{dir}/g.dg", "--mode", "rational", "--node", "v1",
+          "--factor=-1e5000"],
+)
+@example(
+    text=_DEMO5_TEXT, groups=_FUZZ_GROUPS[0],
+    argv=["transform", "ec", "--input", "{dir}/g.dg", "--mode", "rational", "--node", "v1",
+          "--factor=-1e5000"],
 )
 @example(  # passed every cell and printed "tolerance": Infinity
     text=_FUZZ_TEXTS[0], groups=_FUZZ_GROUPS[0],

@@ -170,6 +170,9 @@ NEGATIVE_DECAY_CALLS = {
     "total_per_step": lambda g, a: total_per_step(g, DISTRIBUTED, a, 3),
     "initial_state": lambda g, a: initial_state(g, PARALLEL, a),
     "geometric_tail_bound": lambda g, a: geometric_tail_bound(g, PARALLEL, a, 3),
+    "Measure-katz": lambda g, a: Measure(MeasureKind.KATZ, a),
+    "Measure-pagerank": lambda g, a: Measure(MeasureKind.PAGERANK, a),
+    "classify-katz": lambda g, a: classify(g, GraphClass(ClassTag.KATZ, a)),
 }
 
 
@@ -181,3 +184,42 @@ def test_negative_decay_has_one_message(call, mode):
     with pytest.raises(DomainError) as exc:
         NEGATIVE_DECAY_CALLS[call](g, decay)
     assert str(exc.value) == f"decay parameter must be non-negative, got {decay}"
+
+
+def _pagerank(mode, alpha):
+    return pagerank(parse_graph(GRAPHS["demo5"], mode), alpha)
+
+
+def _profit(alpha, spec):
+    return profit_value(Measure(MeasureKind.PAGERANK, alpha), spec)
+
+
+# one bound, one text; its value is the decay checked: as given to Measure,
+# in the graph's mode for pagerank, and in the probe's mode for profit_value
+# (an exact decay just below 1 rounds to 1.0 in float mode; in rational mode
+# the Measure it is handed meets the bound first)
+PAGERANK_BOUND_CALLS = {
+    "pagerank-rational": (lambda: _pagerank(Mode.RATIONAL, F(1)), "1"),
+    "pagerank-float": (lambda: _pagerank(Mode.FLOAT, 1.0), "1.0"),
+    "pagerank-float-exact-decay": (lambda: _pagerank(Mode.FLOAT, F(1)), "1.0"),
+    "Measure-int": (lambda: Measure(MeasureKind.PAGERANK, 1), "1"),
+    "Measure-float": (lambda: Measure(MeasureKind.PAGERANK, 1.0), "1.0"),
+    "profit_value-rational": (lambda: _profit(F(1), ProfitSpec(F(1), F(1), F(2))), "1"),
+    "profit_value-float": (
+        lambda: _profit(1 - F(1, 2**60), ProfitSpec(1.0, 1.0, 2.0)), "1.0"
+    ),
+}
+
+
+@pytest.mark.parametrize("call", list(PAGERANK_BOUND_CALLS))
+def test_pagerank_bound_has_one_message(call):
+    run, shown = PAGERANK_BOUND_CALLS[call]
+    with pytest.raises(DomainError) as exc:
+        run()
+    assert str(exc.value) == f"pagerank needs 0 <= alpha < 1, got {shown}"
+
+
+def test_pagerank_bound_past_the_digit_limit_is_a_domain_error():
+    # str() of the decay in the message raised ValueError
+    with pytest.raises(DomainError, match="exact value has more than"):
+        _pagerank(Mode.RATIONAL, F(10) ** 5000)

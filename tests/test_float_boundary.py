@@ -6,6 +6,7 @@ library call handed an exact value that does not fit raises a
 """
 
 import ast
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -180,3 +181,55 @@ def test_only_the_limit_rule_names_a_walks_measure():
         and node.func.id == "Measure"
     ]
     assert offenders == []
+
+
+def _homes_of_raise(pattern: str) -> list[str]:
+    """``module.function`` of every ``raise`` in the package whose literal
+    text (an f-string's fields left out) matches ``pattern``."""
+    homes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        funcs = [f for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Raise):
+                continue
+            text = "".join(
+                c.value
+                for c in ast.walk(node)
+                if isinstance(c, ast.Constant) and isinstance(c.value, str)
+            )
+            if re.search(pattern, text):
+                inside = [f for f in funcs if f.lineno <= node.lineno <= f.end_lineno]
+                home = max(inside, key=lambda f: f.lineno).name if inside else "<module>"
+                homes.append(f"{path.stem}.{home}")
+    return homes
+
+
+# each domain rule of a measure, by a pattern that also matches its former
+# wordings ("pagerank decay must satisfy alpha < 1", "KATZ class needs a
+# decay alpha >= 0"), and the one function that raises it
+DOMAIN_RULES = {
+    "class refusal": (r"graph is outside the .* class", "measures.check_class"),
+    "float-only": (r"float-only", "measures.eigenvector_centrality"),
+    "pagerank bound": (r"pagerank .*alpha < 1", "measures.check_pagerank_decay"),
+    "negative decay": (r"decay .*(non-negative|>= 0)", "graph.check_decay_sign"),
+}
+
+
+@pytest.mark.parametrize("rule", list(DOMAIN_RULES))
+def test_each_domain_rule_has_one_home(rule):
+    pattern, home = DOMAIN_RULES[rule]
+    assert _homes_of_raise(pattern) == [home]
+
+
+def test_only_measures_and_the_classify_report_build_a_graph_class():
+    # a measure's class is Measure.admits's; `fbcent classify` reports
+    # every class of a graph, the Katz one at its own --alpha
+    builders = {
+        path.name
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "GraphClass"
+    }
+    assert builders <= {"measures.py", "cli.py"}

@@ -531,8 +531,6 @@ NON_FINITE_DECAY_CASES = [
     (call, alpha)
     for call in NON_FINITE_DECAY_CALLS
     for alpha in (float("inf"), float("-inf"), float("nan"))
-    # GraphClass itself refuses a negative decay
-    if not (call == "classify" and alpha < 0)
 ]
 
 

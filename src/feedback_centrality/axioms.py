@@ -37,6 +37,7 @@ from .graph import (
     all_equal,
     coerce,
     delete_edge,
+    format_weight,
     graph_sum,
     is_strongly_connected,
     largest,
@@ -146,7 +147,7 @@ class AxiomInstance:
         if self.node is not None:
             doc["node"] = self.node
         if self.factor is not None:
-            doc["factor"] = str(self.factor)
+            doc["factor"] = format_weight(self.factor)
         return doc
 
 
@@ -191,22 +192,42 @@ def is_constant_weight_cycle(g: Graph) -> bool:
     return all_equal([w for _u, _v, w in g.edges()], g.mode)
 
 
-def _validate_instance(axiom: AxiomId, instance: AxiomInstance) -> None:
+def _evaluate(
+    axiom: AxiomId, measure: Measure, instance: AxiomInstance
+) -> list[tuple[Weight, Weight, str]]:
+    """The axiom's hypothesis on the instance, then its list of claimed
+    equalities (lhs, rhs, label).  ``PreconditionError`` when the instance
+    does not meet the hypothesis."""
     g = instance.graph
     _require(len(g) >= 1, "instance graph has no nodes")
     tag = axiom.tag
 
     if tag is AxiomTag.LOCALITY:
-        _require(instance.other is not None, "locality needs a second graph")
-        _require(len(instance.other) >= 1, "second graph has no nodes")
-        clash = set(g.node_ids) & set(instance.other.node_ids)
+        h = instance.other
+        _require(h is not None, "locality needs a second graph")
+        _require(len(h) >= 1, "second graph has no nodes")
+        clash = set(g.node_ids) & set(h.node_ids)
         _require(not clash, f"graphs share node ids: {sorted(clash)!r}")
-        _require(g.mode is instance.other.mode, "graphs differ in numeric mode")
-    elif tag is AxiomTag.EDGE_DELETION:
+        _require(g.mode is h.mode, "graphs differ in numeric mode")
+        combined = graph_sum(g, h)
+        fg = measure.compute(g)
+        fh = measure.compute(h)
+        fc = measure.compute(combined)
+        pairs = [(fc[v], fg[v], v) for v in g.node_ids]
+        pairs.extend((fc[v], fh[v], v) for v in h.node_ids)
+        return pairs
+
+    if tag is AxiomTag.EDGE_DELETION:
         _require(instance.edge is not None, "edge deletion needs an edge")
         u, t = instance.edge
         _require(g.has_edge(u, t), f"edge {u!r} -> {t!r} is not in the graph")
-    elif tag is AxiomTag.NODE_COMBINATION:
+        reduced = delete_edge(g, u, t)
+        f = measure.compute(g)
+        fr = measure.compute(reduced)
+        reach = successors(g, u)
+        return [(fr[v], f[v], v) for v in g.node_ids if v not in reach]
+
+    if tag is AxiomTag.NODE_COMBINATION:
         _require(instance.nodes is not None, "node combination needs a node pair")
         u, w = instance.nodes
         _require(u in g and w in g, "node pair not in the graph")
@@ -224,53 +245,6 @@ def _validate_instance(axiom: AxiomId, instance: AxiomInstance) -> None:
         elif axiom.variant is NCVariant.SEMI_OUT_REGULAR:
             ok, _r = semi_out_regularity(g)
             _require(ok, "graph is not semi-out-regular")
-    elif tag in (AxiomTag.EDGE_MULTIPLICATION, AxiomTag.EDGE_COMPENSATION):
-        _require(instance.node is not None, f"{tag.value} needs a node")
-        _require(instance.node in g, f"unknown node {instance.node!r}")
-        _require(instance.factor is not None, f"{tag.value} needs a factor")
-        _require(instance.factor > 0, "factor must be positive")
-    elif tag is AxiomTag.BASELINE:
-        _require(instance.node is not None, "baseline needs a node")
-        z = instance.node
-        _require(z in g, f"unknown node {z!r}")
-        _require(
-            not g.out_edges(z) and not g.in_edges(z),
-            f"node {z!r} is not isolated",
-        )
-    elif tag is AxiomTag.CYCLE:
-        _require(
-            is_constant_weight_cycle(g),
-            "graph is not a constant-weight cycle",
-        )
-
-
-def _evaluate(
-    axiom: AxiomId, measure: Measure, instance: AxiomInstance
-) -> list[tuple[Weight, Weight, str]]:
-    """The axiom's list of claimed equalities (lhs, rhs, label)."""
-    g = instance.graph
-    tag = axiom.tag
-
-    if tag is AxiomTag.LOCALITY:
-        h = instance.other
-        combined = graph_sum(g, h)
-        fg = measure.compute(g)
-        fh = measure.compute(h)
-        fc = measure.compute(combined)
-        pairs = [(fc[v], fg[v], v) for v in g.node_ids]
-        pairs.extend((fc[v], fh[v], v) for v in h.node_ids)
-        return pairs
-
-    if tag is AxiomTag.EDGE_DELETION:
-        u, t = instance.edge
-        reduced = delete_edge(g, u, t)
-        f = measure.compute(g)
-        fr = measure.compute(reduced)
-        reach = successors(g, u)
-        return [(fr[v], f[v], v) for v in g.node_ids if v not in reach]
-
-    if tag is AxiomTag.NODE_COMBINATION:
-        u, w = instance.nodes
         f = measure.compute(g)
         combined = proportional_combine(g, u, w, f[u], f[w])
         fc = measure.compute(combined)
@@ -278,14 +252,17 @@ def _evaluate(
         pairs.extend((fc[v], f[v], v) for v in g.node_ids if v not in (u, w))
         return pairs
 
-    if tag is AxiomTag.EDGE_MULTIPLICATION:
-        scaled = edge_multiplication(g, instance.node, instance.factor)
-        f = measure.compute(g)
-        fs = measure.compute(scaled)
-        return [(fs[v], f[v], v) for v in g.node_ids]
-
-    if tag is AxiomTag.EDGE_COMPENSATION:
+    if tag in (AxiomTag.EDGE_MULTIPLICATION, AxiomTag.EDGE_COMPENSATION):
         u = instance.node
+        _require(u is not None, f"{tag.value} needs a node")
+        _require(u in g, f"unknown node {u!r}")
+        _require(instance.factor is not None, f"{tag.value} needs a factor")
+        _require(instance.factor > 0, "factor must be positive")
+        if tag is AxiomTag.EDGE_MULTIPLICATION:
+            scaled = edge_multiplication(g, u, instance.factor)
+            f = measure.compute(g)
+            fs = measure.compute(scaled)
+            return [(fs[v], f[v], v) for v in g.node_ids]
         x = coerce(g.mode, instance.factor, "factor")
         compensated = edge_compensation(g, u, x)
         f = measure.compute(g)
@@ -295,11 +272,16 @@ def _evaluate(
         return pairs
 
     if tag is AxiomTag.BASELINE:
-        f = measure.compute(g)
         z = instance.node
+        _require(z is not None, "baseline needs a node")
+        _require(z in g, f"unknown node {z!r}")
+        _require(not g.out_edges(z) and not g.in_edges(z), f"node {z!r} is not isolated")
+        f = measure.compute(g)
         return [(f[z], g.node_weight(z), z)]
 
-    f = measure.compute(g)  # AxiomTag.CYCLE
+    # AxiomTag.CYCLE
+    _require(is_constant_weight_cycle(g), "graph is not a constant-weight cycle")
+    f = measure.compute(g)
     average = g.total_node_weight() / len(g)
     return [(f[v], average, v) for v in g.node_ids]
 
@@ -315,9 +297,7 @@ def check_axiom(
     pass only when every pair is equal, whatever the float deviation reads.
     Eigenvector centrality refuses a rational graph, so it skips them.
     """
-    _validate_instance(axiom, instance)
-    g = instance.graph
-    exact = g.mode is Mode.RATIONAL
+    exact = instance.graph.mode is Mode.RATIONAL
     effective_tol = 0.0 if exact else tol
 
     try:
@@ -449,18 +429,16 @@ def generate(spec: GeneratorSpec) -> Graph:
             g.add_edge(names[0], names[1], _draw_weight(spec, rng))
         elif g.num_edges == 0:
             g.add_edge(names[0], names[0], _draw_weight(spec, rng))
-    elif family is Family.STRONGLY_CONNECTED:
+    elif family in (Family.STRONGLY_CONNECTED, Family.SUM_OF_SCCS, Family.OUT_REGULAR):
         for v in names:
             g.add_node(v, _draw_weight(spec, rng))
-        _scc_block(g, names, spec, rng)
-    elif family in (Family.SUM_OF_SCCS, Family.OUT_REGULAR):
-        for v in names:
-            g.add_node(v, _draw_weight(spec, rng))
-        parts = rng.randint(2, 3) if family is Family.SUM_OF_SCCS else rng.randint(1, 2)
-        parts = min(parts, n)
-        sizes = _partition_sizes(n, parts, rng)
+        parts = 1  # Family.STRONGLY_CONNECTED: one block, no draw for its size
+        if family is Family.SUM_OF_SCCS:
+            parts = min(rng.randint(2, 3), n)
+        elif family is Family.OUT_REGULAR:
+            parts = min(rng.randint(1, 2), n)
         offset = 0
-        for size in sizes:
+        for size in _partition_sizes(n, parts, rng):
             _scc_block(g, names[offset : offset + size], spec, rng)
             offset += size
         if family is Family.OUT_REGULAR:
@@ -526,30 +504,29 @@ class CellStatus(enum.Enum):
     SKIPPED = "SKIPPED"
 
 
-EXPECTED_MATRIX: dict[tuple[AxiomTag, MeasureKind], CellStatus] = {}
-for _kind in MATRIX_MEASURES:
-    for _tag in (AxiomTag.LOCALITY, AxiomTag.EDGE_DELETION, AxiomTag.NODE_COMBINATION):
-        EXPECTED_MATRIX[(_tag, _kind)] = CellStatus.PASS
-EXPECTED_MATRIX.update(
-    {
-        (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.PAGERANK): CellStatus.PASS,
-        (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.KATZ_PRESTIGE): CellStatus.PASS,
-        (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.KATZ): CellStatus.FAIL,
-        (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.EIGENVECTOR): CellStatus.FAIL,
-        (AxiomTag.EDGE_COMPENSATION, MeasureKind.PAGERANK): CellStatus.FAIL,
-        (AxiomTag.EDGE_COMPENSATION, MeasureKind.KATZ_PRESTIGE): CellStatus.FAIL,
-        (AxiomTag.EDGE_COMPENSATION, MeasureKind.KATZ): CellStatus.PASS,
-        (AxiomTag.EDGE_COMPENSATION, MeasureKind.EIGENVECTOR): CellStatus.PASS,
-        (AxiomTag.BASELINE, MeasureKind.PAGERANK): CellStatus.PASS,
-        (AxiomTag.BASELINE, MeasureKind.KATZ): CellStatus.PASS,
-        (AxiomTag.BASELINE, MeasureKind.KATZ_PRESTIGE): CellStatus.SKIPPED,
-        (AxiomTag.BASELINE, MeasureKind.EIGENVECTOR): CellStatus.SKIPPED,
-        (AxiomTag.CYCLE, MeasureKind.PAGERANK): CellStatus.FAIL,
-        (AxiomTag.CYCLE, MeasureKind.KATZ): CellStatus.FAIL,
-        (AxiomTag.CYCLE, MeasureKind.KATZ_PRESTIGE): CellStatus.PASS,
-        (AxiomTag.CYCLE, MeasureKind.EIGENVECTOR): CellStatus.PASS,
-    }
-)
+EXPECTED_MATRIX: dict[tuple[AxiomTag, MeasureKind], CellStatus] = {
+    **{
+        (tag, kind): CellStatus.PASS
+        for kind in MATRIX_MEASURES
+        for tag in (AxiomTag.LOCALITY, AxiomTag.EDGE_DELETION, AxiomTag.NODE_COMBINATION)
+    },
+    (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.PAGERANK): CellStatus.PASS,
+    (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.KATZ_PRESTIGE): CellStatus.PASS,
+    (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.KATZ): CellStatus.FAIL,
+    (AxiomTag.EDGE_MULTIPLICATION, MeasureKind.EIGENVECTOR): CellStatus.FAIL,
+    (AxiomTag.EDGE_COMPENSATION, MeasureKind.PAGERANK): CellStatus.FAIL,
+    (AxiomTag.EDGE_COMPENSATION, MeasureKind.KATZ_PRESTIGE): CellStatus.FAIL,
+    (AxiomTag.EDGE_COMPENSATION, MeasureKind.KATZ): CellStatus.PASS,
+    (AxiomTag.EDGE_COMPENSATION, MeasureKind.EIGENVECTOR): CellStatus.PASS,
+    (AxiomTag.BASELINE, MeasureKind.PAGERANK): CellStatus.PASS,
+    (AxiomTag.BASELINE, MeasureKind.KATZ): CellStatus.PASS,
+    (AxiomTag.BASELINE, MeasureKind.KATZ_PRESTIGE): CellStatus.SKIPPED,
+    (AxiomTag.BASELINE, MeasureKind.EIGENVECTOR): CellStatus.SKIPPED,
+    (AxiomTag.CYCLE, MeasureKind.PAGERANK): CellStatus.FAIL,
+    (AxiomTag.CYCLE, MeasureKind.KATZ): CellStatus.FAIL,
+    (AxiomTag.CYCLE, MeasureKind.KATZ_PRESTIGE): CellStatus.PASS,
+    (AxiomTag.CYCLE, MeasureKind.EIGENVECTOR): CellStatus.PASS,
+}
 
 
 def _family_for(tag: AxiomTag, kind: MeasureKind) -> Family:
@@ -672,6 +649,9 @@ def _build_instance(
 
 @dataclass
 class CellResult:
+    """One (axiom, measure) cell; ``skip_reason`` is the first skipped
+    instance's reason, or ``None`` when no instance was skipped."""
+
     axiom: AxiomId
     measure: Measure
     status: CellStatus
@@ -683,6 +663,7 @@ class CellResult:
     max_deviation: float
     witness: AxiomInstance | None = None
     witness_verdict: AxiomVerdict | None = None
+    skip_reason: str | None = None
 
 
 @dataclass
@@ -715,8 +696,7 @@ def run_cell(
 ) -> CellResult:
     attempts = admissible = passed = failed = skipped = 0
     deviations = []
-    witness = None
-    witness_verdict = None
+    witness = witness_verdict = skip_reason = None
     cap = trials * 20
 
     while admissible < trials and attempts < cap:
@@ -727,6 +707,8 @@ def run_cell(
         attempts += 1
         if verdict.skipped:
             skipped += 1
+            if skip_reason is None:
+                skip_reason = verdict.skipped_reason
             continue
         admissible += 1
         deviations.append(verdict.max_deviation)
@@ -759,6 +741,7 @@ def run_cell(
         largest(enumerate(deviations), "deviation")[1],
         witness,
         witness_verdict,
+        skip_reason,
     )
 
 
@@ -813,26 +796,17 @@ def _remove_node(g: Graph, victim: str) -> Graph:
     )
 
 
-def _protected_nodes(axiom: AxiomId, instance: AxiomInstance) -> set[str]:
-    if axiom.tag is AxiomTag.EDGE_DELETION:
-        return set(instance.edge)
-    if axiom.tag is AxiomTag.NODE_COMBINATION:
-        return set(instance.nodes)
-    if instance.node is not None:
-        return {instance.node}
-    return set()
-
-
-def _shrink_candidates(axiom: AxiomId, instance: AxiomInstance):
-    protected = _protected_nodes(axiom, instance)
+def _shrink_candidates(instance: AxiomInstance):
+    """Every instance one node or edge smaller; a node the instance names
+    and the instance's own edge stay."""
+    named = {*(instance.edge or ()), *(instance.nodes or ()), instance.node}
     g = instance.graph
     for v in g.node_ids:
-        if v not in protected and len(g) > 1:
+        if v not in named and len(g) > 1:
             yield replace(instance, graph=_remove_node(g, v))
     for u, v, _wt in g.edges():
-        if axiom.tag is AxiomTag.EDGE_DELETION and (u, v) == instance.edge:
-            continue
-        yield replace(instance, graph=delete_edge(g, u, v))
+        if (u, v) != instance.edge:
+            yield replace(instance, graph=delete_edge(g, u, v))
     if instance.other is not None:
         h = instance.other
         for v in h.node_ids:
@@ -859,7 +833,7 @@ def shrink_instance(
     progress = True
     while progress and steps < SHRINK_MAX_STEPS:
         progress = False
-        for candidate in _shrink_candidates(axiom, current):
+        for candidate in _shrink_candidates(current):
             try:
                 verdict = check_axiom(axiom, measure, candidate, tol)
             except PreconditionError:

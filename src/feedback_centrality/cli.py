@@ -264,7 +264,7 @@ def _cmd_classify(args, parser) -> int:
         "eigenvector": _class_entry(classify(g, GraphClass(ClassTag.EV))),
     }
     if args.alpha is not None:
-        alpha = _option_weight("--alpha", args.alpha, Mode.FLOAT)
+        alpha = _option_weight("--alpha", args.alpha, mode)
         classes["katz"] = _class_entry(classify(g, GraphClass(ClassTag.KATZ, alpha)))
     diagnostics = {
         "nodes": len(g),
@@ -315,6 +315,7 @@ def _cmd_check_axioms(args, parser) -> int:
             "passed": cell.passed,
             "failed": cell.failed,
             "skipped": cell.skipped,
+            "skip_reason": cell.skip_reason,
             "max_deviation": _fmt6(cell.max_deviation),
             "witness": cell.witness.describe() if cell.witness is not None else None,
             "witness_deviation": (

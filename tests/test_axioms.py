@@ -1,5 +1,6 @@
 """The axiom checker: hand-built instances, generators, matrix machinery."""
 
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -36,6 +37,7 @@ from feedback_centrality import (
     parse_graph,
     satisfaction_matrix,
     semi_out_regularity,
+    serialize_graph,
     shrink_instance,
 )
 from feedback_centrality import axioms
@@ -350,6 +352,12 @@ class TestDescribe:
         inst = AxiomInstance(graph=two_cycle(), other=two_cycle(("c", "d")))
         assert "other" in inst.describe()
 
+    def test_huge_exact_factor_is_a_domain_error(self, demo5):
+        # str() of the factor raised a bare ValueError past the digit limit
+        inst = AxiomInstance(graph=demo5, node="v1", factor=F(10) ** 5000)
+        with pytest.raises(DomainError, match="digits to print"):
+            inst.describe()
+
 
 class TestGenerate:
     @pytest.mark.parametrize("family", list(Family))
@@ -390,6 +398,32 @@ class TestGenerate:
         with pytest.raises(DomainError):
             generate(GeneratorSpec(Family.GENERAL, size_range=(5, 3), seed=0))
 
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_corpus_is_pinned(self, family):
+        # the random draws of each family, in order: a reordered draw changes
+        # every corpus the satisfaction matrix and the benchmarks run on
+        digest = hashlib.sha256()
+        for grid in (None, (F(1, 2), F(1), F(3, 2), F(2))):
+            for size_range in ((1, 4), (3, 12), (2, 1)):
+                for seed in range(25):
+                    spec = GeneratorSpec(family, size_range, grid, seed)
+                    try:
+                        text = serialize_graph(generate(spec))
+                    except DomainError as exc:
+                        text = f"DomainError: {exc}"
+                    digest.update(text.encode())
+        assert digest.hexdigest() == CORPUS_DIGESTS[family]
+
+
+CORPUS_DIGESTS = {
+    Family.STRONGLY_CONNECTED: "aa05f90be6458395a5eef915d09c35c9bfc00fa992d5c599d0ee09494d8ee093",
+    Family.OUT_REGULAR: "bb43eb716b0f5caab1256d3b8a6c70981f9238e464c4976a4091c88bb3caa225",
+    Family.SEMI_OUT_REGULAR: "f13e3eed70635d83a8a6cc631e2e079d7c1e40336370885612e1fb174eddea04",
+    Family.GENERAL: "a7b5cd1f719b1762b4d1964a091bc24c281a9a649e5711f54da365879907a7ef",
+    Family.CYCLE: "bcf813d646e51dddd853410d2401c0bd9541b0b50c9655eaf0e228982c83eed6",
+    Family.SUM_OF_SCCS: "56fface3b321601dc531004849e7fb12e9954b0c88e00744e02cf5bda0028abd",
+}
+
 
 @pytest.fixture(scope="module")
 def small_report():
@@ -410,6 +444,16 @@ class TestSatisfactionMatrix:
             (AxiomTag.BASELINE, MeasureKind.KATZ_PRESTIGE),
             (AxiomTag.BASELINE, MeasureKind.EIGENVECTOR),
         }
+
+    def test_skipped_cells_give_the_first_reason(self, small_report):
+        # run_cell counted each skipped instance and dropped its reason
+        for kind in (MeasureKind.KATZ_PRESTIGE, MeasureKind.EIGENVECTOR):
+            assert small_report.cells[(AxiomTag.BASELINE, kind)].skip_reason == (
+                f"graph is outside the {kind.value} class: "
+                "node 'iso' forms a component with no cycle through it"
+            )
+        unskipped = [c for c in small_report.cells.values() if not c.skipped]
+        assert unskipped and all(c.skip_reason is None for c in unskipped)
 
     def test_failing_cells_carry_reverified_witnesses(self, small_report):
         failing = [c for c in small_report.cells.values() if c.status is CellStatus.FAIL]

@@ -494,6 +494,21 @@ class TestClassify:
         assert entry["ok"] is False
         assert entry["reason"]
 
+    @pytest.mark.parametrize(
+        "mode,alpha,expected",
+        [
+            ("rational", "-1/2", "error: decay parameter must be non-negative, got -1/2\n"),
+            ("float", "-1/2", "error: decay parameter must be non-negative, got -0.5\n"),
+            ("rational", "1e400", "error: decay parameter does not fit in a float\n"),
+        ],
+    )
+    def test_alpha_is_read_in_the_graphs_mode(self, capsys, mode, alpha, expected):
+        # classify read --alpha as a float in either mode: rational -1/2 said
+        # "got -0.5", and 1e400 "--alpha '1e400' does not fit in a float"
+        for verb in (("classify",), ("centrality", "--measure", "katz")):
+            got = run(capsys, *verb, "--input", DEMO5, "--mode", mode, f"--alpha={alpha}")
+            assert got == (1, "", expected)
+
 
 class TestTransforms:
     def test_em_is_exact_and_reparseable(self, capsys, demo5):
@@ -910,10 +925,12 @@ def test_float_solve_beyond_float_range_is_one_error_line(capsys, tmp_path, requ
     [
         # the refinement residual overflowed with two numpy warnings; then
         # the request exited 1 with the float solve's error line
-        ("edge-compensation", {"status": "PASS", "attempts": 3, "admissible": 2, "skipped": 1}),
+        ("edge-compensation", {"status": "PASS", "attempts": 3, "admissible": 2, "skipped": 1,
+                               "skip_reason": FLOAT_SOLVE_FAILED}),
         # exited 1 with the float solve's error line (at first numpy's bare
         # "Singular matrix")
-        ("baseline", {"status": "SKIPPED", "attempts": 2, "admissible": 0, "skipped": 2}),
+        ("baseline", {"status": "SKIPPED", "attempts": 2, "admissible": 0, "skipped": 2,
+                      "skip_reason": FLOAT_SOLVE_FAILED}),
     ],
     ids=["edge-compensation", "baseline"],
 )

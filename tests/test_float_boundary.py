@@ -222,6 +222,39 @@ def test_each_domain_rule_has_one_home(rule):
     assert _homes_of_raise(pattern) == [home]
 
 
+def _homes_of_members(module: str, enum: str) -> set[str]:
+    """Where ``module`` names a member of ``enum`` (``enum.MEMBER``): the
+    qualified name of the enclosing function or class, the name a
+    module-level assignment binds, or ``<module>``."""
+    homes = set()
+
+    def visit(node, home):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            home = f"{home}.{node.name}" if home else node.name
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == enum:
+            homes.add(home or "<module>")
+        for child in ast.iter_child_nodes(node):
+            visit(child, home)
+
+    for top in ast.parse((PACKAGE / module).read_text()).body:
+        target = None
+        if isinstance(top, ast.Assign):
+            target = top.targets[0]
+        elif isinstance(top, ast.AnnAssign):
+            target = top.target
+        visit(top, getattr(target, "id", ""))
+    return homes
+
+
+def test_each_axiom_has_one_home():
+    # an axiom's hypothesis and its claim are one branch of _evaluate; the
+    # shrinker reads what an instance names, never which axiom it is for
+    homes = _homes_of_members("axioms.py", "AxiomTag")
+    others = {home for home in homes if not home.startswith("AxiomId.")}
+    assert others <= {"_evaluate", "_build_instance", "_family_for", "EXPECTED_MATRIX"}
+    assert "_evaluate" in others
+
+
 def test_only_measures_and_the_classify_report_build_a_graph_class():
     # a measure's class is Measure.admits's; `fbcent classify` reports
     # every class of a graph, the Katz one at its own --alpha

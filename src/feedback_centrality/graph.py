@@ -79,7 +79,11 @@ def coerce_decay(mode: Mode, alpha: Weight) -> Weight:
     """The decay parameter as a number of ``mode``, as ``coerce`` gives it; a
     non-finite or negative decay raises ``DomainError``.  The one check of a
     decay that every measure and walk shares."""
-    value = coerce(mode, alpha, "decay parameter")
+    try:
+        value = coerce(mode, alpha, "decay parameter")
+    except DomainError:
+        check_decay_sign(alpha)  # a negative decay beyond the float range is refused for its sign
+        raise
     if isinstance(value, float) and not math.isfinite(value):
         raise DomainError(f"decay parameter must be finite, got {value}")
     check_decay_sign(alpha)

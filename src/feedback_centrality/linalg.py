@@ -1,6 +1,6 @@
 """Numeric helpers: Perron pairs of non-negative matrices, refined dense
-solves, and exact solves of rational systems by fraction-free (Bareiss)
-elimination on integers.
+solves, and exact solves of rational systems on integers, by fraction-free
+(Bareiss) elimination or, for larger systems, by p-adic (Dixon) lifting.
 
 For an irreducible non-negative A the eigenvalue with the largest real part
 is the simple Perron root, and its right and left eigenvectors are
@@ -19,7 +19,8 @@ normalization constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm, prod
+from operator import mul
 
 import numpy as np
 
@@ -40,6 +41,25 @@ POWER_MAX_ITER = 200_000
 
 #: Power steps between two normalizations and convergence tests.
 POWER_BLOCK = 8
+
+#: Smallest exact system solved by p-adic lifting.  On damped and
+#: stationary systems of sparse random graphs lifting overtakes Bareiss
+#: elimination between n = 24 (1.8 against 1.6 ms) and 32 (3.1 against
+#: 4.3 ms; mean of 9 systems, best of 5, on a 2-core Xeon).
+DIXON_MIN_N = 32
+
+#: Primes below 2**26 for the modular inverse, tried in order: lifting
+#: gives up on a matrix singular modulo both.
+DIXON_PRIMES = (67108859, 67108837)
+
+#: Largest system lifted: a digit C r mod p sums n products below p**2,
+#: which must stay below 2**63 in ``int64``.
+DIXON_MAX_N = (2**63 - 1) // max(DIXON_PRIMES) ** 2
+
+#: Lifting steps between two attempts at reconstructing the solution.  Past
+#: 8 * DIXON_CHECK_EVERY steps the gap grows to 1/8 of the steps taken, so
+#: the attempts, each quadratic in the digits, cost no more than the lift.
+DIXON_CHECK_EVERY = 4
 
 
 def _eig_vector(a: np.ndarray) -> np.ndarray:
@@ -159,16 +179,15 @@ def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
-    """Exact solve of a square rational system by fraction-free elimination.
+    """Exact solve of a square rational system.
 
     Entries may be anything ``Fraction`` accepts (floats convert exactly).
-    Each augmented row is scaled to integers by the LCM of its denominators;
-    Bareiss elimination then updates the rows below pivot p as
-    (a*p - f*b) // p_prev, exact by Sylvester's identity, so no step takes a
-    gcd.  Pivots on the first non-zero entry in each column (exact
-    arithmetic needs no magnitude pivoting), so the result is deterministic.
-    The last pivot d is a determinant, so d * x is an integer vector that
-    back substitution finds without fractions.
+    Each augmented row is scaled to integers by the LCM of its denominators.
+    Systems of ``DIXON_MIN_N`` to ``DIXON_MAX_N`` unknowns are solved by
+    p-adic lifting (``_dixon``), which returns only an answer verified
+    exactly in integers; every other system, and every one lifting gives up
+    on, by Bareiss elimination (``_bareiss``), which also names the column
+    of a singular matrix.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(rhs) != n:
@@ -178,7 +197,25 @@ def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
         row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*row, r)]
         scale = lcm(*(v.denominator for v in row))
         m.append([v.numerator * (scale // v.denominator) for v in row])
+    if DIXON_MIN_N <= n <= DIXON_MAX_N:
+        x = _dixon(m)
+        if x is not None:
+            return x
+    return _bareiss(m)
 
+
+def _bareiss(m: list[list[int]]) -> list[Fraction]:
+    """Solve the integer augmented rows ``m`` (modified in place) by
+    fraction-free elimination.
+
+    Bareiss elimination updates the rows below pivot p as
+    (a*p - f*b) // p_prev, exact by Sylvester's identity, so no step takes a
+    gcd.  Pivots on the first non-zero entry in each column (exact
+    arithmetic needs no magnitude pivoting), so the result is deterministic.
+    The last pivot d is a determinant, so d * x is an integer vector that
+    back substitution finds without fractions.
+    """
+    n = len(m)
     prev = 1
     for col in range(n):
         pivot_row = next((r for r in range(col, n) if m[r][col]), None)
@@ -205,3 +242,104 @@ def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
                 acc -= row[c] * y[c]
         y[r] = acc // row[r]
     return [Fraction(v, prev) for v in y]
+
+
+def _dixon(m: list[list[int]]) -> list[Fraction] | None:
+    """Solve the integer augmented rows ``m`` by p-adic lifting (Dixon,
+    Numer. Math. 40, 1982); None when the matrix is singular modulo every
+    prime of ``DIXON_PRIMES`` or no verified answer appears within the
+    Hadamard bound.
+
+    With C the inverse of A modulo p, each step takes the next p-adic digit
+    x_i = C r mod p of the solution and the new residual r = (r - A x_i) / p,
+    exact on integers.  Every few steps the digits so far are reconstructed
+    over one common denominator d and kept only if A y = d b holds exactly.
+    By Cramer's rule and Hadamard's inequality, d and every |y_j| are at most
+    sqrt(H), H the product of the squared norms of the augmented rows, so
+    reconstruction succeeds once p^k > 2H.
+    """
+    n = len(m)
+    rows = [([c for c, v in enumerate(row[:n]) if v], [v for v in row[:n] if v]) for row in m]
+
+    def times(vec: list[int]) -> list[int]:  # A vec, on the sparse rows
+        return [sum(map(mul, vals, map(vec.__getitem__, cols))) for cols, vals in rows]
+
+    for p in DIXON_PRIMES:
+        inverse = _inverse_mod(m, p)
+        if inverse is not None:
+            break
+    else:
+        return None
+    b = [row[n] for row in m]
+    limit = 2 * prod(sum(v * v for v in row) for row in m)
+    residual, x, modulus, step, check = b, [0] * n, 1, 0, DIXON_CHECK_EVERY
+    while True:
+        digit = (inverse @ np.array([v % p for v in residual], dtype=np.int64) % p).tolist()
+        residual = [(r - s) // p for r, s in zip(residual, times(digit))]
+        x = [v + modulus * d for v, d in zip(x, digit)]
+        modulus *= p
+        step += 1
+        if step == check or modulus > limit:
+            check += max(DIXON_CHECK_EVERY, step // 8)
+            found = _common_denominator(x, modulus)
+            if found is not None:
+                d, y = found
+                if times(y) == [d * r for r in b]:
+                    return [Fraction(v, d) for v in y]
+            if modulus > limit:
+                return None
+
+
+def _inverse_mod(m: list[list[int]], p: int) -> np.ndarray | None:
+    """Inverse of the square part of the augmented rows ``m`` modulo p by
+    ``int64`` Gauss-Jordan elimination, or None when it is singular mod p.
+    Entries stay below p, so every product is below p**2 < 2**52."""
+    n = len(m)
+    g = np.zeros((n, 2 * n), dtype=np.int64)
+    g[:, :n] = [[v % p for v in row[:n]] for row in m]
+    g[:, n:] = np.eye(n, dtype=np.int64)
+    for col in range(n):
+        nonzero = np.flatnonzero(g[col:, col])
+        if not nonzero.size:
+            return None
+        pivot = col + int(nonzero[0])
+        if pivot != col:
+            g[[col, pivot]] = g[[pivot, col]]
+        pivot_row = g[col, col:]
+        pivot_row *= pow(int(pivot_row[0]), -1, p)
+        pivot_row %= p
+        factors = g[:, col].copy()
+        factors[col] = 0
+        hit = np.flatnonzero(factors)  # only rows with an entry in this column change
+        block = g[hit, col:]
+        block -= np.multiply.outer(factors[hit], pivot_row)
+        block %= p
+        g[hit, col:] = block
+    return g[:, n:]
+
+
+def _common_denominator(x: list[int], modulus: int) -> tuple[int, list[int]] | None:
+    """A denominator d and numerators y with y_j = d x_j (mod ``modulus``),
+    d and every |y_j| at most sqrt(modulus / 2), found by rational
+    reconstruction (von zur Gathen & Gerhard, Modern Computer Algebra,
+    section 5.10) of each entry the current d does not already clear; None
+    when some entry has no such form."""
+    half = isqrt(modulus // 2)
+    d, y = 1, []
+    for v in x:
+        v = d * v % modulus
+        if half < v < modulus - half:
+            # extended Euclid on (modulus, v) until the remainder is small
+            r0, r1, t0, t1 = modulus, v, 0, 1
+            while r1 > half:
+                q = r0 // r1
+                r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+            if abs(d * t1) > half:
+                return None
+            v, t1 = (r1, t1) if t1 > 0 else (-r1, -t1)
+            d *= t1
+            y = [u * t1 for u in y]
+        elif v > half:
+            v -= modulus
+        y.append(v)
+    return d, y

@@ -3,6 +3,8 @@
 import contextlib
 import io
 import json
+import math
+import random
 import sys
 import warnings
 from fractions import Fraction as F
@@ -258,6 +260,42 @@ class TestCentrality:
         assert run(capsys, *argv) == parsed
         assert parsed[0] == 0
 
+    @pytest.mark.parametrize("measure", ["pr", "katz", "kp"])
+    def test_rational_measures_past_a_hundred_nodes_solve_the_recursion_exactly(
+        self, capsys, tmp_path, measure
+    ):
+        # a strongly connected graph shaped like the benchmark's exact ones:
+        # a covering cycle plus random edges, weights on a small grid
+        rng = random.Random(100)
+        grid = (F(1, 2), F(1), F(2), F(1, 3))
+        names = [f"r{i}" for i in range(101)]
+        nodes = {v: rng.choice(grid) for v in names}
+        order = rng.sample(names, len(names))
+        pairs = set(zip(order, order[1:] + order[:1]))
+        pairs |= {(u, v) for u in names for v in names if rng.random() < 0.08}
+        edges = [(u, v, rng.choice(grid)) for u, v in sorted(pairs)]
+        path = tmp_path / "r101.dg"
+        path.write_text("".join(
+            [f"node {v} {format_weight(w)}\n" for v, w in nodes.items()]
+            + [f"edge {u} {v} {format_weight(w)}\n" for u, v, w in edges]
+        ))
+        outdeg = dict.fromkeys(names, F(0))
+        for u, _v, w in edges:
+            outdeg[u] += w
+        # the largest out-degree bounds lambda, so this alpha keeps alpha * lambda <= 1/2
+        alpha = {"pr": F(17, 20), "katz": F(1, 2 * math.ceil(max(outdeg.values()))), "kp": 1}
+        argv = ["centrality", "--mode", "rational", "--input", str(path), "--measure", measure]
+        argv += [f"--alpha={alpha[measure]}"] if measure != "kp" else []
+        x = {v: F(s) for v, s in run_json(capsys, *argv)["values_full"].items()}
+        flow = dict.fromkeys(names, F(0))
+        for u, v, w in edges:
+            flow[v] += w * x[u] if measure == "katz" else w * x[u] / outdeg[u]
+        if measure == "kp":
+            assert all(x[v] == flow[v] for v in names)
+            assert sum(x.values()) == sum(nodes.values())
+        else:
+            assert all(x[v] == alpha[measure] * flow[v] + nodes[v] for v in names)
+
 
 class TestSimulate:
     def test_distributed_run_reports_the_limit_measure(self, capsys):
@@ -507,6 +545,14 @@ class TestClassify:
         # "got -0.5", and 1e400 "--alpha '1e400' does not fit in a float"
         for verb in (("classify",), ("centrality", "--measure", "katz")):
             got = run(capsys, *verb, "--input", DEMO5, "--mode", mode, f"--alpha={alpha}")
+            assert got == (1, "", expected)
+
+    def test_negative_decay_beyond_the_float_range_is_refused_for_its_sign(self, capsys):
+        # classify rounded the Katz decay to a float before judging its sign,
+        # so it said "decay parameter does not fit in a float"
+        expected = f"error: decay parameter must be non-negative, got -1{'0' * 400}\n"
+        for verb in (("classify",), ("centrality", "--measure", "katz")):
+            got = run(capsys, *verb, "--input", DEMO5, "--mode", "rational", "--alpha=-1e400")
             assert got == (1, "", expected)
 
 

@@ -1,6 +1,8 @@
 """Perron solver, the refined float solve and exact rational elimination."""
 
+import random
 from fractions import Fraction as F
+from math import isqrt
 
 import hypothesis.strategies as st
 import numpy as np
@@ -19,6 +21,9 @@ from feedback_centrality import (
 from feedback_centrality import linalg
 from feedback_centrality.linalg import (
     DENSE_EIG_LIMIT,
+    DIXON_MAX_N,
+    DIXON_MIN_N,
+    DIXON_PRIMES,
     gauss_rational,
     perron_triple,
     solve_refined,
@@ -261,6 +266,65 @@ def rational_systems(draw):
     return a, cells[n * n :]
 
 
+@st.composite
+def crossover_systems(draw):
+    """Square rational systems with DIXON_MIN_N - 2 .. DIXON_MIN_N + 8
+    unknowns, drawn from a seed: sparse ones shaped like I - alpha M (ones on
+    the diagonal), half-full and full ones, and sometimes a row that is a
+    combination of two others."""
+    n = draw(st.integers(DIXON_MIN_N - 2, DIXON_MIN_N + 8))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.1, 0.5, 1.0]))
+
+    def cell():
+        return F(rng.randint(-9, 9), rng.randint(1, 12))
+
+    a = [[cell() if rng.random() < density else F(0) for _ in range(n)] for _ in range(n)]
+    if density < 0.5:
+        for i in range(n):
+            a[i][i] = F(1)
+    if draw(st.integers(0, 3)) == 0:
+        i, j, k = rng.sample(range(n), 3)
+        s, t = cell(), cell()
+        a[k] = [s * u + t * v for u, v in zip(a[i], a[j])]
+    return a, [cell() for _ in range(n)]
+
+
+def dense_system(n, seed):
+    """A full rational system with a dominant diagonal, hence nonsingular."""
+    rng = random.Random(seed)
+    a = [[F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        a[i][i] += 9 * n
+    return a, [F(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)]
+
+
+def solve_or_refusal(solve, a, b):
+    """The solution, or the text of the ``SingularMatrixError`` refusing it."""
+    try:
+        return solve(a, b)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+#: (entry type, right-hand side, solution) for each entry type the solver
+#: accepts
+ENTRY_TYPES = (
+    (int, 5, F(5)),
+    (F, F(5, 7), F(5, 7)),
+    (float, 0.1, F(0.1)),
+    (str, "5/7", F(5, 7)),
+)
+
+
+def refuse_bareiss(m):
+    raise AssertionError("Bareiss elimination ran")
+
+
+def refuse_dixon(m):
+    raise AssertionError("p-adic lifting ran")
+
+
 class TestGaussRational:
     @pytest.mark.parametrize("seed", range(10))
     def test_exact_solutions(self, seed):
@@ -277,20 +341,32 @@ class TestGaussRational:
 
     def test_pivoting_handles_zero_leading_entry(self):
         # every entry type the solver accepts; a float converts exactly
-        for entry, b, x in (
-            (int, 5, F(5)),
-            (F, F(5, 7), F(5, 7)),
-            (float, 0.1, F(0.1)),
-            (str, "5/7", F(5, 7)),
-        ):
+        for entry, b, x in ENTRY_TYPES:
             a = [[entry(0), entry(1)], [entry(1), entry(0)]]
             assert gauss_rational(a, [entry(3), b]) == [x, F(3)]
+
+    def test_entry_types_past_the_crossover(self):
+        # the anti-diagonal matrix has a zero leading entry in every column
+        # but the last
+        n = DIXON_MIN_N + 1
+        for entry, b, x in ENTRY_TYPES:
+            a = [[entry(int(i + j == n - 1)) for j in range(n)] for i in range(n)]
+            assert gauss_rational(a, [entry(3)] * (n - 1) + [b]) == [x] + [F(3)] * (n - 1)
 
     def test_singular_raises(self):
         for entry in (int, F, float, str):
             a = [[entry(1), entry(2)], [entry(2), entry(4)]]
             with pytest.raises(SingularMatrixError):
                 gauss_rational(a, [entry(1), entry(1)])
+
+    def test_singular_past_the_crossover_raises(self):
+        # the second row is twice the first; the rest is the identity
+        n = DIXON_MIN_N + 1
+        for entry in (int, F, float, str):
+            a = [[entry(int(i == j)) for j in range(n)] for i in range(n)]
+            a[0][1], a[1][0], a[1][1] = entry(2), entry(2), entry(4)
+            with pytest.raises(SingularMatrixError, match="^no pivot in column 1$"):
+                gauss_rational(a, [entry(1)] * n)
 
     @pytest.mark.parametrize(
         "a, b",
@@ -336,6 +412,75 @@ class TestGaussRational:
             np.array([float(v) for v in b]),
         )
         np.testing.assert_allclose([float(v) for v in exact], approx, rtol=1e-12)
+
+    @given(crossover_systems())
+    @settings(max_examples=8, deadline=None)
+    def test_matches_fraction_elimination_across_the_crossover(self, system):
+        # the oracle, and the Bareiss path the same system takes when the
+        # lifting threshold lies above it
+        a, b = system
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "DIXON_MIN_N", len(a) + 1)
+            bareiss = solve_or_refusal(gauss_rational, a, b)
+        got = solve_or_refusal(gauss_rational, a, b)
+        assert got == solve_or_refusal(fraction_gauss, a, b)
+        assert got == bareiss
+
+    def test_rank_deficient_system_past_the_crossover_names_the_oracles_column(self):
+        a, b = dense_system(DIXON_MIN_N + 4, seed=5)
+        a[-3] = [2 * u - F(1, 3) * v for u, v in zip(a[1], a[4])]
+        refusal = solve_or_refusal(fraction_gauss, a, b)
+        assert refusal.startswith("no pivot in column ")
+        assert solve_or_refusal(gauss_rational, a, b) == refusal
+
+    def test_unlucky_first_prime_is_still_exact(self, monkeypatch):
+        # A = L U with L unit lower triangular and U upper triangular with
+        # diagonal (p, 1, ..., 1), so det A = p: singular modulo the first
+        # prime only, and lifting must answer through the second
+        n, p = DIXON_MIN_N + 2, DIXON_PRIMES[0]
+        rng = random.Random(7)
+        lower = [[rng.randint(-3, 3) if j < i else int(i == j) for j in range(n)]
+                 for i in range(n)]
+        upper = [[rng.randint(-3, 3) if j > i else int(i == j) for j in range(n)]
+                 for i in range(n)]
+        upper[0][0] = p
+        a = [[F(sum(lower[i][k] * upper[k][j] for k in range(n))) for j in range(n)]
+             for i in range(n)]
+        b = [F(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        monkeypatch.setattr(linalg, "_bareiss", refuse_bareiss)
+        assert gauss_rational(a, b) == fraction_gauss(a, b)
+
+    def test_dixon_primes_keep_int64_arithmetic_exact(self):
+        for p in DIXON_PRIMES:
+            assert 2 < p < 2**26
+            assert all(p % d for d in range(2, isqrt(p) + 1)), p
+        p = max(DIXON_PRIMES)
+        assert DIXON_MAX_N * p * p < 2**63 <= (DIXON_MAX_N + 1) * p * p
+        assert DIXON_MIN_N <= DIXON_MAX_N
+
+    def test_system_past_the_size_limit_takes_bareiss(self, monkeypatch):
+        a, b = dense_system(DIXON_MIN_N + 1, seed=2)
+        monkeypatch.setattr(linalg, "DIXON_MAX_N", DIXON_MIN_N)
+        monkeypatch.setattr(linalg, "_dixon", refuse_dixon)
+        assert gauss_rational(a, b) == fraction_gauss(a, b)
+
+    def test_lifting_without_a_verified_answer_falls_back_to_bareiss(self, monkeypatch):
+        # no reconstruction is ever accepted, so lifting runs to the
+        # Hadamard bound and gives up
+        a, b = dense_system(DIXON_MIN_N + 1, seed=3)
+        monkeypatch.setattr(linalg, "_common_denominator", lambda x, modulus: None)
+        assert gauss_rational(a, b) == fraction_gauss(a, b)
+
+    def test_int64_wraparound_cannot_escape(self, monkeypatch):
+        # with p near 2**31 a digit C r mod p sums products near 2**62 and
+        # wraps in int64; the exact check refuses every wrong candidate
+        a, b = dense_system(DIXON_MIN_N + 1, seed=4)
+        calls = []
+        bareiss = linalg._bareiss
+        monkeypatch.setattr(linalg, "DIXON_PRIMES", (2**31 - 1,))
+        monkeypatch.setattr(linalg, "_bareiss", lambda m: calls.append(1) or bareiss(m))
+        assert gauss_rational(a, b) == fraction_gauss(a, b)
+        assert calls == [1]
 
 
 class TestRarelyReachedPaths:

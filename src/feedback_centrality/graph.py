@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DomainError, FeedbackCentralityError, GraphFormatError
-from .linalg import perron_triple
+from .linalg import DENSE_MATRIX_LIMIT, perron_triple
 
 Weight = Union[Fraction, float]
 
@@ -624,7 +624,8 @@ def transition_matrix(g: Graph, order: list[str] | None = None) -> np.ndarray:
 
 def _coefficient_matrix(g: Graph, order: list[str] | None, distributed: bool) -> np.ndarray:
     """The step coefficients of the edges inside ``order`` in one write from
-    the edge index; a rational graph converts each one it uses."""
+    the edge index; a rational graph converts each one it uses.  More than
+    ``DENSE_MATRIX_LIMIT`` nodes are refused before the n x n allocation."""
     if order is not None:
         _check_order(g, order)
     idx = g._derived(_edge_index)
@@ -648,6 +649,8 @@ def _coefficient_matrix(g: Graph, order: list[str] | None, distributed: bool) ->
             keys = list(g._edges)
             for i in edges:
                 _to_float(c[i], "weight of edge {!r} -> {!r}".format(*keys[i]), GraphFormatError)
+    if n > DENSE_MATRIX_LIMIT:
+        raise DomainError(f"dense float matrix is limited to {DENSE_MATRIX_LIMIT} nodes, got {n}")
     a = np.zeros((n, n))
     a[dst, src] = c
     return a

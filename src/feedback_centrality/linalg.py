@@ -5,15 +5,16 @@ solves, and exact solves of rational systems on integers, by fraction-free
 For an irreducible non-negative A the eigenvalue with the largest real part
 is the simple Perron root, and its right and left eigenvectors are
 one-signed (Perron-Frobenius).  Matrices of at most ``DENSE_EIG_LIMIT`` rows
-take both vectors from one dense ``numpy.linalg.eig`` call each.  Larger ones
-run power iteration on B = (A + sI)/(2s) with s = the largest column sum,
-which is cheaper there than a dense eigendecomposition: B is primitive (its
-diagonal is positive), so the iteration converges geometrically even when A
-itself is periodic, and every column of B sums to a value in [1/2, 1], so
-``POWER_BLOCK`` steps run between two normalizations without overflow or
-underflow.  Either way the eigenvalue is then polished with the two-sided
-Rayleigh quotient, which is far more accurate than the iteration's own
-normalization constant.
+take that eigenvalue from one ``numpy.linalg.eigvals`` call, without
+vectors, and both vectors from one batched solve of the bordered systems of
+A and A^T.  Larger ones run power iteration on B = (A + sI)/(2s) with s =
+the largest column sum, which is cheaper there than a dense eigenvalue
+solve: B is primitive (its diagonal is positive), so the iteration
+converges geometrically even when A itself is periodic, and every column of
+B sums to a value in [1/2, 1], so ``POWER_BLOCK`` steps run between two
+normalizations without overflow or underflow.  Either way the eigenvalue is
+then polished with the two-sided Rayleigh quotient, which is far more
+accurate than ``eigvals``' value or the iteration's normalization constant.
 """
 
 from __future__ import annotations
@@ -29,12 +30,23 @@ from .errors import ConvergenceError, DomainError, SingularMatrixError
 #: Largest matrix the dense float solver accepts.
 DENSE_SOLVE_LIMIT = 512
 
-#: Largest matrix whose Perron vectors come from a dense eigensolve.  Dense
-#: ``eig`` beats blocked power iteration up to n of about 24-28 (both about
-#: 0.3-0.4 ms per triple on a 2-core Xeon with OpenBLAS) and loses badly
-#: beyond (2.9 against 0.4 ms at n = 64), so the limit sits a little above
-#: that crossover.
-DENSE_EIG_LIMIT = 32
+#: Memory budget of one dense float matrix built from a graph.  A float
+#: request holds about two such arrays at its peak: at the limit below,
+#: float ``simulate`` and ``classify`` on a random 8192-node graph peaked at
+#: 1.0-1.1 GB RSS.
+DENSE_MATRIX_BYTES = 2**29
+
+#: Largest dense float matrix built from a graph (8192 nodes), refused
+#: before it is allocated; the largest damped build takes one such array.
+DENSE_MATRIX_LIMIT = isqrt(DENSE_MATRIX_BYTES // 8)
+
+#: Largest matrix whose Perron vectors come from ``eigvals`` and the
+#: bordered solve.  Per triple, on random irreducible matrices of 5-50%
+#: density (mean of 8, best of 9, 2-core Xeon, OpenBLAS), that path took
+#: 0.36 against 0.49 ms for blocked power iteration at n = 40, 0.43 against
+#: 0.54 ms at n = 44 and 0.48 against 0.43 ms at n = 48; the limit sits a
+#: little below that crossover.
+DENSE_EIG_LIMIT = 40
 
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 200_000
@@ -62,19 +74,40 @@ DIXON_MAX_N = (2**63 - 1) // max(DIXON_PRIMES) ** 2
 DIXON_CHECK_EVERY = 4
 
 
-def _eig_vector(a: np.ndarray) -> np.ndarray:
-    """Perron vector (sum 1) of an irreducible matrix by dense ``eig``."""
+def _bordered_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right and left Perron vectors (sum 1) of a small irreducible matrix.
+
+    lambda0, the largest real part among the eigenvalues of one ``eigvals``
+    call, is simple, so the bordered matrix [[A - lambda0*I, 1], [1^T, 0]] is
+    regular and [x; mu] = its inverse applied to e_(n+1) gives A x + mu*1 =
+    lambda0*x with sum(x) = 1 (Keller, 1977).  The extra unknown mu absorbs
+    lambda0's rounding error in every row at once.  One batched solve serves
+    A and A^T.
+    """
+    n = a.shape[0]
     try:
-        vals, vecs = np.linalg.eig(a)
+        lam0 = float(np.linalg.eigvals(a).real.max())
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
-    vec = np.abs(vecs[:, np.argmax(vals.real)].real)
-    total = vec.sum()
-    if not (np.isfinite(total) and vec.min() > 0.0):
+    if not np.isfinite(lam0):
+        raise ConvergenceError(f"Perron eigenvalue is not finite: {lam0}")
+    k = np.zeros((2, n + 1, n + 1))
+    k[0, :n, :n] = a
+    k[1, :n, :n] = a.T
+    k[:, :n, n] = k[:, n, :n] = 1.0
+    i = np.arange(n)
+    k[:, i, i] -= lam0
+    rhs = np.zeros((2, n + 1, 1))
+    rhs[:, n] = 1.0
+    try:
+        x, y = np.linalg.solve(k, rhs)[:, :n, 0]
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
+    if not (np.isfinite(x.sum() + y.sum()) and min(x.min(), y.min()) > 0.0):
         raise ConvergenceError(
             "dense eigensolve gave a Perron vector with zero or non-finite entries"
         )
-    return vec / total
+    return x / x.sum(), y / y.sum()
 
 
 def _power_vector(a: np.ndarray, shift: float) -> np.ndarray:
@@ -130,8 +163,7 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
             return u, u.copy(), 0.0
         scale = 1.0  # lambda of the matrix the vectors come from, times this
         if n <= DENSE_EIG_LIMIT:
-            x = _eig_vector(a)
-            y = _eig_vector(a.T)
+            x, y = _bordered_vectors(a)
         else:
             row_shift = float(a.sum(axis=1).max(initial=0.0))
             if not np.isfinite(2.0 * max(col_shift, row_shift)):

@@ -175,10 +175,15 @@ def _damped_system(g: Graph, order: list[str], alpha: Weight, distributed: bool)
 
 def _float_system(g: Graph, order: list[str], alpha: float, distributed: bool) -> np.ndarray:
     """I - alpha * M over ``order`` as a dense float array, on a graph of
-    either mode."""
-    m_float = transition_matrix if distributed else adjacency_matrix
+    either mode, written over M's array: one n x n allocation, made after
+    the size check.  0 - alpha*M, then 1 added on the diagonal, gives the
+    bits of I - alpha*M, +0.0 where M has none."""
+    k = (transition_matrix if distributed else adjacency_matrix)(g, order)
     with np.errstate(over="ignore"):  # an infinite entry fails the solve
-        return np.eye(len(order)) - alpha * m_float(g, order)
+        k *= alpha
+    np.subtract(0.0, k, out=k)
+    k[np.diag_indices(len(order))] += 1.0
+    return k
 
 
 def _solve(mode: Mode, k, rhs: list[Weight]) -> list[Weight]:

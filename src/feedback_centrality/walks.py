@@ -54,6 +54,7 @@ from .graph import (
     largest,
     node_weight_vector,
     spectral_data,
+    strongly_connected_components,
     transition_matrix,
 )
 from .linalg import solve_refined
@@ -213,6 +214,8 @@ def geometric_tail_bound(
     / (1 - alpha*lambda) * (y.b)/y_v; otherwise z = (I - alpha*A^T)^-1 1 >= 1
     majorizes the step (alpha*A^T z = z - 1 <= theta*z with theta =
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
+    On an acyclic graph the state is exactly 0 after L steps, L the number of
+    edges on its longest path, so the bound is 0 from T = L on.
     When 1/max(z) is below float resolution theta rounds to 1 and there is
     no certificate: ``DomainError``; when the solve for z fails,
     ``SingularMatrixError``.  A bound beyond the float range raises
@@ -238,7 +241,7 @@ def geometric_tail_bound(
                     f"got {float(alpha) * data.lam:.12g}"
                 )
             a = float(alpha)
-            if a == 0.0 or not order:
+            if a == 0.0 or (data.lam == 0.0 and steps >= _longest_path(g)):
                 return {v: 0.0 for v in order}
             if len(data.components) == 1 and data.lam > 0:
                 # One component with a cycle through it: g is strongly connected.
@@ -263,6 +266,21 @@ def geometric_tail_bound(
     if not all(map(math.isfinite, bound.values())):
         raise DomainError("tail bound does not fit in a float")
     return bound
+
+
+def _longest_path(g: Graph) -> float:
+    """Edges on the longest path of g, or inf when g has a cycle (a rational
+    loop weight can still convert to a Perron value of 0.0).  Components of an
+    acyclic graph are single nodes: one pass over the edges in condensation
+    order."""
+    part = strongly_connected_components(g)
+    if any(part.strongly_connected):
+        return math.inf
+    depth = dict.fromkeys(g.node_ids, 0)
+    for (v,) in part.components:
+        for w, _weight in g.out_edges(v):
+            depth[w] = max(depth[w], depth[v] + 1)
+    return max(depth.values(), default=0)
 
 
 def _limit(g: Graph, kind: ProcessKind, alpha: Weight) -> Measure:

@@ -48,6 +48,26 @@ def rational_graphs(
 
 
 @st.composite
+def acyclic_graphs(draw, max_nodes: int = 6):
+    """Rational graphs with no cycle: every edge runs forward in a random
+    order of the nodes."""
+    n = draw(st.integers(1, max_nodes))
+    order = draw(st.permutations([f"n{i}" for i in range(n)]))
+    g = Graph(Mode.RATIONAL)
+    for v in sorted(order):
+        g.add_node(v, draw(st.sampled_from(BIAS_GRID)))
+    pairs = [(u, v) for i, u in enumerate(order) for v in order[i + 1 :]]
+    chosen = draw(
+        st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs))
+        if pairs
+        else st.just([])
+    )
+    for u, v in chosen:
+        g.add_edge(u, v, draw(st.sampled_from(WEIGHT_GRID)))
+    return g
+
+
+@st.composite
 def strongly_connected_graphs(draw, min_nodes: int = 1, max_nodes: int = 7):
     """Float-mode strongly connected graphs: a covering cycle plus chords."""
     n = draw(st.integers(min_nodes, max_nodes))

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 import warnings
 from fractions import Fraction as F
 from pathlib import Path
@@ -28,7 +29,7 @@ from feedback_centrality import (
     proportional_combine,
     serialize_graph,
 )
-from feedback_centrality import cli, walks
+from feedback_centrality import cli, linalg, walks
 from feedback_centrality.cli import main
 
 from .conftest import GRAPH_DIR
@@ -417,12 +418,13 @@ class TestSimulate:
 
     def no_certificate(self, capsys, tmp_path, mode, text, alpha):
         # acyclic, so alpha * lambda = 0, but 1/max(z) is below float
-        # resolution: theta = 1 - 1/max(z) rounds to 1
+        # resolution: theta = 1 - 1/max(z) rounds to 1.  Zero steps is below
+        # the longest path's one edge, so the majorizer is needed
         path = tmp_path / "g.dg"
         path.write_text(text)
         doc = run_json(
             capsys, "simulate", "--input", str(path), "--mode", mode,
-            "--process", "parallel", "--alpha", alpha, "--steps", "3",
+            "--process", "parallel", "--alpha", alpha, "--steps", "0",
         )
         diag = doc["diagnostics"]
         assert diag["tail_bound_max"] is None
@@ -438,6 +440,20 @@ class TestSimulate:
     def test_parallel_tail_bound_without_certificate_huge_decay(self, capsys, tmp_path, mode):
         text = "node a 1\nnode b 1\nedge a b 1\n"
         self.no_certificate(capsys, tmp_path, mode, text, "1e300")
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    @pytest.mark.parametrize("weight", ["1e15", "1e17"])
+    def test_acyclic_tail_after_the_longest_path_is_zero(self, capsys, tmp_path, mode, weight):
+        # the state after step 1 is exactly 0; the majorizer's bound read
+        # 2.502e+29 for the 1e15 edge and had no certificate for the 1e17 one
+        path = tmp_path / "g.dg"
+        path.write_text(f"node a 1\nnode b 1\nedge a b {weight}\n")
+        doc = run_json(
+            capsys, "simulate", "--input", str(path), "--mode", mode,
+            "--process", "parallel", "--alpha", "1/2", "--steps", "3",
+        )
+        assert doc["diagnostics"]["tail_bound_max"] == "0"
+        assert doc["diagnostics"]["tail_bound_omitted"] is None
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     def test_tail_bound_whose_matrix_overflows_is_omitted_with_the_solve_message(
@@ -1283,7 +1299,7 @@ _NEAR_MAX_INPUTS = {
     **{
         f"huge-plain-cycle{n}": "".join(f"node v{i} 1\n" for i in range(n))
         + "".join(f"edge v{i} v{(i + 1) % n} 1e308\n" for i in range(n))
-        for n in (32, 33)
+        for n in (32, 33, linalg.DENSE_EIG_LIMIT + 1)
     },
 }
 _NEAR_MAX_REQUESTS = {
@@ -1381,16 +1397,17 @@ def test_distributed_residual_divides_before_it_multiplies(tmp_path):
 
 
 def test_power_iteration_past_half_the_float_range_finds_the_perron_value(tmp_path):
-    # the 33-node cycle, past DENSE_EIG_LIMIT, exited 1 with "power iteration
-    # shift 1.000e+308 exceeds half the float range"
+    # the 33-node cycle, then past DENSE_EIG_LIMIT, exited 1 with "power
+    # iteration shift 1.000e+308 exceeds half the float range"; the last
+    # cycle is past the limit now
     radii = []
-    for n in (32, 33):
+    for n in (32, 33, linalg.DENSE_EIG_LIMIT + 1):
         code, out, err, caught = _near_max_request(
             tmp_path, f"huge-plain-cycle{n}", "classify", "float"
         )
         assert (code, err, caught) == (0, "", [])
         radii.append(json.loads(out)["diagnostics"]["spectral_radius"])
-    assert radii == ["1e+308", "1e+308"]
+    assert radii == ["1e+308"] * 3
 
 
 def test_tail_bound_beyond_float_range_is_omitted(tmp_path):
@@ -1400,3 +1417,44 @@ def test_tail_bound_beyond_float_range_is_omitted(tmp_path):
     diagnostics = json.loads(out)["diagnostics"]
     assert diagnostics["tail_bound_max"] is None
     assert diagnostics["tail_bound_omitted"] == "tail bound does not fit in a float"
+
+
+_PAST_DENSE_LIMIT_REQUESTS = {
+    "pr": ("centrality", "--measure", "pr"),
+    "katz": ("centrality", "--measure", "katz", "--alpha", "0.1"),
+    "kp": ("centrality", "--measure", "kp"),
+    "ev": ("centrality", "--measure", "ev"),
+    "classify": ("classify",),
+    "parallel": ("simulate", "--process", "parallel", "--alpha", "0.1", "--steps", "2"),
+    "distributed": ("simulate", "--process", "distributed", "--alpha", "0.5", "--steps", "2"),
+}
+
+
+@pytest.fixture(scope="module")
+def cycle_past_dense_limit(tmp_path_factory):
+    n = linalg.DENSE_MATRIX_LIMIT + 1
+    path = tmp_path_factory.mktemp("past-limit") / "cycle.dg"
+    path.write_text(
+        "".join(f"node v{i} 1\n" for i in range(n))
+        + "".join(f"edge v{i} v{(i + 1) % n} 1\n" for i in range(n))
+    )
+    return str(path)
+
+
+@pytest.mark.parametrize("request_name", _PAST_DENSE_LIMIT_REQUESTS)
+def test_graph_past_the_dense_limit_is_refused_before_its_matrix(
+    capsys, cycle_past_dense_limit, request_name
+):
+    # every verb allocated an n x n float matrix before any size check; on
+    # 10**5 nodes that was a numpy MemoryError traceback
+    n = linalg.DENSE_MATRIX_LIMIT + 1
+    argv = (*_PAST_DENSE_LIMIT_REQUESTS[request_name], "--input", cycle_past_dense_limit)
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv, "--mode", "float")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: dense float matrix is limited to {n - 1} nodes, got {n}\n"
+    assert peak < 8 * n * n / 4

@@ -159,6 +159,22 @@ def test_only_the_graph_module_divides_by_an_out_degree():
     assert offenders == []
 
 
+def test_no_module_runs_an_eigendecomposition():
+    # the oracle dominant_eig is then the only eig call, so it checks the
+    # Perron path by another algorithm; eigvals, which gives no vectors, is
+    # allowed
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (isinstance(node, ast.Attribute) and node.attr == "eig")
+            or (isinstance(node, ast.alias) and node.name == "eig")
+        ]
+    assert offenders == []
+
+
 def test_only_the_limit_rule_names_a_walks_measure():
     # walks._limit is the one map from a process and a decay to a measure;
     # every other function in walks.py reaches a measure through it, and a

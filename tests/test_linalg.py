@@ -12,11 +12,16 @@ from hypothesis import example, given, settings
 from feedback_centrality import (
     ConvergenceError,
     DomainError,
+    Family,
+    GeneratorSpec,
     Graph,
     Mode,
     SingularMatrixError,
+    adjacency_matrix,
+    generate,
     pagerank,
     principal_eigenvalue,
+    strongly_connected_components,
 )
 from feedback_centrality import linalg
 from feedback_centrality.linalg import (
@@ -115,6 +120,26 @@ class TestPerron:
             assert lam == pytest.approx(lamp, rel=1e-10)
             np.testing.assert_allclose(x, xp, atol=1e-8)
             np.testing.assert_allclose(y, yp, atol=1e-8)
+
+    def test_small_path_is_accurate_on_the_generated_corpora(self):
+        # every component of more than one node that the axiom generator
+        # draws (3 to 25 nodes): relative residuals on both sides, and entries
+        # against the oracle's dense eigendecomposition
+        checked = 0
+        for family in Family:
+            for seed in range(40):
+                g = generate(GeneratorSpec(family, seed=seed))
+                for comp in strongly_connected_components(g).components:
+                    if len(comp) == 1:
+                        continue
+                    a = adjacency_matrix(g, comp)
+                    x, y, lam = perron_triple(a)
+                    xo, yo, _lamo = dominant_eig(a)
+                    for m, v, vo in ((a, x, xo), (a.T, y, yo)):
+                        assert np.abs(m @ v - lam * v).max() <= 1e-13 * lam * v.max()
+                        np.testing.assert_allclose(v, vo, rtol=1e-10, atol=0)
+                    checked += 1
+        assert checked > 250
 
     def test_periodic_matrix_converges(self):
         # a pure cycle has several eigenvalues on the spectral circle; the
@@ -487,7 +512,7 @@ class TestRarelyReachedPaths:
     """Guards that no other test runs, each reached through a public entry."""
 
     def test_stalled_power_iteration_reports_its_change(self, monkeypatch):
-        # a 33-node cycle is past DENSE_EIG_LIMIT; unequal weights make its
+        # a cycle one node past DENSE_EIG_LIMIT; unequal weights make its
         # Perron vector non-uniform, so three steps cannot converge
         monkeypatch.setattr(linalg, "POWER_MAX_ITER", 3)
         n = DENSE_EIG_LIMIT + 1

@@ -33,7 +33,7 @@ from feedback_centrality import (
 )
 from feedback_centrality import measures
 from feedback_centrality.graph import coerce
-from feedback_centrality.measures import _rational_system
+from feedback_centrality.measures import _float_system, _rational_system
 from .oracles import damped_oracle, ev_oracle, stationary_oracle
 from .strategies import rational_graphs, strongly_connected_graphs
 
@@ -147,6 +147,16 @@ class TestDamped:
         ref = damped_oracle(g, alpha, distributed=False)
         for v in g.node_ids:
             assert float(ours[v]) == pytest.approx(ref[v], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("distributed", [True, False])
+    @pytest.mark.parametrize("alpha", [0.0, 0.85, 1, 1e300])
+    def test_float_system_has_the_bits_of_identity_minus_alpha_m(self, demo5, distributed, alpha):
+        # built in place over M's array; the zeros off M's edges stay +0.0
+        m = (transition_matrix if distributed else adjacency_matrix)(demo5)
+        with np.errstate(over="ignore"):
+            expected = np.eye(len(m)) - alpha * m
+        k = _float_system(demo5, demo5.node_ids, alpha, distributed)
+        assert k.tobytes() == expected.tobytes()
 
     def test_alpha_validation(self):
         g = two_cycle()

@@ -5,6 +5,7 @@ from dataclasses import fields
 from fractions import Fraction as F
 
 import hypothesis.strategies as st
+import networkx as nx
 import pytest
 from hypothesis import example, given, settings
 
@@ -36,8 +37,8 @@ from feedback_centrality import (
 from feedback_centrality.graph import integer_steps
 from feedback_centrality.measures import PARAMETRIC_KINDS
 
-from .oracles import fraction_walk, walk_series
-from .strategies import rational_graphs
+from .oracles import fraction_walk, to_networkx, walk_series
+from .strategies import acyclic_graphs, rational_graphs
 
 
 def loop_pair():
@@ -270,11 +271,44 @@ class TestTailBounds:
     @pytest.mark.parametrize("edges", ["edge a b 1\nedge b a 2\n", "edge a b 1\n"])
     def test_bound_beyond_float_range_is_a_domain_error(self, mode, kind, edges):
         # the bound was inf, after a numpy overflow warning from the mass
-        # b.sum() or z @ b
+        # b.sum() or z @ b.  The one-edge path's parallel tail is exactly 0
+        # after its edge, so it runs at 0 steps
         g = parse_graph(f"node a 1e308\nnode b 1e308\n{edges}", mode)
         alpha = F(1, 2) if mode is Mode.RATIONAL else 0.5
+        acyclic_parallel = kind is ProcessKind.PARALLEL and edges == "edge a b 1\n"
         with pytest.raises(DomainError, match="^tail bound does not fit in a float$"):
-            geometric_tail_bound(g, kind, alpha, 3)
+            geometric_tail_bound(g, kind, alpha, 0 if acyclic_parallel else 3)
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_majorizer_whose_step_underflows_gives_zero(self, mode):
+        # alpha * w = 1e-600 rounds to 0, so z = 1 and theta = 0: the float
+        # step is exactly 0.  The loop keeps the graph off the acyclic clause
+        g = parse_graph("node a 1\nnode b 1\nedge a a 1e-300\nedge a b 1e-300\n", mode)
+        alpha = F("1e-300") if mode is Mode.RATIONAL else 1e-300
+        assert geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, 3) == {"a": 0.0, "b": 0.0}
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=acyclic_graphs(), alpha=st.sampled_from([F(1, 3), F(1, 2), F(1), F(3)]))
+    def test_acyclic_bound_dominates_the_exact_tail_and_vanishes_after_the_longest_path(
+        self, g, alpha
+    ):
+        longest = nx.dag_longest_path_length(to_networkx(g), weight=None)
+        total = fraction_walk(g, "parallel", alpha, longest + 1)[0]
+        for horizon in range(longest + 3):
+            partial = fraction_walk(g, "parallel", alpha, horizon)[0]
+            bound = geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, horizon)
+            for v in g.node_ids:
+                assert F(bound[v]) >= total[v] - partial[v]
+            if horizon >= longest:
+                assert set(bound.values()) == {0.0}
+
+    def test_loop_whose_perron_value_underflows_keeps_its_tail(self):
+        # the loop's weight converts to 0.0, so lambda reads 0, yet the loop
+        # holds mass at every step: the graph is not acyclic
+        g = parse_graph("node a 1\nnode b 1\nedge a a 1e-400\nedge a b 1\n", Mode.RATIONAL)
+        assert principal_eigenvalue(g)[1] == 0.0
+        bound = geometric_tail_bound(g, ProcessKind.PARALLEL, F(1, 2), 5)
+        assert min(bound.values()) > 0.0
 
     def test_zero_decay_has_zero_tail(self):
         g = loop_pair().to_float()

@@ -245,7 +245,8 @@ class Graph:
 
     def _coerce(self, weight: Weight) -> Weight:
         if self.mode is Mode.RATIONAL:
-            return coerce(Mode.RATIONAL, weight, "weight")
+            # a Fraction, as parse_weight gives, is stored as it is
+            return weight if type(weight) is Fraction else coerce(Mode.RATIONAL, weight, "weight")
         weight = _to_float(weight, "weight", GraphFormatError)
         if not math.isfinite(weight):
             raise GraphFormatError(f"weight {weight!r} is not finite")
@@ -885,26 +886,48 @@ def parse_graph(text: str, mode: Mode = Mode.RATIONAL) -> Graph:
     ``edge <src> <dst> <weight>``.  Nodes must be declared before edges that
     reference them.  Weights are decimals or exact rationals ``p/q``.
 
-    In FLOAT mode a new edge between declared nodes whose literal has no
-    ``/`` and reads by ``float()`` as finite and positive is stored at once:
-    ``parse_weight`` and ``Graph.add_edge`` would store that same float.
-    Every other line takes their checks, which raise every error.
+    A new edge between declared nodes whose weight is plainly valid is
+    stored at once, as ``parse_weight`` and ``Graph.add_edge`` would store
+    it.  In FLOAT mode that is a literal without ``/`` that reads by
+    ``float()`` as finite and positive.  In RATIONAL mode each distinct
+    literal is parsed once, by ``parse_weight``, and its value kept for the
+    rest of the text; an edge whose literal already has a value > 0 is
+    plain.  The sign rule applies at each use, so a node's ``0`` never lets
+    an edge's ``0`` through.  Every other line takes the checks of
+    ``parse_weight`` and ``Graph.add_node``/``add_edge``, which raise every
+    error.
     """
     g = Graph(mode)
     declared, edges = g._weights, g._edges
     plain_float = mode is Mode.FLOAT
+    literals: dict[str, Weight] = {}  # rational mode: each literal's value
+
+    def weight_of(token: str) -> Weight:
+        if plain_float:
+            return parse_weight(token, mode)
+        if token not in literals:
+            literals[token] = parse_weight(token, mode)
+        return literals[token]
+
     for lineno, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
-        if plain_float and len(fields) == 4 and fields[0] == "edge":
+        if len(fields) == 4 and fields[0] == "edge":
             _, u, v, token = fields
             key = u, v
-            if u in declared and v in declared and key not in edges and "/" not in token:
-                try:
-                    weight = float(token)
-                except ValueError:
-                    pass
+            if u in declared and v in declared and key not in edges:
+                if plain_float:
+                    if "/" not in token:
+                        try:
+                            weight = float(token)
+                        except ValueError:
+                            pass
+                        else:
+                            if 0.0 < weight < math.inf:
+                                edges[key] = weight
+                                continue
                 else:
-                    if 0.0 < weight < math.inf:
+                    weight = literals.get(token)
+                    if weight is not None and weight > 0:
                         edges[key] = weight
                         continue
         if not fields or fields[0].startswith("#"):
@@ -913,11 +936,11 @@ def parse_graph(text: str, mode: Mode = Mode.RATIONAL) -> Graph:
             if fields[0] == "edge":
                 if len(fields) != 4:
                     raise GraphFormatError("expected: edge <src> <dst> <weight>")
-                g.add_edge(fields[1], fields[2], parse_weight(fields[3], mode))
+                g.add_edge(fields[1], fields[2], weight_of(fields[3]))
             elif fields[0] == "node":
                 if len(fields) != 3:
                     raise GraphFormatError("expected: node <id> <weight>")
-                g.add_node(fields[1], parse_weight(fields[2], mode))
+                g.add_node(fields[1], weight_of(fields[2]))
             else:
                 raise GraphFormatError(f"unknown declaration {fields[0]!r}")
         except GraphFormatError as exc:

@@ -179,6 +179,15 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return x, y, lam
 
 
+def check_solve_size(n: int) -> None:
+    """The one refusal of a dense float solve of more than
+    ``DENSE_SOLVE_LIMIT`` unknowns: ``DomainError``."""
+    if n > DENSE_SOLVE_LIMIT:
+        raise DomainError(
+            f"dense float solve is limited to {DENSE_SOLVE_LIMIT} unknowns, got {n}"
+        )
+
+
 def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense float solve with one step of iterative refinement.
 
@@ -190,11 +199,7 @@ def solve_refined(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    n = a.shape[0]
-    if n > DENSE_SOLVE_LIMIT:
-        raise DomainError(
-            f"dense float solve is limited to {DENSE_SOLVE_LIMIT} unknowns, got {n}"
-        )
+    check_solve_size(a.shape[0])
     try:
         x = np.linalg.solve(a, b)
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite x is refused below
@@ -214,12 +219,8 @@ def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
     """Exact solve of a square rational system.
 
     Entries may be anything ``Fraction`` accepts (floats convert exactly).
-    Each augmented row is scaled to integers by the LCM of its denominators.
-    Systems of ``DIXON_MIN_N`` to ``DIXON_MAX_N`` unknowns are solved by
-    p-adic lifting (``_dixon``), which returns only an answer verified
-    exactly in integers; every other system, and every one lifting gives up
-    on, by Bareiss elimination (``_bareiss``), which also names the column
-    of a singular matrix.
+    Each augmented row is scaled to integers by the LCM of its denominators
+    and handed to ``solve_integer``.
     """
     n = len(a)
     if any(len(row) != n for row in a) or len(rhs) != n:
@@ -229,7 +230,22 @@ def gauss_rational(a: list[list], rhs: list) -> list[Fraction]:
         row = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in (*row, r)]
         scale = lcm(*(v.denominator for v in row))
         m.append([v.numerator * (scale // v.denominator) for v in row])
-    if DIXON_MIN_N <= n <= DIXON_MAX_N:
+    return solve_integer(m)
+
+
+def solve_integer(m: list[list[int]]) -> list[Fraction]:
+    """Exact solve of the integer augmented rows ``m`` (n rows of n + 1
+    ints, modified in place).
+
+    Systems of ``DIXON_MIN_N`` to ``DIXON_MAX_N`` unknowns are solved by
+    p-adic lifting (``_dixon``), which returns only an answer verified
+    exactly in integers; every other system, and every one lifting gives up
+    on, by Bareiss elimination (``_bareiss``), which also names the column
+    of a singular matrix: ``SingularMatrixError("no pivot in column k")``.
+    Scaling a row by a non-zero integer changes neither the answer nor that
+    column.
+    """
+    if DIXON_MIN_N <= len(m) <= DIXON_MAX_N:
         x = _dixon(m)
         if x is not None:
             return x

@@ -49,7 +49,7 @@ from .graph import (
     transition_matrix,
     zero,
 )
-from .linalg import gauss_rational, solve_refined
+from .linalg import DENSE_MATRIX_LIMIT, check_solve_size, solve_integer, solve_refined
 
 
 class MeasureKind(enum.Enum):
@@ -151,33 +151,44 @@ def check_pagerank_decay(alpha: Weight) -> Weight:
 
 
 def _rational_system(
-    g: Graph, order: list[str], alpha: Weight, distributed: bool
-) -> list[list[Weight]]:
-    """Exact rows of I - alpha * M over ``order``, M the transition matrix
-    (distributed) or the adjacency, built from the step coefficients: one
-    update per edge inside ``order``, c(u, v) taken over u's full out-degree
-    in g."""
+    g: Graph, order: list[str], alpha: Weight, distributed: bool, rhs: list[Weight]
+) -> list[list[int]]:
+    """The augmented system [I - alpha * M | rhs] over ``order`` as integer
+    rows, M the transition matrix (distributed) or the adjacency, built from
+    the step coefficients: c(u, v) taken over u's full out-degree in g.
+
+    With alpha = p/q, row v is scaled by S_v, the LCM of the denominators of
+    rhs[v] and of q * c(u, v) over v's in-edges inside ``order``, so its
+    entries are S_v * [u == v] - S_v/(q * den c) * p * num c and no
+    ``Fraction`` is formed."""
     pos = {v: i for i, v in enumerate(order)}
-    rows: list[list[Weight]] = [[int(u == v) for u in order] for v in order]
+    n, p, q = len(order), alpha.numerator, alpha.denominator
+    terms: list[list[tuple[int, int, int]]] = [[] for _ in order]
     for (u, v), c in step_coefficients(g, distributed):
-        if u in pos and v in pos:
-            rows[pos[v]][pos[u]] -= alpha * c
+        j, i = pos.get(u), pos.get(v)
+        if j is not None and i is not None:
+            terms[i].append((j, c.numerator, q * c.denominator))
+    rows = []
+    for i, (entries, r) in enumerate(zip(terms, rhs)):
+        scale = math.lcm(r.denominator, *(d for _j, _c, d in entries))
+        row = [0] * (n + 1)
+        row[i] = scale
+        row[n] = r.numerator * (scale // r.denominator)
+        for j, c, d in entries:
+            row[j] -= scale // d * p * c
+        rows.append(row)
     return rows
-
-
-def _damped_system(g: Graph, order: list[str], alpha: Weight, distributed: bool):
-    """I - alpha * M over ``order``, M as in ``_solve_damped``: exact rows in
-    rational mode, a dense float array in float mode."""
-    if g.mode is Mode.RATIONAL:
-        return _rational_system(g, order, alpha, distributed)
-    return _float_system(g, order, alpha, distributed)
 
 
 def _float_system(g: Graph, order: list[str], alpha: float, distributed: bool) -> np.ndarray:
     """I - alpha * M over ``order`` as a dense float array, on a graph of
     either mode, written over M's array: one n x n allocation, made after
-    the size check.  0 - alpha*M, then 1 added on the diagonal, gives the
-    bits of I - alpha*M, +0.0 where M has none."""
+    the size checks.  A graph past ``DENSE_MATRIX_LIMIT`` gets the matrix
+    builder's refusal, as in every request; one past ``DENSE_SOLVE_LIMIT``
+    unknowns, ``check_solve_size``'s.  0 - alpha*M, then 1 added on the
+    diagonal, gives the bits of I - alpha*M, +0.0 where M has none."""
+    if len(order) <= DENSE_MATRIX_LIMIT:
+        check_solve_size(len(order))
     k = (transition_matrix if distributed else adjacency_matrix)(g, order)
     with np.errstate(over="ignore"):  # an infinite entry fails the solve
         k *= alpha
@@ -186,10 +197,22 @@ def _float_system(g: Graph, order: list[str], alpha: float, distributed: bool) -
     return k
 
 
-def _solve(mode: Mode, k, rhs: list[Weight]) -> list[Weight]:
-    """Solve k x = rhs exactly on rational rows, by refined LU on a float array."""
-    if mode is Mode.RATIONAL:
-        return gauss_rational(k, rhs)
+def _solve(
+    g: Graph, order: list[str], alpha: Weight, distributed: bool, rhs: list[Weight],
+    stationary: bool = False,
+) -> list[Weight]:
+    """Solve (I - alpha * M) x = rhs over ``order`` in g's mode, M as in
+    ``_solve_damped``: exactly on integer rows, by refined LU on a float
+    array.  ``stationary`` replaces the last row by all-ones, which states
+    sum(x) = rhs[-1], an integer."""
+    if g.mode is Mode.RATIONAL:
+        rows = _rational_system(g, order, alpha, distributed, rhs)
+        if stationary:
+            rows[-1] = [1] * len(order) + [rhs[-1]]
+        return solve_integer(rows)
+    k = _float_system(g, order, alpha, distributed)
+    if stationary:
+        k[-1] = 1.0
     return solve_refined(k, np.array(rhs, dtype=np.float64)).tolist()
 
 
@@ -197,8 +220,7 @@ def _solve_damped(g: Graph, alpha: Weight, distributed: bool) -> CentralityVecto
     """Solve (I - alpha * M) x = b in the graph's numeric mode, M the
     transition matrix when ``distributed``, else the adjacency."""
     order = g.node_ids
-    k = _damped_system(g, order, alpha, distributed)
-    x = _solve(g.mode, k, [g.node_weight(v) for v in order])
+    x = _solve(g, order, alpha, distributed, [g.node_weight(v) for v in order])
     return CentralityVector(dict(zip(order, x)), g.mode)
 
 
@@ -251,9 +273,7 @@ def _stationary_distribution(g: Graph, comp: list[str]) -> list[Weight]:
     n = len(comp)
     if n == 1:
         return [zero(g.mode) + 1]
-    k = _damped_system(g, comp, 1, distributed=True)
-    k[n - 1] = [1] * n
-    return _solve(g.mode, k, [0] * (n - 1) + [1])
+    return _solve(g, comp, 1, True, [0] * (n - 1) + [1], stationary=True)
 
 
 # -- eigenproblem measure -----------------------------------------------------

@@ -216,10 +216,11 @@ def geometric_tail_bound(
     1 - 1/max(z) < 1), giving the same shape of bound with z in place of y.
     On an acyclic graph the state is exactly 0 after L steps, L the number of
     edges on its longest path, so the bound is 0 from T = L on.
-    When 1/max(z) is below float resolution theta rounds to 1 and there is
-    no certificate: ``DomainError``; when the solve for z fails,
-    ``SingularMatrixError``.  A bound beyond the float range raises
-    ``DomainError``, with no numpy warning.
+    When 1/max(z) is below float resolution theta rounds to 1, and when
+    max(z) - 1 is, z rounds to 1 and theta to 0 while the tail need not be
+    0: either way there is no certificate, ``DomainError``.  When the solve
+    for z fails, ``SingularMatrixError``.  A bound beyond the float range
+    raises ``DomainError``, with no numpy warning.
     """
     alpha = _check_args(g, alpha, steps)
     order = g.node_ids
@@ -253,12 +254,10 @@ def geometric_tail_bound(
                 # I - a*A^T; an infinite entry fails the solve
                 z = solve_refined(_float_system(g, order, a, False).T, np.ones(len(order)))
                 theta = 1.0 - 1.0 / float(z.max())
-                if theta <= 0.0:
-                    return {v: 0.0 for v in order}
-                if not theta < 1.0:
+                if not 0.0 < theta < 1.0:
                     raise DomainError(
                         "parallel tail bound has no contraction certificate: "
-                        "theta rounds to 1"
+                        f"theta rounds to {1 if theta >= 1.0 else 0}"
                     )
                 rate, mass, weight = theta, float(z @ b), dict(zip(order, z.tolist()))
     scale = rate ** (steps + 1) / (1.0 - rate) * mass

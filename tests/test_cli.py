@@ -417,9 +417,9 @@ class TestSimulate:
         assert doc["diagnostics"]["tail_bound_max"] == "0"
 
     def no_certificate(self, capsys, tmp_path, mode, text, alpha):
-        # acyclic, so alpha * lambda = 0, but 1/max(z) is below float
-        # resolution: theta = 1 - 1/max(z) rounds to 1.  Zero steps is below
-        # the longest path's one edge, so the majorizer is needed
+        # acyclic, so alpha * lambda = 0, but 1/max(z) or max(z) - 1 is below
+        # float resolution: theta = 1 - 1/max(z) rounds to 1 or to 0.  Zero
+        # steps is below the longest path's one edge, so the majorizer is needed
         path = tmp_path / "g.dg"
         path.write_text(text)
         doc = run_json(
@@ -440,6 +440,15 @@ class TestSimulate:
     def test_parallel_tail_bound_without_certificate_huge_decay(self, capsys, tmp_path, mode):
         text = "node a 1\nnode b 1\nedge a b 1\n"
         self.no_certificate(capsys, tmp_path, mode, text, "1e300")
+
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_parallel_tail_bound_without_certificate_when_z_rounds_to_one(
+        self, capsys, tmp_path, mode
+    ):
+        # z = 1 + 1e-17 rounds to 1, so theta = 0: tail_bound_max read "0"
+        # while a's 1e300 sends 1e283 to b after step 0
+        text = "node a 1e300\nnode b 1\nedge a b 1e-17\n"
+        self.no_certificate(capsys, tmp_path, mode, text, "1")
 
     @pytest.mark.parametrize("mode", ["rational", "float"])
     @pytest.mark.parametrize("weight", ["1e15", "1e17"])
@@ -1439,6 +1448,31 @@ def cycle_past_dense_limit(tmp_path_factory):
         + "".join(f"edge v{i} v{(i + 1) % n} 1\n" for i in range(n))
     )
     return str(path)
+
+
+@pytest.mark.parametrize("measure", ["pr", "kp"])
+def test_system_past_the_dense_solve_limit_is_refused_before_its_matrix(
+    capsys, tmp_path, measure
+):
+    # the float system was built, then refused by the solve: a random
+    # 8192-node pagerank request peaked at 555 MB first
+    n = 2 * linalg.DENSE_SOLVE_LIMIT
+    path = tmp_path / "cycle.dg"
+    path.write_text(
+        "".join(f"node v{i} 1\n" for i in range(n))
+        + "".join(f"edge v{i} v{(i + 1) % n} 1\n" for i in range(n))
+    )
+    tracemalloc.start()
+    try:
+        code, out, err = run(
+            capsys, "centrality", "--measure", measure, "--input", str(path), "--mode", "float"
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err == f"error: dense float solve is limited to {n // 2} unknowns, got {n}\n"
+    assert peak < 8 * n * n
 
 
 @pytest.mark.parametrize("request_name", _PAST_DENSE_LIMIT_REQUESTS)

@@ -341,6 +341,11 @@ PLAIN_ROUTE_EDGES = {
     "tabs": "node\ta\t1\nnode\tb\t2\nedge\ta\tb\t0.5\n\tedge b\ta 3\t\n",
     "crlf": "node a 1\r\nnode b 2\r\nedge a b 0.5\r\nedge b a 3\r\n",
     "comment": f"{_TWO_NODES}#edge a b 1\nedge b a 1\n",
+    **{f"weight-{tok}": f"{_TWO_NODES}edge a b {tok}\n" for tok in ("-1/2", "0/3", "1/0")},
+    "node-zero-then-edge-zero": "node a 0\nnode b 2\nedge a b 0\n",
+    "bad-literal-twice": f"{_TWO_NODES}edge a b 2/x\nedge b a 2/x\n",
+    "cached-literal-on-a-duplicate": f"{_TWO_NODES}edge a b 2\nedge a b 2\n",
+    "cached-literal-on-an-undeclared-id": f"{_TWO_NODES}edge a b 2\nedge a zz 2\n",
 }
 
 
@@ -404,14 +409,15 @@ class TestFileFormat:
 
     @pytest.mark.parametrize("text", PLAIN_ROUTE_EDGES.values(), ids=PLAIN_ROUTE_EDGES)
     def test_plain_route_boundary_matches_the_reference_parser(self, text):
-        def outcome(parse):
+        def outcome(parse, mode):
             try:
-                g = parse(text, Mode.FLOAT)
+                g = parse(text, mode)
             except GraphFormatError as exc:
                 return str(exc), exc.line
             return g, serialize_graph(g)
 
-        assert outcome(parse_graph) == outcome(reference_parse)
+        for mode in Mode:
+            assert outcome(parse_graph, mode) == outcome(reference_parse, mode)
 
     def test_decimal_float_text_calls_nothing_per_edge(self, monkeypatch, demo5):
         # the plain-line route stores each edge without a call per line
@@ -434,6 +440,32 @@ class TestFileFormat:
         calls.clear()
         parse_graph(text + "edge v1 v1 1/2\n", Mode.FLOAT)
         assert calls == ["parse_weight"] * (len(expected) + 1) + ["add_edge"]
+
+    def test_rational_text_parses_each_literal_once(self, monkeypatch, demo5):
+        # each distinct literal is parsed once; an edge whose literal an
+        # earlier line parsed is stored without a call
+        text = serialize_graph(demo5)
+        expected = reference_parse(text, Mode.RATIONAL)
+        tokens = [line.split()[-1] for line in text.splitlines()]
+        first_edge_uses = sum(
+            line.startswith("edge") and token not in tokens[:i]
+            for i, (line, token) in enumerate(zip(text.splitlines(), tokens))
+        )
+        assert first_edge_uses < expected.num_edges
+        calls = []
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls.append(name)
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(Graph, "add_edge", counting("add_edge", Graph.add_edge))
+        monkeypatch.setattr(graph, "parse_weight", counting("parse_weight", parse_weight))
+        assert parse_graph(text, Mode.RATIONAL) == expected
+        assert calls.count("parse_weight") == len(set(tokens))
+        assert calls.count("add_edge") == first_edge_uses
 
     def test_canonical_sorts(self):
         g = build(

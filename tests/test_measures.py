@@ -7,6 +7,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from feedback_centrality import (
     ClassTag,
@@ -18,6 +19,7 @@ from feedback_centrality import (
     Measure,
     MeasureKind,
     Mode,
+    SingularMatrixError,
     adjacency_matrix,
     classify,
     eigenvector_centrality,
@@ -34,7 +36,7 @@ from feedback_centrality import (
 from feedback_centrality import measures
 from feedback_centrality.graph import coerce
 from feedback_centrality.measures import _float_system, _rational_system
-from .oracles import damped_oracle, ev_oracle, stationary_oracle
+from .oracles import damped_oracle, ev_oracle, fraction_gauss, stationary_oracle
 from .strategies import rational_graphs, strongly_connected_graphs
 
 THIRTEENTHS = {"v1": F(2, 13), "v2": F(3, 13), "v3": F(3, 13), "v4": F(4, 13), "v5": F(1, 13)}
@@ -105,14 +107,30 @@ class TestStationary:
     @pytest.mark.parametrize("distributed", [True, False])
     def test_component_system_divides_by_full_out_degree(self, distributed):
         # a and b also have edges leaving {a, b}: the exact system over the
-        # component keeps the float matrices' full out-degree divisor
+        # component keeps the float matrices' full out-degree divisor.  Each
+        # integer row is a row of [I - alpha*M | b] times one scale S_v > 0
         g = looped_components(True)
         alpha = F(1, 3)
         m = transition_matrix if distributed else adjacency_matrix
         for order in (["a", "b"], g.node_ids):
-            rows = _rational_system(g, order, alpha, distributed)
-            expected = np.eye(len(order)) - float(alpha) * m(g, order)
-            np.testing.assert_allclose(np.array(rows, dtype=float), expected, rtol=1e-15)
+            divisor = {u: g.out_degree(u) if distributed else 1 for u in order}
+            c = {(u, v): w / divisor[u] for u, v, w in g.edges() if u in divisor}
+            b = [g.node_weight(v) for v in order]
+            expected = [
+                [int(u == v) - alpha * c.get((u, v), 0) for u in order] + [b_v]
+                for v, b_v in zip(order, b)
+            ]
+            rows = _rational_system(g, order, alpha, distributed, b)
+            assert all(type(x) is int for row in rows for x in row)
+            for i, (row, want) in enumerate(zip(rows, expected)):
+                scale = F(row[i]) / want[i]
+                assert scale.denominator == 1 and scale > 0
+                assert [x / scale for x in row] == want
+            np.testing.assert_allclose(
+                np.array(expected, dtype=float)[:, :-1],
+                np.eye(len(order)) - float(alpha) * m(g, order),
+                rtol=1e-15,
+            )
 
 
 class TestDamped:
@@ -188,6 +206,45 @@ class TestDamped:
             values = measure.compute(g)
             residual = recursion_residual(g, measure, values.values)
             assert all(r == 0 for r in residual.values())
+
+
+def solution_or_refusal(solve, *args):
+    """The solution, or the text of the ``SingularMatrixError`` refusing it."""
+    try:
+        return solve(*args)
+    except SingularMatrixError as exc:
+        return str(exc)
+
+
+class TestIntegerRows:
+    @given(
+        g=rational_graphs(max_nodes=7),
+        alpha=st.sampled_from([F(0), F(1, 3), F(17, 20), F(1), F(2), F(3)]),
+        distributed=st.booleans(),
+        stationary=st.booleans(),
+        keep=st.lists(st.booleans(), min_size=7, max_size=7),
+        shift=st.integers(0, 6),
+    )
+    @example(two_cycle(), F(1), True, False, [True] * 7, 0)  # I - M is singular
+    @settings(max_examples=300, deadline=None)
+    def test_rows_solve_like_the_fraction_system(
+        self, g, alpha, distributed, stationary, keep, shift
+    ):
+        # integer rows over a subset of the nodes in some order: the same
+        # answer as Fraction elimination on I - alpha*M, or the same refusal
+        order = [v for v, k in zip(g.node_ids, keep) if k] or g.node_ids
+        order = order[shift % len(order):] + order[: shift % len(order)]
+        n = len(order)
+        degree = {u: sum(w for _v, w in g.out_edges(u)) if distributed else 1 for u in order}
+        c = {(u, v): w / degree[u] for u, v, w in g.edges() if u in degree}
+        a = [[int(u == v) - alpha * c.get((u, v), 0) for u in order] for v in order]
+        rhs = [g.node_weight(v) for v in order]
+        if stationary:
+            a[-1], rhs = [F(1)] * n, [0] * (n - 1) + [1]
+        rows = _rational_system(g, order, alpha, distributed, rhs)
+        assert all(type(x) is int for row in rows for x in row)
+        got = solution_or_refusal(measures._solve, g, order, alpha, distributed, rhs, stationary)
+        assert got == solution_or_refusal(fraction_gauss, a, rhs)
 
 
 class TestEigenvector:

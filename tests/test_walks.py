@@ -280,12 +280,14 @@ class TestTailBounds:
             geometric_tail_bound(g, kind, alpha, 0 if acyclic_parallel else 3)
 
     @pytest.mark.parametrize("mode", list(Mode))
-    def test_majorizer_whose_step_underflows_gives_zero(self, mode):
-        # alpha * w = 1e-600 rounds to 0, so z = 1 and theta = 0: the float
-        # step is exactly 0.  The loop keeps the graph off the acyclic clause
+    def test_majorizer_whose_step_underflows_is_refused(self, mode):
+        # alpha * w = 1e-600 rounds to 0, so z = 1 and theta = 0, yet the
+        # exact tail is not 0: no certificate.  This read a bound of 0.  The
+        # loop keeps the graph off the acyclic clause
         g = parse_graph("node a 1\nnode b 1\nedge a a 1e-300\nedge a b 1e-300\n", mode)
         alpha = F("1e-300") if mode is Mode.RATIONAL else 1e-300
-        assert geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, 3) == {"a": 0.0, "b": 0.0}
+        with pytest.raises(DomainError, match="no contraction certificate: theta rounds to 0$"):
+            geometric_tail_bound(g, ProcessKind.PARALLEL, alpha, 3)
 
     @settings(max_examples=60, deadline=None)
     @given(g=acyclic_graphs(), alpha=st.sampled_from([F(1, 3), F(1, 2), F(1), F(3)]))

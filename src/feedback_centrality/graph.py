@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DomainError, FeedbackCentralityError, GraphFormatError
-from .linalg import DENSE_MATRIX_LIMIT, perron_triple
+from .linalg import check_matrix_size, perron_triple
 
 Weight = Union[Fraction, float]
 
@@ -650,8 +650,7 @@ def _coefficient_matrix(g: Graph, order: list[str] | None, distributed: bool) ->
             keys = list(g._edges)
             for i in edges:
                 _to_float(c[i], "weight of edge {!r} -> {!r}".format(*keys[i]), GraphFormatError)
-    if n > DENSE_MATRIX_LIMIT:
-        raise DomainError(f"dense float matrix is limited to {DENSE_MATRIX_LIMIT} nodes, got {n}")
+    check_matrix_size(n)
     a = np.zeros((n, n))
     a[dst, src] = c
     return a

@@ -7,14 +7,16 @@ is the simple Perron root, and its right and left eigenvectors are
 one-signed (Perron-Frobenius).  Matrices of at most ``DENSE_EIG_LIMIT`` rows
 take that eigenvalue from one ``numpy.linalg.eigvals`` call, without
 vectors, and both vectors from one batched solve of the bordered systems of
-A and A^T.  Larger ones run power iteration on B = (A + sI)/(2s) with s =
-the largest column sum, which is cheaper there than a dense eigenvalue
-solve: B is primitive (its diagonal is positive), so the iteration
-converges geometrically even when A itself is periodic, and every column of
-B sums to a value in [1/2, 1], so ``POWER_BLOCK`` steps run between two
-normalizations without overflow or underflow.  Either way the eigenvalue is
-then polished with the two-sided Rayleigh quotient, which is far more
-accurate than ``eigvals``' value or the iteration's normalization constant.
+A and A^T.  Larger ones run power iteration on B = (A + sigma*I)/(s +
+sigma), s the largest column sum and sigma half the mean column sum, which
+is cheaper there than a dense eigenvalue solve: B is primitive (its
+diagonal is positive), so the iteration converges geometrically even when
+A itself is periodic, and every column of B sums to a value in [sigma/(s +
+sigma), 1], at least 1/(2n + 1) because the mean column sum is at least
+s/n, so ``POWER_BLOCK`` steps run between two normalizations without
+overflow or underflow.  Either way the eigenvalue is then polished with the
+two-sided Rayleigh quotient, which is far more accurate than ``eigvals``'
+value or the iteration's normalization constant.
 """
 
 from __future__ import annotations
@@ -42,10 +44,14 @@ DENSE_MATRIX_LIMIT = isqrt(DENSE_MATRIX_BYTES // 8)
 
 #: Largest matrix whose Perron vectors come from ``eigvals`` and the
 #: bordered solve.  Per triple, on random irreducible matrices of 5-50%
-#: density (mean of 8, best of 9, 2-core Xeon, OpenBLAS), that path took
-#: 0.36 against 0.49 ms for blocked power iteration at n = 40, 0.43 against
-#: 0.54 ms at n = 44 and 0.48 against 0.43 ms at n = 48; the limit sits a
-#: little below that crossover.
+#: density (mean of 8, best of 9, median of 3 runs, 2-core Xeon, OpenBLAS),
+#: that path took 0.23 against 0.26 ms for blocked power iteration at n =
+#: 32, 0.33 against 0.30 ms at n = 34 and 0.57 against 0.35 ms at n = 40.
+#: The limit stays above that crossover: the eig path's time does not
+#: depend on the spectrum, and power iteration's does.  On unequal-weight
+#: cycles of 34-40 nodes, whose subdominant eigenvalues lie close to the
+#: Perron root for every shift, the eig path took 0.4 ms and power
+#: iteration 31-39 ms.
 DENSE_EIG_LIMIT = 40
 
 POWER_TOL = 1e-12
@@ -110,16 +116,41 @@ def _bordered_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / x.sum(), y / y.sum()
 
 
-def _power_vector(a: np.ndarray, shift: float) -> np.ndarray:
-    """Perron vector (sum 1) by power iteration on B = (A + shift*I)/(2*shift).
+def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
+    """Perron vector (sum 1) by power iteration on B = (A + sigma*I)/(top +
+    sigma), ``top`` the largest column sum of A.
+
+    Shifted power iteration converges at max |lambda_i + sigma| / (lambda +
+    sigma) over the other eigenvalues (Golub & Van Loan, Matrix
+    Computations, 4th ed., section 7.3): a large shift slows it, sigma = 0
+    stalls on a periodic A.  ``_shifts`` takes half the mean column sum,
+    which lies between the smallest and largest column sums and is lambda
+    on an out-regular graph (Collatz-Wielandt).  Steps to converge both
+    vectors, totalled per group of matrices, against shifts sigma:
+
+        ===============================  ======  ======  ======  =====  =====
+        sigma                            s       s/4     0.3m    0.5m   m
+        ===============================  ======  ======  ======  =====  =====
+        random, n = 41-500 (11)            1776     864     776    928   1320
+        periodic, p = 2-12 (11)            7000    7552    9112   7184   6360
+        unequal-weight cycles 41-64 (3)   83624   98176  110448  88912  79664
+        in- and out-hubs x100, x1e4 (4)   23592    6416     440    608   1000
+        ===============================  ======  ======  ======  =====  =====
+
+    (s the largest column sum, m the mean one; random are float_large-shaped
+    graphs and matrices of 40% density.)  Half the mean halves the steps on
+    random matrices and hubs, where s lies far above lambda, and takes 3%
+    more than s on periodic and 6% more on cycle matrices, which favour
+    sigma near lambda; 0.3m, the best on random matrices, takes 30% more
+    there.
 
     Each block runs ``POWER_BLOCK`` steps ``B @ x``, then normalizes and tests
     its last two iterates: max |x_new - x| <= POWER_TOL * max(x_new).
     Exactly ``POWER_MAX_ITER`` steps run before ``ConvergenceError``.
     """
     n = a.shape[0]
-    b = a / (2.0 * shift)  # 0.5/shift is subnormal for a shift near the float maximum
-    b[np.diag_indices(n)] += 0.5
+    b = a / (top + sigma)  # 1/(top + sigma) is subnormal near the float maximum
+    b[np.diag_indices(n)] += sigma / (top + sigma)
     x = np.full(n, 1.0 / n)
     change = np.inf
     for done in range(0, POWER_MAX_ITER, POWER_BLOCK):
@@ -137,6 +168,16 @@ def _power_vector(a: np.ndarray, shift: float) -> np.ndarray:
     )
 
 
+def _shifts(a: np.ndarray) -> tuple[float, float, float]:
+    """Largest column sum, largest row sum and the power shift sigma = half
+    the mean column sum (which is the mean row sum), each inf or nan when A's
+    sums overflow.  The mean is taken of the column sums divided by the
+    largest, so it is finite whenever that largest sum is."""
+    cols = a.sum(axis=0)
+    top = float(cols.max())
+    return top, float(a.sum(axis=1).max()), 0.5 * top * float((cols / top).mean())
+
+
 def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Right vector, left vector, and eigenvalue of a non-negative matrix.
 
@@ -144,11 +185,13 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     graph); there both vectors are strictly positive and the eigenvalue is
     simple.  Vectors are normalized to sum 1.  The zero matrix yields
     uniform vectors and eigenvalue 0.  ``POWER_TOL`` and ``POWER_MAX_ITER``
-    bound the power iteration used above ``DENSE_EIG_LIMIT`` rows.  Raises
-    ``ConvergenceError`` when a vector entry comes out zero or non-finite,
-    or the eigenvalue non-finite; no numpy warning escapes.  Power iteration
-    whose shift lies beyond half the float range runs on A/max(A) and
-    multiplies the eigenvalue back.
+    bound the power iteration used above ``DENSE_EIG_LIMIT`` rows, whose
+    left vector iterates on A^T with the same sigma (the mean row sum is the
+    mean column sum).  Raises ``ConvergenceError`` when a vector entry comes
+    out zero or non-finite, or the eigenvalue non-finite; no numpy warning
+    escapes.  Power iteration on a matrix whose largest column or row sum s
+    lies beyond half the float range (2s overflows, and s + sigma <= 3s/2
+    may) runs on A/max(A) and multiplies the eigenvalue back.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -157,26 +200,32 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if a.min(initial=0.0) < 0:
         raise DomainError("matrix has negative entries")
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-        col_shift = float(a.sum(axis=0).max(initial=0.0))
-        if col_shift == 0.0:
+        if not a.any():
             u = np.full(n, 1.0 / n)
             return u, u.copy(), 0.0
         scale = 1.0  # lambda of the matrix the vectors come from, times this
         if n <= DENSE_EIG_LIMIT:
             x, y = _bordered_vectors(a)
         else:
-            row_shift = float(a.sum(axis=1).max(initial=0.0))
-            if not np.isfinite(2.0 * max(col_shift, row_shift)):
-                # B = (A + sI)/(2s) needs a finite 2s: iterate on A/max(A)
+            col_top, row_top, sigma = _shifts(a)
+            if not np.isfinite(2.0 * max(col_top, row_top)):
+                # s + sigma <= 3s/2 may overflow past half the float range: iterate on A/max(A)
                 scale = float(a.max())
                 a = a / scale
-                col_shift, row_shift = float(a.sum(axis=0).max()), float(a.sum(axis=1).max())
-            x = _power_vector(a, col_shift)
-            y = _power_vector(a.T, row_shift)
+                col_top, row_top, sigma = _shifts(a)
+            x = _power_vector(a, col_top, sigma)
+            y = _power_vector(a.T, row_top, sigma)
         lam = scale * float((y @ (a @ x)) / (y @ x))
     if not np.isfinite(lam):
         raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam
+
+
+def check_matrix_size(n: int) -> None:
+    """The one refusal of a dense float matrix of more than
+    ``DENSE_MATRIX_LIMIT`` nodes built from a graph: ``DomainError``."""
+    if n > DENSE_MATRIX_LIMIT:
+        raise DomainError(f"dense float matrix is limited to {DENSE_MATRIX_LIMIT} nodes, got {n}")
 
 
 def check_solve_size(n: int) -> None:

@@ -49,7 +49,7 @@ from .graph import (
     transition_matrix,
     zero,
 )
-from .linalg import DENSE_MATRIX_LIMIT, check_solve_size, solve_integer, solve_refined
+from .linalg import check_matrix_size, check_solve_size, solve_integer, solve_refined
 
 
 class MeasureKind(enum.Enum):
@@ -180,15 +180,20 @@ def _rational_system(
     return rows
 
 
+def _check_float_size(n: int) -> None:
+    """The size refusal of a float system of n unknowns, before anything is
+    built: past ``DENSE_MATRIX_LIMIT`` the matrix builder's, as in every
+    request; past ``DENSE_SOLVE_LIMIT``, ``check_solve_size``'s."""
+    check_matrix_size(n)
+    check_solve_size(n)
+
+
 def _float_system(g: Graph, order: list[str], alpha: float, distributed: bool) -> np.ndarray:
     """I - alpha * M over ``order`` as a dense float array, on a graph of
     either mode, written over M's array: one n x n allocation, made after
-    the size checks.  A graph past ``DENSE_MATRIX_LIMIT`` gets the matrix
-    builder's refusal, as in every request; one past ``DENSE_SOLVE_LIMIT``
-    unknowns, ``check_solve_size``'s.  0 - alpha*M, then 1 added on the
-    diagonal, gives the bits of I - alpha*M, +0.0 where M has none."""
-    if len(order) <= DENSE_MATRIX_LIMIT:
-        check_solve_size(len(order))
+    ``_check_float_size``.  0 - alpha*M, then 1 added on the diagonal, gives
+    the bits of I - alpha*M, +0.0 where M has none."""
+    _check_float_size(len(order))
     k = (transition_matrix if distributed else adjacency_matrix)(g, order)
     with np.errstate(over="ignore"):  # an infinite entry fails the solve
         k *= alpha
@@ -239,11 +244,15 @@ def katz_centrality(g: Graph, alpha: Weight) -> CentralityVector:
 
     Needs alpha * lambda bounded away from 1 (margin 1e-6), where lambda is
     the graph's largest component eigenvalue; the Neumann series diverges at
-    the boundary and the solve becomes meaningless past it.
+    the boundary and the solve becomes meaningless past it.  A float graph
+    too large for the solve gets its size refusal before the class check,
+    which would spend a Perron pass on it.
     """
-    alpha = coerce_decay(g.mode, alpha)
-    Measure(MeasureKind.KATZ, alpha).check_class(g)
-    return _solve_damped(g, alpha, distributed=False)
+    measure = Measure(MeasureKind.KATZ, coerce_decay(g.mode, alpha))
+    if g.mode is Mode.FLOAT:
+        _check_float_size(len(g))
+    measure.check_class(g)
+    return _solve_damped(g, measure.alpha, distributed=False)
 
 
 def katz_prestige(g: Graph) -> CentralityVector:

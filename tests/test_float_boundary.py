@@ -221,14 +221,16 @@ def _homes_of_raise(pattern: str) -> list[str]:
     return homes
 
 
-# each domain rule of a measure, by a pattern that also matches its former
-# wordings ("pagerank decay must satisfy alpha < 1", "KATZ class needs a
-# decay alpha >= 0"), and the one function that raises it
+# each domain rule of a measure or a float system, by a pattern that also
+# matches its former wordings ("pagerank decay must satisfy alpha < 1",
+# "KATZ class needs a decay alpha >= 0"), and the one function that raises it
 DOMAIN_RULES = {
     "class refusal": (r"graph is outside the .* class", "measures.check_class"),
     "float-only": (r"float-only", "measures.eigenvector_centrality"),
     "pagerank bound": (r"pagerank .*alpha < 1", "measures.check_pagerank_decay"),
     "negative decay": (r"decay .*(non-negative|>= 0)", "graph.check_decay_sign"),
+    "float solve size": (r"dense float solve is limited", "linalg.check_solve_size"),
+    "float matrix size": (r"dense float matrix is limited", "linalg.check_matrix_size"),
 }
 
 

@@ -75,6 +75,11 @@ def weighted_cycle(rng, n):
     return a
 
 
+def power_shift(a):
+    """The power path's shift: half the mean column sum."""
+    return 0.5 * a.sum() / len(a)
+
+
 def power_triple(a, monkeypatch):
     """perron_triple forced onto shifted power iteration at any size."""
     with monkeypatch.context() as m:
@@ -203,27 +208,49 @@ class TestBlockedPowerIteration:
         x, y, lam = perron_triple(a)
         scale = a.max()
         b = a / scale
-        xs, change_x = stepwise_power_vector(
-            b, b.sum(axis=0).max(), linalg.POWER_TOL, linalg.POWER_MAX_ITER
-        )
-        ys, change_y = stepwise_power_vector(
-            b.T, b.sum(axis=1).max(), linalg.POWER_TOL, linalg.POWER_MAX_ITER
-        )
+        sigma = power_shift(b)
+        xs, change_x = stepwise_power_vector(b, sigma, linalg.POWER_TOL, linalg.POWER_MAX_ITER)
+        ys, change_y = stepwise_power_vector(b.T, sigma, linalg.POWER_TOL, linalg.POWER_MAX_ITER)
         assert max(change_x, change_y) <= linalg.POWER_TOL
         xo, yo, lamo = dominant_eig(b)
         for vx, vy, vlam in ((xs, ys, float(ys @ (b @ xs)) / float(ys @ xs)), (xo, yo, lamo)):
             np.testing.assert_allclose(x, vx, rtol=0, atol=1e-10)
             np.testing.assert_allclose(y, vy, rtol=0, atol=1e-10)
             assert lam == pytest.approx(scale * vlam, rel=1e-12)
-        # one more step on B = (A + sI)/(2s) barely moves either vector.  The
+        # one more step on A + sigma*I barely moves either vector.  The
         # stopping test bounds the change of the last step only; on a cycle
         # the subdominant modes rotate, so the next change can be a little
         # larger (1.1 * POWER_TOL on 64-node cycles, stepwise or blocked)
         for m, v in ((b, x), (b.T, y)):
-            shift = m.sum(axis=0).max()
-            step = (m + shift * np.eye(len(m))) / (2 * shift) @ v
+            step = m @ v + sigma * v
             step /= step.sum()
             assert np.abs(step - v).max() <= 2 * linalg.POWER_TOL * step.max()
+
+    @pytest.mark.parametrize("case", [c for c in _BLOCKED_CASES if not c.startswith("cycle")])
+    def test_float_large_shapes_converge_within_64_steps(self, case, monkeypatch):
+        # with the largest column sum as shift each vector took 56-136 steps,
+        # more than 64 on six of these seven
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 64)
+        make, *args = _BLOCKED_CASES[case]
+        a = make(np.random.default_rng([*_BLOCKED_CASES].index(case)), *args)
+        x, y, lam = perron_triple(a)
+        xo, yo, lamo = dominant_eig(a)
+        np.testing.assert_allclose(x, xo, rtol=0, atol=1e-10)
+        np.testing.assert_allclose(y, yo, rtol=0, atol=1e-10)
+        assert lam == pytest.approx(lamo, rel=1e-12)
+
+    def test_out_hub_converges_within_512_steps(self, monkeypatch):
+        # one node's out-edges weigh 10**4 times the rest: its column sum, the
+        # old shift, sits far above lambda, which took 17 776 and 4864 steps
+        # for the two vectors and left the right one 1.0e-9 off
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", 512)
+        a = float_large_shaped(np.random.default_rng(60), 60, "sparse")
+        a[:, 0] *= 1e4
+        x, y, lam = perron_triple(a)
+        xo, yo, lamo = dominant_eig(a)
+        for v, vo in ((x, xo), (y, yo)):
+            assert np.abs(v - vo).max() <= 1e-10 * vo.max()
+        assert lam == pytest.approx(lamo, rel=1e-12)
 
     @pytest.mark.parametrize("cap", [3, 13])
     def test_stops_after_exactly_the_step_cap(self, cap, monkeypatch):
@@ -235,8 +262,9 @@ class TestBlockedPowerIteration:
         a = cycle(n) + np.diag(np.arange(n, dtype=float))
         with pytest.raises(ConvergenceError) as exc:
             perron_triple(a)
-        shift = a.sum(axis=0).max()
-        change = {k: stepwise_power_vector(a, shift, 0.0, k)[1] for k in (cap - 1, cap, cap + 1)}
+        change = {
+            k: stepwise_power_vector(a, power_shift(a), 0.0, k)[1] for k in (cap - 1, cap, cap + 1)
+        }
         assert exc.value.residual == pytest.approx(change[cap], rel=1e-9)
         assert exc.value.residual != pytest.approx(change[cap - 1], rel=1e-3)
         assert exc.value.residual != pytest.approx(change[cap + 1], rel=1e-3)
@@ -563,6 +591,16 @@ class TestRarelyReachedPaths:
         a[5, 0], a[0, 0] = 0.0, 1.7e308
         with pytest.raises(ConvergenceError, match="^Perron eigenvalue is not finite: inf$"):
             perron_triple(a)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_shift_of_a_cycle_whose_total_weight_overflows(self):
+        # the sum of all 41 weights overflows, while the largest column sum
+        # and its double do not; a shift taken from that total ran all
+        # POWER_MAX_ITER steps on nan
+        assert 41 > DENSE_EIG_LIMIT
+        x, y, lam = perron_triple(cycle(41, 5e307))
+        assert lam == pytest.approx(5e307, rel=1e-15)
+        assert np.array_equal(x, np.full(41, 1 / 41)) and np.array_equal(y, x)
 
     def test_float_solve_past_the_dense_limit_is_a_domain_error(self):
         n = linalg.DENSE_SOLVE_LIMIT + 1

@@ -8,12 +8,12 @@ one-signed (Perron-Frobenius).  Matrices of at most ``DENSE_EIG_LIMIT`` rows
 take that eigenvalue from one ``numpy.linalg.eigvals`` call, without
 vectors, and both vectors from one batched solve of the bordered systems of
 A and A^T.  Larger ones run power iteration on B = (A + sigma*I)/(s +
-sigma), s the largest column sum and sigma half the mean column sum, which
-is cheaper there than a dense eigenvalue solve: B is primitive (its
-diagonal is positive), so the iteration converges geometrically even when
-A itself is periodic, and every column of B sums to a value in [sigma/(s +
-sigma), 1], at least 1/(2n + 1) because the mean column sum is at least
-s/n, so ``POWER_BLOCK`` steps run between two normalizations without
+sigma), s the largest column sum and sigma the mean column sum, which is
+cheaper there than a dense eigenvalue solve: B is primitive (its diagonal
+is positive), so the iteration converges geometrically even when A itself
+is periodic, and every column of B sums to a value in [sigma/(s + sigma),
+1], at least 1/(n + 1) because the mean column sum is at least s/n, so
+``POWER_BLOCK`` steps run between two normalizations without
 overflow or underflow.  Either way the eigenvalue is then polished with the
 two-sided Rayleigh quotient, which is far more accurate than ``eigvals``'
 value or the iteration's normalization constant.
@@ -45,13 +45,13 @@ DENSE_MATRIX_LIMIT = isqrt(DENSE_MATRIX_BYTES // 8)
 #: Largest matrix whose Perron vectors come from ``eigvals`` and the
 #: bordered solve.  Per triple, on random irreducible matrices of 5-50%
 #: density (mean of 8, best of 9, median of 3 runs, 2-core Xeon, OpenBLAS),
-#: that path took 0.23 against 0.26 ms for blocked power iteration at n =
-#: 32, 0.33 against 0.30 ms at n = 34 and 0.57 against 0.35 ms at n = 40.
-#: The limit stays above that crossover: the eig path's time does not
-#: depend on the spectrum, and power iteration's does.  On unequal-weight
-#: cycles of 34-40 nodes, whose subdominant eigenvalues lie close to the
-#: Perron root for every shift, the eig path took 0.4 ms and power
-#: iteration 31-39 ms.
+#: that path took 0.23 against 0.32 ms for blocked power iteration at n =
+#: 32, 0.28 against 0.29 ms at n = 36 and 0.34 against 0.30 ms at n = 40.
+#: The limit sits a little above that crossover: the eig path's time does
+#: not depend on the spectrum, and power iteration's does.  On
+#: unequal-weight cycles of 34-40 nodes, whose subdominant eigenvalues lie
+#: close to the Perron root for every shift, the eig path took 0.5-0.6 ms
+#: and power iteration 45-55 ms.
 DENSE_EIG_LIMIT = 40
 
 POWER_TOL = 1e-12
@@ -122,11 +122,14 @@ def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
 
     Shifted power iteration converges at max |lambda_i + sigma| / (lambda +
     sigma) over the other eigenvalues (Golub & Van Loan, Matrix
-    Computations, 4th ed., section 7.3): a large shift slows it, sigma = 0
-    stalls on a periodic A.  ``_shifts`` takes half the mean column sum,
-    which lies between the smallest and largest column sums and is lambda
-    on an out-regular graph (Collatz-Wielandt).  Steps to converge both
-    vectors, totalled per group of matrices, against shifts sigma:
+    Computations, 4th ed., section 7.3): sigma = 0 stalls on a periodic A,
+    and on the eigenvalues lambda*omega of a cycle the rate worsens as sigma
+    moves above lambda.  ``_shifts`` takes the mean column sum m, which lies
+    between the smallest and largest column sums and is lambda on an
+    out-regular graph (Collatz-Wielandt); on a cycle lambda, m and s are the
+    geometric mean, mean and largest of its weights, so there m is never
+    slower than s.  Steps to converge both vectors, totalled per group of
+    matrices, against shifts sigma:
 
         ===============================  ======  ======  ======  =====  =====
         sigma                            s       s/4     0.3m    0.5m   m
@@ -138,11 +141,11 @@ def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
         ===============================  ======  ======  ======  =====  =====
 
     (s the largest column sum, m the mean one; random are float_large-shaped
-    graphs and matrices of 40% density.)  Half the mean halves the steps on
-    random matrices and hubs, where s lies far above lambda, and takes 3%
-    more than s on periodic and 6% more on cycle matrices, which favour
-    sigma near lambda; 0.3m, the best on random matrices, takes 30% more
-    there.
+    graphs and matrices of 40% density.)  m is the only shift here that
+    beats s on every group; the smaller ones gain more on random matrices and
+    hubs, where s lies far above lambda, but take more steps than s on
+    periodic and cycle matrices, and with 0.5m a 200-node unequal-weight
+    ring stalls at ``POWER_MAX_ITER`` where s converges.
 
     Each block runs ``POWER_BLOCK`` steps ``B @ x``, then normalizes and tests
     its last two iterates: max |x_new - x| <= POWER_TOL * max(x_new).
@@ -169,13 +172,13 @@ def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
 
 
 def _shifts(a: np.ndarray) -> tuple[float, float, float]:
-    """Largest column sum, largest row sum and the power shift sigma = half
-    the mean column sum (which is the mean row sum), each inf or nan when A's
+    """Largest column sum, largest row sum and the power shift sigma = the
+    mean column sum (which is the mean row sum), each inf or nan when A's
     sums overflow.  The mean is taken of the column sums divided by the
     largest, so it is finite whenever that largest sum is."""
     cols = a.sum(axis=0)
     top = float(cols.max())
-    return top, float(a.sum(axis=1).max()), 0.5 * top * float((cols / top).mean())
+    return top, float(a.sum(axis=1).max()), top * float((cols / top).mean())
 
 
 def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -190,8 +193,8 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     mean column sum).  Raises ``ConvergenceError`` when a vector entry comes
     out zero or non-finite, or the eigenvalue non-finite; no numpy warning
     escapes.  Power iteration on a matrix whose largest column or row sum s
-    lies beyond half the float range (2s overflows, and s + sigma <= 3s/2
-    may) runs on A/max(A) and multiplies the eigenvalue back.
+    lies beyond half the float range (2s, the bound of s + sigma, overflows)
+    runs on A/max(A) and multiplies the eigenvalue back.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -209,7 +212,7 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         else:
             col_top, row_top, sigma = _shifts(a)
             if not np.isfinite(2.0 * max(col_top, row_top)):
-                # s + sigma <= 3s/2 may overflow past half the float range: iterate on A/max(A)
+                # s + sigma <= 2s needs a finite 2s: iterate on A/max(A)
                 scale = float(a.max())
                 a = a / scale
                 col_top, row_top, sigma = _shifts(a)

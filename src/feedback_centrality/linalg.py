@@ -14,7 +14,10 @@ is positive), so the iteration converges geometrically even when A itself
 is periodic, and every column of B sums to a value in [sigma/(s + sigma),
 1], at least 1/(n + 1) because the mean column sum is at least s/n, so
 ``POWER_BLOCK`` steps run between two normalizations without
-overflow or underflow.  Either way the eigenvalue is then polished with the
+overflow or underflow.  The iteration reads A only through its mat-vec, so
+a sparse component past ``edge_power_route``'s crossover runs it on its
+edge list (``edge_perron_triple``), O(edges) a step and with no n x n
+array.  Either way the eigenvalue is then polished with the
 two-sided Rayleigh quotient, which is far more accurate than ``eigvals``'
 value or the iteration's normalization constant.
 """
@@ -22,8 +25,9 @@ value or the iteration's normalization constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt, lcm, prod
+from math import frexp, isqrt, lcm, ldexp, prod
 from operator import mul
+from typing import Callable
 
 import numpy as np
 
@@ -54,11 +58,58 @@ DENSE_MATRIX_LIMIT = isqrt(DENSE_MATRIX_BYTES // 8)
 #: and power iteration 45-55 ms.
 DENSE_EIG_LIMIT = 40
 
+#: A component of n nodes and m edges with n**2 >= EDGE_POWER_RATIO * (m +
+#: EDGE_POWER_OVERHEAD), so n >= 149 and past ``DENSE_EIG_LIMIT``, runs
+#: power iteration on its edges instead of its dense adjacency
+#: (``edge_power_route``).  Per step the edge mat-vec took about 2.7 us, the
+#: cost of 1000 edges, plus 2.7 ns per edge; the dense one took 0.12 ns per
+#: entry up to n = 200 and 0.18-0.2 ns past it, where the matrix leaves the
+#: cache, and the dense route also builds and scales n x n arrays.  Adjacency
+#: build plus Perron triple (2-core Xeon, OpenBLAS; median of 9, of 3 for the
+#: rings, whose unequal weights take 10**4-10**5 steps per vector):
+#:
+#:     ===================  ===  =====  ========  =======  =====
+#:     component            n    m      dense ms  edge ms  route
+#:     ===================  ===  =====  ========  =======  =====
+#:     out-degree 3         150    594      1.73     2.18  dense
+#:     out-degree 3         200    798      3.01     2.61  edge
+#:     out-degree 7         200   1592      2.24     2.38  dense
+#:     out-degree 7         300   2393      4.17     3.01  edge
+#:     out-degree 15        300   4783      3.68     3.87  dense
+#:     out-degree 7         500   3990     12.48     4.04  edge
+#:     out-degree 15        500   7987     11.76     5.65  edge
+#:     out-degree 31        500  15961     10.61    10.01  dense
+#:     out-degree 15        800  12785     21.49     8.68  edge
+#:     20% dense            500  50415      9.45    27.46  dense
+#:     ring                 100    100       465      630  dense
+#:     ring                 150    150      1547     1509  dense
+#:     ring                 200    200      2721     1636  edge
+#:     ===================  ===  =====  ========  =======  =====
+#:
+#: (out-degree k: a Hamiltonian cycle plus k random out-edges per node,
+#: float_large's sparse shape at k = 7.)  Vectors of the two routes agreed
+#: to 1.2e-15 of their largest entry, eigenvalues to 5.5e-16.
+EDGE_POWER_RATIO = 22
+EDGE_POWER_OVERHEAD = 1000
+
+
+def edge_power_route(n: int, m: int) -> bool:
+    """Whether a component of n nodes and m edges runs power iteration on
+    its edges rather than on its dense adjacency."""
+    return n * n >= EDGE_POWER_RATIO * (m + EDGE_POWER_OVERHEAD)
+
+
 POWER_TOL = 1e-12
 POWER_MAX_ITER = 200_000
 
 #: Power steps between two normalizations and convergence tests.
 POWER_BLOCK = 8
+
+_TINY = float(np.finfo(np.float64).tiny)
+
+#: The mat-vec of a matrix given by its entries: ``times(c, x, transposed)``
+#: is A_c @ x, or A_c^T @ x when ``transposed``.
+Times = Callable[[np.ndarray, np.ndarray, bool], np.ndarray]
 
 #: Smallest exact system solved by p-adic lifting.  On damped and
 #: stationary systems of sparse random graphs lifting overtakes Bareiss
@@ -116,9 +167,10 @@ def _bordered_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x / x.sum(), y / y.sum()
 
 
-def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
-    """Perron vector (sum 1) by power iteration on B = (A + sigma*I)/(top +
-    sigma), ``top`` the largest column sum of A.
+def _power_vector(step: Callable[[np.ndarray], np.ndarray], n: int) -> np.ndarray:
+    """Perron vector (sum 1) by power iteration from the uniform vector,
+    ``step`` the mat-vec x -> B x of B = (A + sigma*I)/(top + sigma), ``top``
+    the largest column sum of A.
 
     Shifted power iteration converges at max |lambda_i + sigma| / (lambda +
     sigma) over the other eigenvalues (Golub & Van Loan, Matrix
@@ -147,20 +199,17 @@ def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
     periodic and cycle matrices, and with 0.5m a 200-node unequal-weight
     ring stalls at ``POWER_MAX_ITER`` where s converges.
 
-    Each block runs ``POWER_BLOCK`` steps ``B @ x``, then normalizes and tests
-    its last two iterates: max |x_new - x| <= POWER_TOL * max(x_new).
+    Each block runs ``POWER_BLOCK`` steps ``step(x)``, then normalizes and
+    tests its last two iterates: max |x_new - x| <= POWER_TOL * max(x_new).
     Exactly ``POWER_MAX_ITER`` steps run before ``ConvergenceError``.
     """
-    n = a.shape[0]
-    b = a / (top + sigma)  # 1/(top + sigma) is subnormal near the float maximum
-    b[np.diag_indices(n)] += sigma / (top + sigma)
     x = np.full(n, 1.0 / n)
     change = np.inf
     for done in range(0, POWER_MAX_ITER, POWER_BLOCK):
         for _ in range(min(POWER_BLOCK, POWER_MAX_ITER - done) - 1):
-            x = b @ x
+            x = step(x)
         x = x / x.sum()
-        y = b @ x
+        y = step(x)
         y = y / y.sum()
         change = np.abs(y - x).max() / y.max()
         x = y
@@ -171,14 +220,44 @@ def _power_vector(a: np.ndarray, top: float, sigma: float) -> np.ndarray:
     )
 
 
-def _shifts(a: np.ndarray) -> tuple[float, float, float]:
+def _dense_times(a: np.ndarray, x: np.ndarray, transposed: bool) -> np.ndarray:
+    return (a.T if transposed else a) @ x
+
+
+def _shifts(a: np.ndarray, n: int, times: Times) -> tuple[float, float, float]:
     """Largest column sum, largest row sum and the power shift sigma = the
     mean column sum (which is the mean row sum), each inf or nan when A's
     sums overflow.  The mean is taken of the column sums divided by the
     largest, so it is finite whenever that largest sum is."""
-    cols = a.sum(axis=0)
+    if a.ndim == 2:
+        cols, rows = a.sum(axis=0), a.sum(axis=1)
+    else:
+        ones = np.ones(n)
+        cols, rows = times(a, ones, True), times(a, ones, False)
     top = float(cols.max())
-    return top, float(a.sum(axis=1).max()), top * float((cols / top).mean())
+    return top, float(rows.max()), top * float((cols / top).mean())
+
+
+def _shifted(
+    a: np.ndarray, times: Times, top: float, sigma: float, transposed: bool
+) -> Callable[[np.ndarray], np.ndarray]:
+    """The mat-vec x -> B x of ``_power_vector``'s B, built from A^T when
+    ``transposed``: a dense A gets B as one matrix, an edge list the
+    product of its entries scaled by 1/(top + sigma) plus the diagonal."""
+    b = a / (top + sigma)  # 1/(top + sigma) is subnormal near the float maximum
+    d = sigma / (top + sigma)
+    if b.ndim == 2:
+        b = b.T if transposed else b
+        b[np.diag_indices(len(b))] += d
+        return b.__matmul__
+    return lambda x: times(b, x, transposed) + d * x
+
+
+def _lift(top: float, n: int) -> float:
+    """1, or the power of two that A is divided by so that its largest entry
+    ``top`` lies in [1/2, 1) when top/n**2, the size of the Rayleigh
+    quotient's products y_i A_ij x_j on uniform vectors, is subnormal there."""
+    return 1.0 if top >= _TINY * n * n else ldexp(1.0, frexp(top)[1])
 
 
 def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
@@ -192,9 +271,13 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     left vector iterates on A^T with the same sigma (the mean row sum is the
     mean column sum).  Raises ``ConvergenceError`` when a vector entry comes
     out zero or non-finite, or the eigenvalue non-finite; no numpy warning
-    escapes.  Power iteration on a matrix whose largest column or row sum s
-    lies beyond half the float range (2s, the bound of s + sigma, overflows)
-    runs on A/max(A) and multiplies the eigenvalue back.
+    escapes.  Two rescales keep the arithmetic in range, and each multiplies
+    the eigenvalue back: a matrix whose largest entry is below n**2 times
+    the smallest normal float (about 1.5e-300 at 8192 rows) is divided by a
+    power of two that lifts that entry into [1/2, 1), before either path;
+    power iteration on a matrix whose largest column or row sum s lies
+    beyond half the float range (2s, the bound of s + sigma, overflows)
+    runs on A/max(A).  Every other matrix keeps its bits.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -202,23 +285,44 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         raise DomainError(f"expected a square non-empty matrix, got shape {a.shape}")
     if a.min(initial=0.0) < 0:
         raise DomainError("matrix has negative entries")
+    return _perron(a, n, _dense_times)
+
+
+def edge_perron_triple(
+    n: int, weight: np.ndarray, times: Times
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``perron_triple`` of the n x n matrix A with the non-negative entries
+    ``weight`` (one per edge), by its power path with no n x n array.
+
+    ``times(c, x, transposed)`` is the mat-vec A_c @ x, or A_c^T @ x when
+    ``transposed``, of the matrix A_c with the entries c in place of
+    ``weight``; the power path calls it on scaled copies of ``weight``.
+    """
+    return _perron(weight, n, times)
+
+
+def _perron(a: np.ndarray, n: int, times: Times) -> tuple[np.ndarray, np.ndarray, float]:
+    """``perron_triple`` of A, given as a dense matrix or as the edge
+    entries of ``edge_perron_triple``; A @ x is ``times(a, x, False)``."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
         if not a.any():
             u = np.full(n, 1.0 / n)
             return u, u.copy(), 0.0
-        scale = 1.0  # lambda of the matrix the vectors come from, times this
-        if n <= DENSE_EIG_LIMIT:
+        scale = _lift(float(a.max()), n)  # lambda of the matrix the vectors come from, times this
+        if scale != 1.0:
+            a = a / scale
+        if a.ndim == 2 and n <= DENSE_EIG_LIMIT:
             x, y = _bordered_vectors(a)
         else:
-            col_top, row_top, sigma = _shifts(a)
+            col_top, row_top, sigma = _shifts(a, n, times)
             if not np.isfinite(2.0 * max(col_top, row_top)):
                 # s + sigma <= 2s needs a finite 2s: iterate on A/max(A)
                 scale = float(a.max())
                 a = a / scale
-                col_top, row_top, sigma = _shifts(a)
-            x = _power_vector(a, col_top, sigma)
-            y = _power_vector(a.T, row_top, sigma)
-        lam = scale * float((y @ (a @ x)) / (y @ x))
+                col_top, row_top, sigma = _shifts(a, n, times)
+            x = _power_vector(_shifted(a, times, col_top, sigma, False), n)
+            y = _power_vector(_shifted(a, times, row_top, sigma, True), n)
+        lam = scale * float((y @ times(a, x, False)) / (y @ x))
     if not np.isfinite(lam):
         raise ConvergenceError(f"Perron eigenvalue is not finite: {lam}")
     return x, y, lam

@@ -1396,6 +1396,39 @@ def test_exact_values_print_when_the_perron_value_overflows(tmp_path, request_na
     assert diagnostics["max_recursion_residual"] == "0"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("centrality", "--measure", "ev"), ("centrality", "--measure", "pr"), ("classify",)],
+    ids=["ev", "pr", "classify"],
+)
+def test_two_cycle_of_subnormal_weight(capsys, tmp_path, argv):
+    # ev and classify exited 1 with "dense eigensolve gave a Perron vector
+    # with zero or non-finite entries", and pr printed that as
+    # spectral_omitted
+    path = tmp_path / "tiny.dg"
+    path.write_text("node a 1\nnode b 1\nedge a b 5e-310\nedge b a 5e-310\n")
+    doc = run_json(capsys, *argv, "--input", str(path), "--mode", "float")
+    diagnostics = doc["diagnostics"]
+    assert "spectral_omitted" not in diagnostics
+    assert diagnostics["component_eigenvalues"] == ["5e-310"]
+    assert diagnostics["spectral_radius"] == "5e-310"
+
+
+def test_eigenvector_of_a_long_cycle_of_subnormal_weight(capsys, tmp_path):
+    # the power path's Rayleigh quotient underflowed: spectral_radius read
+    # 1.23516e-320 and max_recursion_residual 0.1904
+    n = 50
+    path = tmp_path / "tiny.dg"
+    path.write_text(
+        "".join(f"node v{i} 1\n" for i in range(n))
+        + "".join(f"edge v{i} v{(i + 1) % n} 1e-320\n" for i in range(n))
+    )
+    doc = run_json(capsys, "centrality", "--measure", "ev", "--input", str(path), "--mode", "float")
+    diagnostics = doc["diagnostics"]
+    assert float(diagnostics["spectral_radius"]) == pytest.approx(1e-320, rel=1e-5)
+    assert float(diagnostics["max_recursion_residual"]) < 1e-12
+
+
 def test_distributed_residual_divides_before_it_multiplies(tmp_path):
     # w * x overflowed before the division by the out-degree: the residual was "inf"
     code, out, err, caught = _near_max_request(tmp_path, "huge-pair", "pr", "float")

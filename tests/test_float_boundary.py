@@ -175,6 +175,32 @@ def test_no_module_runs_an_eigendecomposition():
     assert offenders == []
 
 
+def test_only_the_edge_order_sum_calls_bincount():
+    # graph._sum_by is the one edge-order sum: out-degrees, in_flow and the
+    # edge route's Perron mat-vec all add their terms through it
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        exempt = {
+            id(node)
+            for func in ast.walk(tree)
+            if path.name == "graph.py"
+            and isinstance(func, ast.FunctionDef)
+            and func.name == "_sum_by"
+            for node in ast.walk(func)
+        }
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if (
+                (isinstance(node, ast.Attribute) and node.attr == "bincount")
+                or (isinstance(node, ast.alias) and node.name == "bincount")
+            )
+            and id(node) not in exempt
+        ]
+    assert offenders == []
+
+
 def test_only_the_limit_rule_names_a_walks_measure():
     # walks._limit is the one map from a process and a decay to a measure;
     # every other function in walks.py reaches a measure through it, and a

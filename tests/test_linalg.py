@@ -1,6 +1,8 @@
 """Perron solver, the refined float solve and exact rational elimination."""
 
+import itertools
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import isqrt
 
@@ -15,20 +17,24 @@ from feedback_centrality import (
     Family,
     GeneratorSpec,
     Graph,
+    GraphFormatError,
     Mode,
     SingularMatrixError,
     adjacency_matrix,
     generate,
     pagerank,
     principal_eigenvalue,
+    spectral_data,
     strongly_connected_components,
 )
-from feedback_centrality import linalg
+from feedback_centrality import graph, linalg
+from feedback_centrality.graph import delete_edge, in_flow
 from feedback_centrality.linalg import (
     DENSE_EIG_LIMIT,
     DIXON_MAX_N,
     DIXON_MIN_N,
     DIXON_PRIMES,
+    edge_power_route,
     gauss_rational,
     perron_triple,
     solve_refined,
@@ -169,6 +175,30 @@ class TestPerron:
         with pytest.raises(ConvergenceError, match="zero or non-finite"):
             perron_triple(np.array([[0.0, 1e300], [1e-300, 0.0]]))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [5e-310, 1e-320])
+    @pytest.mark.parametrize("n", [2, 3, 30, DENSE_EIG_LIMIT + 1, 50])
+    def test_cycle_of_subnormal_weight(self, n, w):
+        # up to DENSE_EIG_LIMIT the eigensolve on the subnormal matrix gave a
+        # Perron vector with a zero entry; past it the Rayleigh quotient's
+        # products, about w/n**2, underflowed and put lambda 17% (41 nodes)
+        # and 24% (50 nodes) off w at 1e-320
+        x, y, lam = perron_triple(cycle(n, w))
+        assert lam == w
+        np.testing.assert_allclose(x, np.full(n, 1 / n), rtol=1e-12)
+        np.testing.assert_allclose(y, np.full(n, 1 / n), rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [7, DENSE_EIG_LIMIT + 5])
+    def test_matrix_of_tiny_entries_is_lifted_by_a_power_of_two(self, n):
+        # lifted entries are those of the tiny matrix times 2**1070 exactly,
+        # so both give the same Perron data up to that factor
+        tiny = np.ldexp(random_irreducible(np.random.default_rng(n), n), -1070)
+        x, y, lam = perron_triple(tiny)
+        xl, yl, laml = perron_triple(np.ldexp(tiny, 1070))
+        np.testing.assert_allclose(x, xl, rtol=1e-12)
+        np.testing.assert_allclose(y, yl, rtol=1e-12)
+        assert lam == pytest.approx(np.ldexp(laml, -1070), rel=1e-12)
+
     def test_zero_matrix(self):
         x, y, lam = perron_triple(np.zeros((3, 3)))
         assert lam == 0.0
@@ -272,6 +302,203 @@ class TestBlockedPowerIteration:
         assert str(exc.value) == (
             f"power iteration stalled after {cap} steps (achieved relative change {shown})"
         )
+
+
+def graph_of(a, rng, mode=Mode.FLOAT):
+    """The graph with adjacency a (a[i, j] the weight of v<j> -> v<i>), its
+    nodes and edges listed in a random order, so that Tarjan's component
+    order is not node order."""
+    dst, src = np.nonzero(a)
+    edges = [(f"v{j}", f"v{i}", mode_weight(a[i, j], mode)) for i, j in zip(dst, src)]
+    return Graph.build(
+        [(f"v{i}", mode_weight(1.0, mode)) for i in rng.permutation(len(a))],
+        [edges[k] for k in rng.permutation(len(edges))],
+        mode,
+    )
+
+
+def mode_weight(w, mode):
+    return float(w) if mode is Mode.FLOAT else F(float(w))
+
+
+def routed_pass(g, monkeypatch, edges):
+    """The spectral pass of g with every component past DENSE_EIG_LIMIT on
+    the edge route (``edges``) or on the dense one."""
+    with monkeypatch.context() as m:
+        m.setattr(graph, "edge_power_route", lambda n, _m: edges and n > DENSE_EIG_LIMIT)
+        return graph._perron_pass(g)
+
+
+def assert_routes_agree(g, monkeypatch, eig_atol=1e-10):
+    """Both routes give every component the same Perron data to rounding,
+    and both match dense eig within ``eig_atol`` times the largest entry."""
+    edge, dense = routed_pass(g, monkeypatch, True), routed_pass(g, monkeypatch, False)
+    assert edge.components == dense.components
+    for k, comp in enumerate(edge.components):
+        xo, yo, lamo = dominant_eig(adjacency_matrix(g, comp))
+        for v, vd, vo in (
+            (edge.right_vectors[k], dense.right_vectors[k], xo),
+            (edge.left_vectors[k], dense.left_vectors[k], yo),
+        ):
+            assert np.abs(v - vd).max() <= 1e-14 * vd.max()
+            assert np.abs(v - vo).max() <= eig_atol * vo.max()
+        assert edge.values[k] == pytest.approx(dense.values[k], rel=1e-14)
+        assert edge.values[k] == pytest.approx(lamo, rel=1e-12)
+    return edge
+
+
+#: the fewest nodes of an edge-route ring
+RING_N = next(n for n in itertools.count(DENSE_EIG_LIMIT + 1) if edge_power_route(n, n))
+
+
+class TestEdgeRoute:
+    """Power iteration on a component's edge list, against the dense route
+    and dense eig."""
+
+    @pytest.mark.parametrize("n", [300, 500])
+    def test_float_large_shaped_component(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        a = float_large_shaped(rng, n, "sparse")
+        assert edge_power_route(n, np.count_nonzero(a))
+        g = graph_of(a, rng)
+        with monkeypatch.context() as m:
+            m.setattr(graph, "perron_triple", None)  # no dense route
+            data = graph._perron_pass(g)
+        assert data.components == strongly_connected_components(g).components
+        assert len(data.components) == 1
+        assert_routes_agree(g, monkeypatch)
+
+    def test_large_component_beside_others(self, monkeypatch):
+        # a 300-node sparse component feeding a 45-node dense one, a loop and
+        # a loop-free node, listed shuffled: each component's vectors follow
+        # Tarjan's order of its nodes
+        rng = np.random.default_rng(345)
+        a = np.zeros((347, 347))
+        a[:300, :300] = float_large_shaped(rng, 300, "sparse")
+        a[300:345, 300:345] = random_irreducible(rng, 45)
+        a[300 + rng.integers(0, 45, 20), rng.integers(0, 300, 20)] = 1.5
+        a[345, 345] = 2.5
+        a[346, 0] = 1.0
+        g = graph_of(a, rng)
+        data = assert_routes_agree(g, monkeypatch)
+        sizes = sorted(len(c) for c in data.components)
+        assert sizes == [1, 1, 45, 300]
+        big = next(c for c in data.components if len(c) == 300)
+        assert big != sorted(big, key=g.node_ids.index)
+
+    def test_rational_component(self, monkeypatch):
+        # each exact weight converts to the float the float graph holds, so
+        # both modes iterate on the same entries
+        rng = np.random.default_rng(300)
+        a = float_large_shaped(rng, 300, "sparse")
+        state = rng.bit_generator.state
+        exact = graph_of(a, rng, Mode.RATIONAL)
+        rng.bit_generator.state = state
+        data = routed_pass(exact, monkeypatch, True)
+        floats = routed_pass(graph_of(a, rng), monkeypatch, True)
+        assert data.values == floats.values
+        assert np.array_equal(data.right_vectors[0], floats.right_vectors[0])
+        assert np.array_equal(data.left_vectors[0], floats.left_vectors[0])
+
+    def test_rational_weight_beyond_float_range_is_named_alike(self, monkeypatch):
+        rng = np.random.default_rng(301)
+        g = graph_of(float_large_shaped(rng, 300, "sparse"), rng, Mode.RATIONAL)
+        u, v, _w = next(g.edges())
+        g = delete_edge(g, u, v)
+        g.add_edge(u, v, F(10) ** 400)
+        texts = set()
+        for edges in (True, False):
+            with pytest.raises(GraphFormatError) as exc:
+                routed_pass(g, monkeypatch, edges)
+            texts.add(str(exc.value))
+        assert texts == {f"weight of edge {u!r} -> {v!r} does not fit in a float"}
+
+    def test_ring(self, monkeypatch):
+        # every ring from RING_N nodes on takes the edge route; unequal
+        # weights make it need about 10**5 steps per vector, and the stopping
+        # test, which bounds the last step's change, leaves it about 1e-10
+        # off dense eig on either route
+        rng = np.random.default_rng(RING_N)
+        assert not edge_power_route(RING_N - 1, RING_N - 1)
+        g = graph_of(weighted_cycle(rng, RING_N), rng)
+        assert_routes_agree(g, monkeypatch, eig_atol=1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("w", [1e308, 5e307, 1e-320])
+    def test_ring_near_the_ends_of_the_float_range(self, w, monkeypatch):
+        # the overflow rescale (2s overflows), the overflowing total weight
+        # and the power-of-two lift of tiny entries act alike on both routes
+        g = graph_of(cycle(RING_N, w), np.random.default_rng(0))
+        for edges in (True, False):
+            data = routed_pass(g, monkeypatch, edges)
+            assert data.values[0] == pytest.approx(w, rel=1e-15)
+            for v in (data.right_vectors[0], data.left_vectors[0]):
+                np.testing.assert_allclose(v, np.full(RING_N, 1 / RING_N), rtol=1e-14)
+
+    def test_routes_take_the_same_steps(self, monkeypatch):
+        taken = []  # steps per vector
+        power_vector = linalg._power_vector
+
+        def counted(step, n):
+            def count(x):
+                taken[-1] += 1
+                return step(x)
+
+            taken.append(0)
+            return power_vector(count, n)
+
+        monkeypatch.setattr(linalg, "_power_vector", counted)
+        rng = np.random.default_rng(500)
+        g = graph_of(float_large_shaped(rng, 500, "sparse"), rng)
+        steps = {}
+        for edges in (True, False):
+            taken.clear()
+            routed_pass(g, monkeypatch, edges)
+            steps[edges] = list(taken)
+        assert steps[True] == steps[False]
+        assert len(steps[True]) == 2 and max(steps[True]) <= 72
+
+    @pytest.mark.parametrize("cap", [3, 13])
+    def test_routes_stall_alike(self, cap, monkeypatch):
+        monkeypatch.setattr(linalg, "POWER_MAX_ITER", cap)
+        rng = np.random.default_rng(RING_N)
+        g = graph_of(weighted_cycle(rng, RING_N), rng)
+        stalls = []
+        for edges in (True, False):
+            with pytest.raises(ConvergenceError) as exc:
+                routed_pass(g, monkeypatch, edges)
+            stalls.append(exc.value)
+        edge, dense = stalls
+        assert str(edge) == str(dense)
+        assert str(edge).startswith(f"power iteration stalled after {cap} steps")
+        assert edge.residual == pytest.approx(dense.residual, rel=1e-9)
+
+    def test_spectral_pass_builds_no_square_matrix(self):
+        # a 4096-node graph of out-degree about 4 with a Hamiltonian cycle:
+        # the dense route built and scaled 4096 x 4096 arrays, 128 MB each
+        n = 4096
+        rng = np.random.default_rng(n)
+        perm = rng.permutation(n)
+        edges = {(int(u), int(v)) for u, v in zip(perm, np.roll(perm, -1))}
+        edges |= {(u, int(v)) for u in range(n) for v in rng.choice(n, 3, replace=False)}
+        weights = rng.uniform(0.25, 3, len(edges)).tolist()
+        g = Graph.build(
+            [(f"v{i}", 1.0) for i in range(n)],
+            [(f"v{u}", f"v{v}", w) for (u, v), w in zip(edges, weights)],
+            Mode.FLOAT,
+        )
+        tracemalloc.start()
+        try:
+            data = spectral_data(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(c) for c in data.components] == [n]
+        assert peak < 8 * n * n / 4
+        x = dict(zip(data.components[0], data.right_vectors[0].tolist()))
+        a_x = in_flow(g, x, distributed=False)
+        worst = max(abs(a_x[v] - data.lam * x[v]) for v in x)
+        assert worst <= 1e-10 * data.lam * max(x.values())
 
 
 class TestSolveRefined:

@@ -25,7 +25,7 @@ value or the iteration's normalization constant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import frexp, isqrt, lcm, ldexp, prod
+from math import isqrt, lcm, prod
 from operator import mul
 from typing import Callable
 
@@ -106,6 +106,7 @@ POWER_MAX_ITER = 200_000
 POWER_BLOCK = 8
 
 _TINY = float(np.finfo(np.float64).tiny)
+_HUGE = float(np.finfo(np.float64).max)
 
 #: The mat-vec of a matrix given by its entries: ``times(c, x, transposed)``
 #: is A_c @ x, or A_c^T @ x when ``transposed``.
@@ -142,21 +143,15 @@ def _bordered_vectors(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A and A^T.
     """
     n = a.shape[0]
-    try:
-        lam0 = float(np.linalg.eigvals(a).real.max())
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
-    if not np.isfinite(lam0):
-        raise ConvergenceError(f"Perron eigenvalue is not finite: {lam0}")
     k = np.zeros((2, n + 1, n + 1))
     k[0, :n, :n] = a
     k[1, :n, :n] = a.T
     k[:, :n, n] = k[:, n, :n] = 1.0
     i = np.arange(n)
-    k[:, i, i] -= lam0
     rhs = np.zeros((2, n + 1, 1))
     rhs[:, n] = 1.0
     try:
+        k[:, i, i] -= float(np.linalg.eigvals(a).real.max())
         x, y = np.linalg.solve(k, rhs)[:, :n, 0]
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"dense eigensolve failed: {exc}") from None
@@ -226,14 +221,11 @@ def _dense_times(a: np.ndarray, x: np.ndarray, transposed: bool) -> np.ndarray:
 
 def _shifts(a: np.ndarray, n: int, times: Times) -> tuple[float, float, float]:
     """Largest column sum, largest row sum and the power shift sigma = the
-    mean column sum (which is the mean row sum), each inf or nan when A's
-    sums overflow.  The mean is taken of the column sums divided by the
-    largest, so it is finite whenever that largest sum is."""
-    if a.ndim == 2:
-        cols, rows = a.sum(axis=0), a.sum(axis=1)
-    else:
-        ones = np.ones(n)
-        cols, rows = times(a, ones, True), times(a, ones, False)
+    mean column sum (which is the mean row sum), the sums A^T 1 and A 1 by
+    ``times``.  The mean is taken of the column sums divided by the largest,
+    so it is finite even where the total of the column sums is not."""
+    ones = np.ones(n)
+    cols, rows = times(a, ones, True), times(a, ones, False)
     top = float(cols.max())
     return top, float(rows.max()), top * float((cols / top).mean())
 
@@ -253,13 +245,6 @@ def _shifted(
     return lambda x: times(b, x, transposed) + d * x
 
 
-def _lift(top: float, n: int) -> float:
-    """1, or the power of two that A is divided by so that its largest entry
-    ``top`` lies in [1/2, 1) when top/n**2, the size of the Rayleigh
-    quotient's products y_i A_ij x_j on uniform vectors, is subnormal there."""
-    return 1.0 if top >= _TINY * n * n else ldexp(1.0, frexp(top)[1])
-
-
 def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Right vector, left vector, and eigenvalue of a non-negative matrix.
 
@@ -269,15 +254,16 @@ def perron_triple(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     uniform vectors and eigenvalue 0.  ``POWER_TOL`` and ``POWER_MAX_ITER``
     bound the power iteration used above ``DENSE_EIG_LIMIT`` rows, whose
     left vector iterates on A^T with the same sigma (the mean row sum is the
-    mean column sum).  Raises ``ConvergenceError`` when a vector entry comes
-    out zero or non-finite, or the eigenvalue non-finite; no numpy warning
-    escapes.  Two rescales keep the arithmetic in range, and each multiplies
-    the eigenvalue back: a matrix whose largest entry is below n**2 times
-    the smallest normal float (about 1.5e-300 at 8192 rows) is divided by a
-    power of two that lifts that entry into [1/2, 1), before either path;
-    power iteration on a matrix whose largest column or row sum s lies
-    beyond half the float range (2s, the bound of s + sigma, overflows)
-    runs on A/max(A).  Every other matrix keeps its bits.
+    mean column sum).  Raises ``DomainError`` on a negative or non-finite
+    entry and ``ConvergenceError`` when a vector entry comes out zero or
+    non-finite, or the eigenvalue non-finite; no numpy warning escapes.  One
+    range rule on the largest entry keeps the arithmetic in range: a matrix
+    whose largest entry is below n**2 times the smallest normal float (about
+    1.5e-300 at 8192 rows), where the Rayleigh quotient's products y_i A_ij
+    x_j of about max(A)/n**2 are subnormal, or at or above the float maximum
+    over 2n, where the power path's s + sigma <= 2s <= 2n max(A) could
+    overflow, runs on A/max(A), and the eigenvalue is multiplied back.
+    Every other matrix keeps its bits.
     """
     a = np.ascontiguousarray(a, dtype=np.float64)
     n = a.shape[0]
@@ -303,23 +289,24 @@ def edge_perron_triple(
 
 def _perron(a: np.ndarray, n: int, times: Times) -> tuple[np.ndarray, np.ndarray, float]:
     """``perron_triple`` of A, given as a dense matrix or as the edge
-    entries of ``edge_perron_triple``; A @ x is ``times(a, x, False)``."""
+    entries of ``edge_perron_triple``; A @ x is ``times(a, x, False)``.
+    Its largest entry alone decides the zero matrix, the non-finite refusal
+    and the rescale of ``perron_triple``'s range rule, on both routes."""
+    top = float(a.max())
+    if top == 0.0:
+        u = np.full(n, 1.0 / n)
+        return u, u.copy(), 0.0
+    if not np.isfinite(top):
+        raise DomainError("matrix has non-finite entries")
+    # lambda of the matrix the vectors come from, times this
+    scale = 1.0 if _TINY * n * n <= top < _HUGE / (2 * n) else top
+    if scale != 1.0:
+        a = a / scale
     with np.errstate(over="ignore", invalid="ignore"):  # refused below, without a warning
-        if not a.any():
-            u = np.full(n, 1.0 / n)
-            return u, u.copy(), 0.0
-        scale = _lift(float(a.max()), n)  # lambda of the matrix the vectors come from, times this
-        if scale != 1.0:
-            a = a / scale
         if a.ndim == 2 and n <= DENSE_EIG_LIMIT:
             x, y = _bordered_vectors(a)
         else:
             col_top, row_top, sigma = _shifts(a, n, times)
-            if not np.isfinite(2.0 * max(col_top, row_top)):
-                # s + sigma <= 2s needs a finite 2s: iterate on A/max(A)
-                scale = float(a.max())
-                a = a / scale
-                col_top, row_top, sigma = _shifts(a, n, times)
             x = _power_vector(_shifted(a, times, col_top, sigma, False), n)
             y = _power_vector(_shifted(a, times, row_top, sigma, True), n)
         lam = scale * float((y @ times(a, x, False)) / (y @ x))

@@ -247,9 +247,10 @@ def _homes_of_raise(pattern: str) -> list[str]:
     return homes
 
 
-# each domain rule of a measure or a float system, by a pattern that also
-# matches its former wordings ("pagerank decay must satisfy alpha < 1",
-# "KATZ class needs a decay alpha >= 0"), and the one function that raises it
+# each domain rule of a measure, a float system or a Perron matrix, and the
+# dense eigensolve's failure, by a pattern that also matches its former
+# wordings ("pagerank decay must satisfy alpha < 1", "KATZ class needs a
+# decay alpha >= 0"), and the one function that raises it
 DOMAIN_RULES = {
     "class refusal": (r"graph is outside the .* class", "measures.check_class"),
     "float-only": (r"float-only", "measures.eigenvector_centrality"),
@@ -257,6 +258,9 @@ DOMAIN_RULES = {
     "negative decay": (r"decay .*(non-negative|>= 0)", "graph.check_decay_sign"),
     "float solve size": (r"dense float solve is limited", "linalg.check_solve_size"),
     "float matrix size": (r"dense float matrix is limited", "linalg.check_matrix_size"),
+    "negative matrix": (r"matrix has negative entries", "linalg.perron_triple"),
+    "non-finite matrix": (r"matrix has non-finite entries", "linalg._perron"),
+    "dense eigensolve": (r"dense eigensolve failed", "linalg._bordered_vectors"),
 }
 
 

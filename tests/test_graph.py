@@ -888,3 +888,7 @@ class TestRarelyReachedPaths:
     def test_only_the_katz_class_carries_a_decay(self):
         with pytest.raises(DomainError, match="all class carries no alpha"):
             GraphClass(ClassTag.ALL, 0.5)
+
+    def test_katz_class_needs_a_decay(self):
+        with pytest.raises(DomainError, match="^KATZ class needs a decay alpha$"):
+            GraphClass(ClassTag.KATZ)

@@ -189,9 +189,10 @@ class TestPerron:
         np.testing.assert_allclose(y, np.full(n, 1 / n), rtol=1e-12)
 
     @pytest.mark.parametrize("n", [7, DENSE_EIG_LIMIT + 5])
-    def test_matrix_of_tiny_entries_is_lifted_by_a_power_of_two(self, n):
-        # lifted entries are those of the tiny matrix times 2**1070 exactly,
-        # so both give the same Perron data up to that factor
+    def test_matrix_of_tiny_entries_runs_on_a_rescaled_matrix(self, n):
+        # its largest entry lies below n**2 times the smallest normal float,
+        # so it runs on A/max(A), as does the matrix times 2**1070 in the
+        # same bits, and both give the same Perron data up to that factor
         tiny = np.ldexp(random_irreducible(np.random.default_rng(n), n), -1070)
         x, y, lam = perron_triple(tiny)
         xl, yl, laml = perron_triple(np.ldexp(tiny, 1070))
@@ -209,6 +210,28 @@ class TestPerron:
             perron_triple(np.array([[-1.0]]))
         with pytest.raises(DomainError):
             perron_triple(np.zeros((2, 3)))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "bad, text", [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "negative")]
+    )
+    @pytest.mark.parametrize("n", [2, DENSE_EIG_LIMIT + 1])
+    def test_non_finite_entry_is_refused_at_once(self, n, bad, text, monkeypatch):
+        # the 41-node matrix with nan ran all POWER_MAX_ITER steps and stalled,
+        # the 2-node one failed in the dense eigensolve
+        def ran(*_args):
+            raise AssertionError("a Perron path ran")
+
+        monkeypatch.setattr(linalg, "_bordered_vectors", ran)
+        monkeypatch.setattr(linalg, "_power_vector", ran)
+        a = cycle(n)
+        a[1, 1] = bad
+        with pytest.raises(DomainError, match=f"^matrix has {text} entries$"):
+            perron_triple(a)
+
+    def test_double_top_eigenvalue_makes_the_bordered_system_singular(self):
+        with pytest.raises(ConvergenceError, match="^dense eigensolve failed: Singular matrix$"):
+            perron_triple(np.eye(2))
 
 
 _BLOCKED_CASES = {
@@ -426,8 +449,9 @@ class TestEdgeRoute:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("w", [1e308, 5e307, 1e-320])
     def test_ring_near_the_ends_of_the_float_range(self, w, monkeypatch):
-        # the overflow rescale (2s overflows), the overflowing total weight
-        # and the power-of-two lift of tiny entries act alike on both routes
+        # the range rule runs both routes on A/max(A), for the largest entry
+        # at or above the float maximum over 2n and below n**2 times the
+        # smallest normal float alike
         g = graph_of(cycle(RING_N, w), np.random.default_rng(0))
         for edges in (True, False):
             data = routed_pass(g, monkeypatch, edges)
@@ -499,6 +523,62 @@ class TestEdgeRoute:
         a_x = in_flow(g, x, distributed=False)
         worst = max(abs(a_x[v] - data.lam * x[v]) for v in x)
         assert worst <= 1e-10 * data.lam * max(x.values())
+
+
+#: Powers of two that keep float_large_shaped's entries, 0.25 to 3, inside
+#: the range rule at up to 300 nodes.
+SCALE_EXPONENTS = (-900, -40, 3, 40, 900)
+
+
+class TestRangeRule:
+    """A matrix whose largest entry lies in range runs as it is given: times
+    a power of two, it gives the same vectors bit for bit and its Perron
+    value times that power exactly."""
+
+    @staticmethod
+    def assert_scaled_alike(run, a, ndim):
+        """run(a * 2**k) for each k of SCALE_EXPONENTS against run(a), the
+        power path's shifts taken of the given entries, as an ``ndim`` array."""
+        seen = []
+        shifts = linalg._shifts
+
+        def recorded(c, n, times):
+            seen.append(c)
+            return shifts(c, n, times)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(linalg, "_shifts", recorded)
+            x, y, lam = run(a)
+            for k in SCALE_EXPONENTS:
+                scaled = np.ldexp(a, k)
+                xk, yk, lamk = run(scaled)
+                assert np.array_equal(xk, x) and np.array_equal(yk, y)
+                assert lamk == np.ldexp(lam, k)
+                assert seen[-1].ndim == ndim
+                assert np.array_equal(np.sort(seen[-1][seen[-1] > 0]), np.sort(scaled[scaled > 0]))
+        assert len(seen) == 1 + len(SCALE_EXPONENTS)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([DENSE_EIG_LIMIT + 1, 64, 150]),
+        density=st.sampled_from(["dense", "sparse"]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_dense_power_path(self, seed, n, density):
+        a = float_large_shaped(np.random.default_rng(seed), n, density)
+        self.assert_scaled_alike(perron_triple, a, 2)
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=4, deadline=None)
+    def test_edge_route(self, seed):
+        a = float_large_shaped(np.random.default_rng(seed), 300, "sparse")
+        assert edge_power_route(300, np.count_nonzero(a))
+
+        def run(c):
+            data = spectral_data(graph_of(c, np.random.default_rng(seed)))
+            return data.right_vectors[0], data.left_vectors[0], data.values[0]
+
+        self.assert_scaled_alike(run, a, 1)
 
 
 class TestSolveRefined:
@@ -828,6 +908,18 @@ class TestRarelyReachedPaths:
         x, y, lam = perron_triple(cycle(41, 5e307))
         assert lam == pytest.approx(5e307, rel=1e-15)
         assert np.array_equal(x, np.full(41, 1 / 41)) and np.array_equal(y, x)
+
+    @pytest.mark.filterwarnings("error")
+    def test_power_shift_of_a_full_matrix_whose_total_weight_overflows(self):
+        # every entry lies just below the float maximum over 2n, so the
+        # matrix runs as it is given, and the total of its column sums,
+        # each about half the float maximum, overflows
+        n = DENSE_EIG_LIMIT + 1
+        w = 0.99 * np.finfo(np.float64).max / (2 * n)
+        x, y, lam = perron_triple(np.full((n, n), w))
+        assert lam == pytest.approx(n * w, rel=1e-14)
+        np.testing.assert_allclose(x, np.full(n, 1 / n), rtol=1e-14)
+        np.testing.assert_allclose(y, np.full(n, 1 / n), rtol=1e-14)
 
     def test_long_unequal_weight_ring_converges(self):
         # its subdominant eigenvalues lie within O(1/n**2) of the Perron root:

@@ -26,7 +26,7 @@ from typing import Iterable, Iterator, Union
 import numpy as np
 
 from .errors import DomainError, FeedbackCentralityError, GraphFormatError
-from .linalg import check_matrix_size, edge_perron_triple, edge_power_route, perron_triple
+from .linalg import _dense, _sum_by, check_matrix_size, edge_perron_triple
 
 Weight = Union[Fraction, float]
 
@@ -377,13 +377,6 @@ def _edge_index(g: Graph) -> _EdgeIndex:
     return _EdgeIndex(position, src, dst, weight)
 
 
-def _sum_by(positions: np.ndarray, values: np.ndarray, n: int) -> np.ndarray:
-    """Per position 0..n-1, the sum of its values in array order: a left fold
-    from 0.0, bit for bit that of Python's ``+=``."""
-    # bincount returns integer zeros when there are no values
-    return np.bincount(positions, values, minlength=n).astype(np.float64, copy=False)
-
-
 def _out_maps(g: Graph) -> dict[str, dict[str, Weight]]:
     out: dict[str, dict[str, Weight]] = {v: {} for v in g._weights}
     for (u, v), w in g._edges.items():
@@ -630,12 +623,6 @@ def _coefficient_matrix(g: Graph, order: list[str] | None, distributed: bool) ->
     return _dense(*_order_edges(g, order, distributed))
 
 
-def _dense(src: np.ndarray, dst: np.ndarray, c: np.ndarray, n: int) -> np.ndarray:
-    a = np.zeros((n, n))
-    a[dst, src] = c
-    return a
-
-
 def _order_edges(
     g: Graph, order: list[str] | None, distributed: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -797,6 +784,9 @@ def spectral_data(g: Graph) -> SpectralData:
 
 
 def _perron_pass(g: Graph) -> SpectralData:
+    """``spectral_data``: a singleton's data from its loop, a larger
+    component's from ``edge_perron_triple`` on its edge arrays, passed as
+    one tuple so that the dense route can free them before its solve."""
     part = strongly_connected_components(g)
     vals: list[float] = []
     rights: list[np.ndarray] = []
@@ -808,31 +798,11 @@ def _perron_pass(g: Graph) -> SpectralData:
             what = f"weight of edge {v!r} -> {v!r}"
             lam = _to_float(g.edge_weight(v, v), what, GraphFormatError) if strong else 0.0
         else:
-            x, y, lam = _component_perron(g, comp)
+            x, y, lam = edge_perron_triple(_order_edges(g, comp, False))
         vals.append(lam)
         rights.append(x)
         lefts.append(y)
     return SpectralData(part.components, vals, rights, lefts, max(vals, default=0.0))
-
-
-def _component_perron(g: Graph, comp: list[str]) -> tuple[np.ndarray, np.ndarray, float]:
-    """Perron triple of a component: on its dense adjacency, or, when
-    ``edge_power_route`` says so, by power iteration on its edges, A @ x
-    summing w * x[src] at each dst in edge order and A^T @ x w * x[dst] at
-    each src."""
-    src, dst, w, n = _order_edges(g, comp, False)
-    if not edge_power_route(n, len(w)):
-        a = _dense(src, dst, w, n)
-        del src, dst, w  # not held through the solve: 1.2 MB at n = 500, 20% dense
-        return perron_triple(a)
-    src, dst = src.astype(np.intp, copy=False), dst.astype(np.intp, copy=False)
-
-    def times(c: np.ndarray, x: np.ndarray, transposed: bool) -> np.ndarray:
-        if transposed:
-            return _sum_by(src, c * x[dst], n)
-        return _sum_by(dst, c * x[src], n)
-
-    return edge_perron_triple(n, w, times)
 
 
 @dataclass

@@ -1,10 +1,13 @@
-"""Hypothesis strategies for random graphs in both numeric modes."""
+"""Hypothesis strategies for random graphs in both numeric modes, and the
+seeded hard-spectrum corpus of non-negative matrices for the Perron pass."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 import hypothesis.strategies as st
+import numpy as np
 
 from feedback_centrality import Graph, Mode
 
@@ -211,3 +214,102 @@ def dg_texts(draw):
         edge = st.tuples(ids, ids).flatmap(lambda e: _dg_declaration(["edge", *e], weights))
         lines += draw(st.lists(st.one_of(edge, edge, node, fixed), max_size=8))
     return "\n".join(lines) + draw(st.sampled_from(("", "\n", "\r\n")))
+
+
+# -- the hard-spectrum corpus ------------------------------------------------
+#
+# Irreducible non-negative matrices whose Perron data are hard to reach by
+# power iteration: the shapes behind the step and route tables in
+# ``linalg``'s docstrings.  Each builder takes a seeded generator; A[i, j] is
+# the weight of edge j -> i.
+
+
+def random_irreducible(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Non-negative matrix with a full covering cycle, hence irreducible."""
+    a = np.where(rng.random((n, n)) < 0.4, rng.uniform(0.2, 3.0, (n, n)), 0.0)
+    for i in range(n):
+        a[(i + 1) % n, i] = rng.uniform(0.2, 3.0)
+    return a
+
+
+def float_large_shaped(rng: np.random.Generator, n: int, density: str) -> np.ndarray:
+    """A random Hamiltonian cycle plus either each other edge with
+    probability 0.2 or 7 random out-edges per node, weights in [0.25, 3]."""
+    perm = rng.permutation(n)
+    if density == "dense":
+        mask = rng.random((n, n)) < 0.2
+    else:
+        mask = np.zeros((n, n), dtype=bool)
+        for u in range(n):
+            mask[u, rng.choice(n, size=7, replace=False)] = True
+    mask[perm, np.roll(perm, -1)] = True
+    src, dst = np.nonzero(mask)
+    a = np.zeros((n, n))
+    a[dst, src] = np.round(rng.uniform(0.25, 3.0, len(src)), 4)
+    return a
+
+
+def weighted_cycle(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A cycle with unequal weights: shifted power iteration converges slowly."""
+    a = np.zeros((n, n))
+    a[np.roll(np.arange(n), -1), np.arange(n)] = rng.uniform(0.5, 2.0, n)
+    return a
+
+
+def periodic(rng: np.random.Generator, p: int) -> np.ndarray:
+    """A matrix of period p on 41-64 nodes (a multiple of p): node i lies in
+    class i mod p, the cycle 0 -> 1 -> ... -> n-1 -> 0 covers them, and each
+    other edge from one class to the next is present with probability 0.3."""
+    n = p * int(rng.integers(-(-41 // p), 64 // p + 1))
+    level = np.arange(n) % p
+    a = np.where(
+        (level[:, None] == (level[None, :] + 1) % p) & (rng.random((n, n)) < 0.3),
+        rng.uniform(0.25, 3.0, (n, n)),
+        0.0,
+    )
+    a[np.roll(np.arange(n), -1), np.arange(n)] = rng.uniform(0.25, 3.0, n)
+    return a
+
+
+def hub(rng: np.random.Generator, factor: float, out: bool) -> np.ndarray:
+    """A sparse ``float_large_shaped`` matrix of 41-120 nodes whose one
+    node's out-edges (``out``) or in-edges weigh ``factor`` times the rest:
+    its column or row sum lies far above the Perron root."""
+    a = float_large_shaped(rng, int(rng.integers(41, 121)), "sparse")
+    k = int(rng.integers(len(a)))
+    if out:
+        a[:, k] *= factor
+    else:
+        a[k] *= factor
+    return a
+
+
+def scaled(rng: np.random.Generator, exponent: int) -> np.ndarray:
+    """A sparse ``float_large_shaped`` matrix of 41-120 nodes times
+    2**exponent: subnormal entries below the range rule's floor, or entries
+    within a factor of a few hundred of the float maximum."""
+    return np.ldexp(float_large_shaped(rng, int(rng.integers(41, 121)), "sparse"), exponent)
+
+
+#: The corpus by shape name.
+HARD_SPECTRA: dict[str, Callable[[np.random.Generator], np.ndarray]] = {
+    "unequal-weight cycle": lambda rng: weighted_cycle(rng, int(rng.integers(41, 65))),
+    **{f"periodic p={p}": lambda rng, p=p: periodic(rng, p) for p in range(2, 13)},
+    **{
+        f"{'out' if out else 'in'}-hub x{factor:g}": (
+            lambda rng, factor=factor, out=out: hub(rng, factor, out)
+        )
+        for out in (False, True)
+        for factor in (1e2, 1e4)
+    },
+    "subnormal scale": lambda rng: scaled(rng, -1032),
+    "near-max scale": lambda rng: scaled(rng, 1020),
+    **{
+        f"float_large {density}": (
+            lambda rng, density=density: float_large_shaped(
+                rng, int(rng.choice([50, 100, 200])), density
+            )
+        )
+        for density in ("dense", "sparse")
+    },
+}

@@ -176,7 +176,7 @@ def test_no_module_runs_an_eigendecomposition():
 
 
 def test_only_the_edge_order_sum_calls_bincount():
-    # graph._sum_by is the one edge-order sum: out-degrees, in_flow and the
+    # linalg._sum_by is the one edge-order sum: out-degrees, in_flow and the
     # edge route's Perron mat-vec all add their terms through it
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
@@ -184,7 +184,7 @@ def test_only_the_edge_order_sum_calls_bincount():
         exempt = {
             id(node)
             for func in ast.walk(tree)
-            if path.name == "graph.py"
+            if path.name == "linalg.py"
             and isinstance(func, ast.FunctionDef)
             and func.name == "_sum_by"
             for node in ast.walk(func)
@@ -198,6 +198,38 @@ def test_only_the_edge_order_sum_calls_bincount():
             )
             and id(node) not in exempt
         ]
+    assert offenders == []
+
+
+#: The Perron route policy: which components run power iteration on their
+#: edges, and up to which size the eig path runs.
+ROUTE_POLICY = {"edge_power_route", "DENSE_EIG_LIMIT", "EDGE_POWER_RATIO", "EDGE_POWER_OVERHEAD"}
+
+
+def _names(tree: ast.AST) -> list[tuple[str, int]]:
+    """Every name a module binds, reads or imports, with its line."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.append((node.attr, node.lineno))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found += [(alias.name, node.lineno) for alias in node.names]
+    return found
+
+
+def test_only_linalg_chooses_a_perron_route():
+    # linalg.edge_perron_triple is the one entry of a component's Perron
+    # pass and chooses its route there; graph hands it the component's
+    # edges and neither routes nor solves a Perron matrix itself
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "linalg.py":
+            continue
+        banned = ROUTE_POLICY | ({"perron_triple"} if path.name == "graph.py" else set())
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [f"{path.name}:{line} {name}" for name, line in _names(tree) if name in banned]
     assert offenders == []
 
 

@@ -3,6 +3,7 @@
 import itertools
 import random
 import tracemalloc
+import weakref
 from fractions import Fraction as F
 from math import isqrt
 
@@ -40,44 +41,13 @@ from feedback_centrality.linalg import (
     solve_refined,
 )
 from .oracles import dominant_eig, fraction_gauss, stepwise_power_vector
-
-
-def random_irreducible(rng, n):
-    """Non-negative matrix with a full covering cycle, hence irreducible."""
-    a = np.where(rng.random((n, n)) < 0.4, rng.uniform(0.2, 3.0, (n, n)), 0.0)
-    for i in range(n):
-        a[(i + 1) % n, i] = rng.uniform(0.2, 3.0)
-    return a
+from .strategies import HARD_SPECTRA, float_large_shaped, random_irreducible, weighted_cycle
 
 
 def cycle(n, w=2.0):
     a = np.zeros((n, n))
     for i in range(n):
         a[(i + 1) % n, i] = w
-    return a
-
-
-def float_large_shaped(rng, n, density):
-    """A random Hamiltonian cycle plus either each other edge with
-    probability 0.2 or 7 random out-edges per node, weights in [0.25, 3]."""
-    perm = rng.permutation(n)
-    if density == "dense":
-        mask = rng.random((n, n)) < 0.2
-    else:
-        mask = np.zeros((n, n), dtype=bool)
-        for u in range(n):
-            mask[u, rng.choice(n, size=7, replace=False)] = True
-    mask[perm, np.roll(perm, -1)] = True
-    src, dst = np.nonzero(mask)
-    a = np.zeros((n, n))
-    a[dst, src] = np.round(rng.uniform(0.25, 3.0, len(src)), 4)
-    return a
-
-
-def weighted_cycle(rng, n):
-    """A cycle with unequal weights: shifted power iteration converges slowly."""
-    a = np.zeros((n, n))
-    a[np.roll(np.arange(n), -1), np.arange(n)] = rng.uniform(0.5, 2.0, n)
     return a
 
 
@@ -348,7 +318,7 @@ def routed_pass(g, monkeypatch, edges):
     """The spectral pass of g with every component past DENSE_EIG_LIMIT on
     the edge route (``edges``) or on the dense one."""
     with monkeypatch.context() as m:
-        m.setattr(graph, "edge_power_route", lambda n, _m: edges and n > DENSE_EIG_LIMIT)
+        m.setattr(linalg, "edge_power_route", lambda n, _m: edges and n > DENSE_EIG_LIMIT)
         return graph._perron_pass(g)
 
 
@@ -385,7 +355,7 @@ class TestEdgeRoute:
         assert edge_power_route(n, np.count_nonzero(a))
         g = graph_of(a, rng)
         with monkeypatch.context() as m:
-            m.setattr(graph, "perron_triple", None)  # no dense route
+            m.setattr(linalg, "perron_triple", None)  # no dense route
             data = graph._perron_pass(g)
         assert data.components == strongly_connected_components(g).components
         assert len(data.components) == 1
@@ -497,6 +467,31 @@ class TestEdgeRoute:
         assert str(edge).startswith(f"power iteration stalled after {cap} steps")
         assert edge.residual == pytest.approx(dense.residual, rel=1e-9)
 
+    def test_dense_route_frees_the_edge_arrays_before_its_solve(self, monkeypatch):
+        # a component out of node order gets copies of the edge arrays, 1.2 MB
+        # at n = 500, 20% dense: none of them may live through the dense solve
+        rng = np.random.default_rng(200)
+        a = float_large_shaped(rng, 200, "dense")
+        assert not edge_power_route(200, np.count_nonzero(a))
+        g = graph_of(a, rng)
+        assert strongly_connected_components(g).components[0] != g.node_ids
+        refs = []
+        order_edges, solve = graph._order_edges, linalg.perron_triple
+
+        def recorded(*args):
+            edges = order_edges(*args)
+            refs.extend(weakref.ref(array) for array in edges[:3])
+            return edges
+
+        def checked(a):
+            assert [ref() is None for ref in refs] == [True] * 3
+            return solve(a)
+
+        monkeypatch.setattr(graph, "_order_edges", recorded)
+        monkeypatch.setattr(linalg, "perron_triple", checked)
+        data = spectral_data(g)
+        assert [len(c) for c in data.components] == [200]
+
     def test_spectral_pass_builds_no_square_matrix(self):
         # a 4096-node graph of out-degree about 4 with a Hamiltonian cycle:
         # the dense route built and scaled 4096 x 4096 arrays, 128 MB each
@@ -523,6 +518,20 @@ class TestEdgeRoute:
         a_x = in_flow(g, x, distributed=False)
         worst = max(abs(a_x[v] - data.lam * x[v]) for v in x)
         assert worst <= 1e-10 * data.lam * max(x.values())
+
+
+class TestHardSpectra:
+    """Both routes on the seeded hard-spectrum corpus, against each other and
+    against dense eig."""
+
+    @pytest.mark.parametrize("shape", list(HARD_SPECTRA))
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    def test_routes_agree_with_each_other_and_dense_eig(self, shape, seed):
+        rng = np.random.default_rng(seed)
+        g = graph_of(HARD_SPECTRA[shape](rng), rng)
+        with pytest.MonkeyPatch.context() as m:
+            assert_routes_agree(g, m, eig_atol=1e-9 if "cycle" in shape else 1e-10)
 
 
 #: Powers of two that keep float_large_shaped's entries, 0.25 to 3, inside

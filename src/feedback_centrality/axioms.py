@@ -41,7 +41,6 @@ from .graph import (
     graph_sum,
     is_strongly_connected,
     largest,
-    out_regularity,
     principal_eigenvalue,
     semi_out_regularity,
     serialize_graph,
@@ -341,15 +340,30 @@ class Family(enum.Enum):
 class GeneratorSpec:
     """Deterministic random-graph recipe.
 
-    Weights come either from ``weight_grid`` (rational values — the graph is
-    built in rational mode) or uniformly from ``FLOAT_WEIGHT_RANGE`` (float
-    mode).  The family's structural predicate is re-checked after generation.
+    Weights come either from ``weight_grid`` (positive exact values, each
+    stored as a ``Fraction`` — the graph is built in rational mode) or
+    uniformly from ``FLOAT_WEIGHT_RANGE`` (float mode).  A grid that is
+    empty, holds a float or holds a value <= 0 raises ``DomainError``.
     """
 
     family: Family
     size_range: tuple[int, int] = (3, 25)
     weight_grid: tuple[Fraction, ...] | None = None
     seed: int = 0
+
+    def __post_init__(self):
+        if self.weight_grid is None:
+            return
+        try:
+            grid = tuple(coerce(Mode.RATIONAL, w, "grid weight") for w in self.weight_grid)
+        except (TypeError, ValueError):
+            grid = ()
+        if not grid or min(grid) <= 0:
+            raise DomainError(
+                "a weight grid holds one or more positive exact values, "
+                f"got {self.weight_grid!r}"
+            )
+        object.__setattr__(self, "weight_grid", grid)
 
 
 #: Bounds of the uniform draw for generated float weights (rounded to 4 places).
@@ -362,34 +376,32 @@ def _draw_weight(spec: GeneratorSpec, rng: random.Random) -> Weight:
     return round(rng.uniform(*FLOAT_WEIGHT_RANGE), 4)
 
 
-def _mode_of(spec: GeneratorSpec) -> Mode:
-    return Mode.RATIONAL if spec.weight_grid is not None else Mode.FLOAT
-
-
-def _scc_block(
-    g: Graph, names: list[str], spec: GeneratorSpec, rng: random.Random
-) -> None:
-    """Wire ``names`` into one strongly connected component in-place."""
+def _scc_block(edges: list, names: list[str], spec: GeneratorSpec, rng: random.Random) -> None:
+    """Append edges wiring ``names`` into one strongly connected component:
+    a shuffled cycle, then extra edges off it."""
     if len(names) == 1:
-        g.add_edge(names[0], names[0], _draw_weight(spec, rng))
+        edges.append((names[0], names[0], _draw_weight(spec, rng)))
         return
     order = names[:]
     rng.shuffle(order)
-    for i, v in enumerate(order):
-        g.add_edge(v, order[(i + 1) % len(order)], _draw_weight(spec, rng))
-    for u in names:
-        for v in names:
-            if not g.has_edge(u, v) and rng.random() < (0.1 if u == v else 0.2):
-                g.add_edge(u, v, _draw_weight(spec, rng))
-
-
-def _rescale_out_degrees(g: Graph, target: Weight) -> Graph:
-    """Scale every node's out-edges so each non-sink's out-degree is ``target``."""
-    return Graph.build(
-        g.node_weights().items(),
-        ((u, v, wt * target / g.out_degree(u)) for u, v, wt in g.edges()),
-        g.mode,
+    after = {v: order[(i + 1) % len(order)] for i, v in enumerate(order)}
+    edges.extend((v, t, _draw_weight(spec, rng)) for v, t in after.items())
+    edges.extend(
+        (u, v, _draw_weight(spec, rng))
+        for u in names
+        for v in names
+        if after[u] != v and rng.random() < (0.1 if u == v else 0.2)
     )
+
+
+def _rescale_out_degrees(edges: list, target: Weight) -> list:
+    """The edges scaled so each non-sink's out-degree is ``target``.  Each
+    out-degree is summed left to right in edge order, as ``Graph.out_degree``
+    sums it, so the weights are those of ``wt * target / g.out_degree(u)``."""
+    degree: dict[str, Weight] = {}
+    for u, _v, wt in edges:
+        degree[u] = degree.get(u, 0) + wt
+    return [(u, v, wt * target / degree[u]) for u, v, wt in edges]
 
 
 def _partition_sizes(n: int, parts: int, rng: random.Random) -> list[int]:
@@ -399,39 +411,35 @@ def _partition_sizes(n: int, parts: int, rng: random.Random) -> list[int]:
 
 
 def generate(spec: GeneratorSpec) -> Graph:
-    """Draw one graph from the family, deterministically per seed."""
+    """Draw one graph from the family, deterministically per seed: its nodes
+    and edges are drawn first, then built into one ``Graph``."""
     rng = random.Random(spec.seed)
     lo, hi = spec.size_range
     if lo < 1 or hi < lo:
         raise DomainError(f"family {spec.family.value} unsatisfiable at size {spec.size_range}")
     n = rng.randint(lo, hi)
-    mode = _mode_of(spec)
-    g = Graph(mode)
     names = [f"v{i}" for i in range(n)]
     family = spec.family
+    edges: list[tuple[str, str, Weight]] = []
 
     if family is Family.CYCLE:
         weight = _draw_weight(spec, rng)
-        for v in names:
-            g.add_node(v, _draw_weight(spec, rng))
+        nodes = [(v, _draw_weight(spec, rng)) for v in names]
         order = names[:]
         rng.shuffle(order)
-        for i, v in enumerate(order):
-            g.add_edge(v, order[(i + 1) % len(order)], weight)
+        edges = [(v, order[(i + 1) % n], weight) for i, v in enumerate(order)]
     elif family is Family.GENERAL:
-        for v in names:
-            g.add_node(v, _draw_weight(spec, rng))
-        for u in names:
-            for v in names:
-                if rng.random() < (0.1 if u == v else 0.25):
-                    g.add_edge(u, v, _draw_weight(spec, rng))
-        if g.num_edges == 0 and n >= 2:
-            g.add_edge(names[0], names[1], _draw_weight(spec, rng))
-        elif g.num_edges == 0:
-            g.add_edge(names[0], names[0], _draw_weight(spec, rng))
+        nodes = [(v, _draw_weight(spec, rng)) for v in names]
+        edges = [
+            (u, v, _draw_weight(spec, rng))
+            for u in names
+            for v in names
+            if rng.random() < (0.1 if u == v else 0.25)
+        ]
+        if not edges:  # v0 -> v1, or a loop at v0 when it is alone
+            edges.append((names[0], names[min(1, n - 1)], _draw_weight(spec, rng)))
     elif family in (Family.STRONGLY_CONNECTED, Family.SUM_OF_SCCS, Family.OUT_REGULAR):
-        for v in names:
-            g.add_node(v, _draw_weight(spec, rng))
+        nodes = [(v, _draw_weight(spec, rng)) for v in names]
         parts = 1  # Family.STRONGLY_CONNECTED: one block, no draw for its size
         if family is Family.SUM_OF_SCCS:
             parts = min(rng.randint(2, 3), n)
@@ -439,48 +447,29 @@ def generate(spec: GeneratorSpec) -> Graph:
             parts = min(rng.randint(1, 2), n)
         offset = 0
         for size in _partition_sizes(n, parts, rng):
-            _scc_block(g, names[offset : offset + size], spec, rng)
+            _scc_block(edges, names[offset : offset + size], spec, rng)
             offset += size
         if family is Family.OUT_REGULAR:
-            g = _rescale_out_degrees(g, _draw_weight(spec, rng))
+            edges = _rescale_out_degrees(edges, _draw_weight(spec, rng))
     else:  # Family.SEMI_OUT_REGULAR
         n_sink = rng.randint(0, n // 3)
         n_source = rng.randint(0, (n - n_sink) // 3)
         core = names[: n - n_sink - n_source]
         sources = names[len(core) : len(core) + n_source]
         sinks = names[len(core) + n_source :]
-        for v in names:
-            g.add_node(v, _draw_weight(spec, rng))
-        _scc_block(g, core, spec, rng)  # n_sink + n_source < n leaves a core
-        for u in core:
-            for s in sinks:
-                if rng.random() < 0.3:
-                    g.add_edge(u, s, _draw_weight(spec, rng))
+        nodes = [(v, _draw_weight(spec, rng)) for v in names]
+        _scc_block(edges, core, spec, rng)  # n_sink + n_source < n leaves a core
+        edges.extend(
+            (u, s, _draw_weight(spec, rng)) for u in core for s in sinks if rng.random() < 0.3
+        )
         for u in sources:
             choices = core + sinks
             picked = rng.sample(choices, rng.randint(1, min(3, len(choices))))
-            for v in picked:
-                g.add_edge(u, v, _draw_weight(spec, rng))
-        g = _rescale_out_degrees(g, _draw_weight(spec, rng))
+            edges.extend((u, v, _draw_weight(spec, rng)) for v in picked)
+        edges = _rescale_out_degrees(edges, _draw_weight(spec, rng))
 
-    _check_family(spec.family, g)
-    return g
-
-
-def _check_family(family: Family, g: Graph) -> None:
-    ok = True
-    if family is Family.STRONGLY_CONNECTED:
-        ok = is_strongly_connected(g)
-    elif family is Family.OUT_REGULAR:
-        ok = out_regularity(g) is not None
-    elif family is Family.SEMI_OUT_REGULAR:
-        ok = semi_out_regularity(g)[0]
-    elif family is Family.CYCLE:
-        ok = is_constant_weight_cycle(g)
-    elif family is Family.SUM_OF_SCCS:
-        ok = Measure(MeasureKind.KATZ_PRESTIGE).admits(g).ok
-    if not ok:
-        raise DomainError(f"generated graph fails the {family.value} predicate")
+    mode = Mode.RATIONAL if spec.weight_grid is not None else Mode.FLOAT
+    return Graph.build(nodes, edges, mode)
 
 
 # -- the satisfaction matrix ---------------------------------------------------

@@ -19,6 +19,7 @@ from feedback_centrality import (
     DomainError,
     EXPECTED_MATRIX,
     Family,
+    FeedbackCentralityError,
     GeneratorSpec,
     Graph,
     MATRIX_MEASURES,
@@ -397,6 +398,75 @@ class TestGenerate:
             generate(GeneratorSpec(Family.GENERAL, size_range=(0, 4), seed=0))
         with pytest.raises(DomainError):
             generate(GeneratorSpec(Family.GENERAL, size_range=(5, 3), seed=0))
+
+    @pytest.mark.parametrize("grid", [None, (F(1, 2), F(1), F(3))], ids=["float", "rational"])
+    @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+    def test_one_graph_built_per_draw(self, monkeypatch, family, grid):
+        built = []
+        init = Graph.__init__
+
+        def counted(g, *args):
+            built.append(g)
+            init(g, *args)
+
+        monkeypatch.setattr(Graph, "__init__", counted)
+        for seed in range(10):
+            built.clear()
+            generate(GeneratorSpec(family, (1, 12), grid, seed))
+            assert len(built) == 1
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rescale_divides_by_the_out_degree_graph_sums(self, mode, seed):
+        # weights spread over six decades, so a float sum in another order
+        # would round differently
+        rng = random.Random(seed)
+        names = [f"v{i}" for i in range(5)]
+        edges = []
+        for u in names:
+            for v in rng.sample(names, rng.randint(0, 5)):
+                wt = 10 ** rng.uniform(-3, 3)
+                edges.append((u, v, wt if mode is Mode.FLOAT else F(wt).limit_denominator(10**6)))
+        g = Graph.build([(v, 1) for v in names], edges, mode)
+        target = edges[0][2] if edges else 1
+        expected = [(u, v, wt * target / g.out_degree(u)) for u, v, wt in g.edges()]
+        assert axioms._rescale_out_degrees(edges, target) == expected
+
+    @given(
+        family=st.sampled_from(list(Family)),
+        size_range=st.sampled_from([(1, 1), (3, 12), (0, 2), (3, 1)]),
+        grid=st.sampled_from([
+            None, (F(1, 2), F(1), F(2)), (1, 2, 3), ("1/2", "3/2"),
+            (), (0,), (-1, 1), (0.5,),
+        ]),
+        seed=st.integers(0, 2**32),
+    )
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_every_spec_gives_its_family_or_a_typed_error(self, family, size_range, grid, seed):
+        try:
+            g = generate(GeneratorSpec(family, size_range, grid, seed))
+        except FeedbackCentralityError:
+            return
+        lo, hi = size_range
+        assert lo <= len(g) <= hi
+        assert g.mode is (Mode.FLOAT if grid is None else Mode.RATIONAL)
+        holds = {
+            Family.STRONGLY_CONNECTED: is_strongly_connected,
+            Family.OUT_REGULAR: lambda g: out_regularity(g) is not None,
+            Family.SEMI_OUT_REGULAR: lambda g: semi_out_regularity(g)[0],
+            Family.GENERAL: lambda g: g.num_edges > 0,
+            Family.CYCLE: is_constant_weight_cycle,
+            Family.SUM_OF_SCCS: KP.admits,
+        }[family]
+        assert holds(g)
+
+    def test_a_grid_is_stored_as_fractions_and_a_bad_one_refused(self):
+        spec = GeneratorSpec(Family.GENERAL, weight_grid=(1, "3/2", F(2)))
+        assert spec.weight_grid == (F(1), F(3, 2), F(2))
+        assert all(type(w) is F for w in spec.weight_grid)
+        for grid in ((), (0,), (-1, 1), (0.5,), ("x",)):
+            with pytest.raises(DomainError, match="weight grid"):
+                GeneratorSpec(Family.GENERAL, weight_grid=grid)
 
     @pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
     def test_corpus_is_pinned(self, family):

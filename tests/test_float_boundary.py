@@ -7,6 +7,7 @@ library call handed an exact value that does not fit raises a
 
 import ast
 import re
+from collections import Counter
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -138,23 +139,15 @@ def _divides_by_out_degree(node: ast.AST) -> bool:
 
 def test_only_the_graph_module_divides_by_an_out_degree():
     # the step coefficient w/outdeg(u) is formed once, in graph.py; the axiom
-    # generator's rescale of a drawn graph to a target out-degree is the one
-    # other division, and keeps the generated corpora as they are
+    # generator rescales its drawn edges by out-degrees it sums itself, before
+    # any graph exists
     offenders = []
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name == "graph.py":
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
-        exempt = {
-            id(node)
-            for func in ast.walk(tree)
-            if isinstance(func, ast.FunctionDef) and func.name == "_rescale_out_degrees"
-            for node in ast.walk(func)
-        }
         offenders += [
-            f"{path.name}:{node.lineno}"
-            for node in ast.walk(tree)
-            if _divides_by_out_degree(node) and id(node) not in exempt
+            f"{path.name}:{node.lineno}" for node in ast.walk(tree) if _divides_by_out_degree(node)
         ]
     assert offenders == []
 
@@ -217,6 +210,28 @@ def _names(tree: ast.AST) -> list[tuple[str, int]]:
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             found += [(alias.name, node.lineno) for alias in node.names]
     return found
+
+
+def test_every_private_definition_is_named_outside_its_body():
+    # a private function or class that src/ names nowhere but in its own
+    # body is never run: run it or delete it
+    modules = {p.name: ast.parse(p.read_text(), filename=str(p)) for p in PACKAGE.glob("*.py")}
+    named = Counter(name for tree in modules.values() for name, _line in _names(tree))
+    private = [
+        (path, node)
+        for path, tree in sorted(modules.items())
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.endswith("__")
+    ]
+    orphans = [
+        f"{path}:{node.lineno} {node.name}"
+        for path, node in private
+        if named[node.name] == sum(name == node.name for name, _line in _names(node))
+    ]
+    assert len(private) >= 70
+    assert orphans == []
 
 
 def test_only_linalg_chooses_a_perron_route():

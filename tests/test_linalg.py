@@ -892,8 +892,12 @@ class TestRarelyReachedPaths:
     def test_power_iteration_beyond_half_the_float_range_runs_on_a_rescaled_matrix(self):
         # an iterate of A + sI sums to up to 2s; a shift whose double
         # overflows ran all POWER_MAX_ITER steps on nan with warnings, and
-        # was then refused as beyond half the float range
-        n = DENSE_EIG_LIMIT + 1
+        # was then refused as beyond half the float range.  n is the first
+        # size past the eig path whose n copies of fl(1/n) sum to 1, so the
+        # uniform vector is exact whatever DENSE_EIG_LIMIT is
+        n = next(
+            k for k in itertools.count(DENSE_EIG_LIMIT + 1) if np.full(k, 1 / k).sum() == 1.0
+        )
         x, y, lam = perron_triple(cycle(n, 1e308))
         assert lam == 1e308
         assert np.array_equal(x, np.full(n, 1 / n)) and np.array_equal(y, x)

@@ -34,6 +34,7 @@ from .graph import (
     Graph,
     Mode,
     Weight,
+    _reweighted,
     all_equal,
     coerce,
     delete_edge,
@@ -533,11 +534,7 @@ def _family_for(tag: AxiomTag, kind: MeasureKind) -> Family:
 
 
 def _scale_edges(g: Graph, factor: Weight) -> Graph:
-    return Graph.build(
-        g.node_weights().items(),
-        ((u, v, wt * factor) for u, v, wt in g.edges()),
-        g.mode,
-    )
+    return _reweighted(g, [wt * factor for _u, _v, wt in g.edges()])
 
 
 def _fit_for_katz(g: Graph, alpha: float, headroom: float) -> Graph:

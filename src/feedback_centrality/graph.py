@@ -192,7 +192,9 @@ class Graph:
     Derived structure (the edge index, out- and in-neighbour maps,
     out-degrees, step coefficients, integer walk tables, SCC partition,
     spectral data) is computed once and shared, read-only like the graph;
-    ``add_node``/``add_edge`` clear it.
+    ``add_node``/``add_edge`` clear it.  A graph that only reweights another
+    (``_reweighted``) starts with its parent's SCC partition and edge
+    endpoints.
     """
 
     __slots__ = ("mode", "_weights", "_edges", "_memo")
@@ -212,7 +214,7 @@ class Graph:
             raise GraphFormatError(f"duplicate node {v!r}")
         # a finite non-negative float, as parse_weight gives, is already valid
         if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 <= weight < math.inf):
-            weight = self._coerce(weight)
+            weight = self._coerce(weight, f"weight of node {v!r}")
             if weight < 0:
                 raise GraphFormatError(f"negative weight for node {v!r}")
         self._weights[v] = weight
@@ -227,7 +229,7 @@ class Graph:
             raise GraphFormatError(f"duplicate edge {u!r} -> {v!r}")
         # a finite positive float, as parse_weight gives, is already valid
         if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 < weight < math.inf):
-            weight = self._coerce(weight)
+            weight = self._coerce(weight, f"weight of edge {u!r} -> {v!r}")
             if weight <= 0:
                 raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
         self._edges[(u, v)] = weight
@@ -243,13 +245,13 @@ class Graph:
             value = self._memo[key] = compute(self, *args)
             return value
 
-    def _coerce(self, weight: Weight) -> Weight:
+    def _coerce(self, weight: Weight, what: str) -> Weight:
         if self.mode is Mode.RATIONAL:
             # a Fraction, as parse_weight gives, is stored as it is
             return weight if type(weight) is Fraction else coerce(Mode.RATIONAL, weight, "weight")
-        weight = _to_float(weight, "weight", GraphFormatError)
+        weight = _to_float(weight, what, GraphFormatError)
         if not math.isfinite(weight):
-            raise GraphFormatError(f"weight {weight!r} is not finite")
+            raise GraphFormatError(f"{what} is not finite: {weight!r}")
         return weight
 
     @classmethod
@@ -259,6 +261,42 @@ class Graph:
         edges: Iterable[tuple[str, str, Weight]] = (),
         mode: Mode = Mode.RATIONAL,
     ) -> "Graph":
+        """The graph of these nodes and edges, as ``add_node`` then
+        ``add_edge`` on each in turn would build it, checked in one pass:
+        duplicates by the lengths of the dicts, edge endpoints by set
+        containment, weights by ``_stored_as_given``.  When that pass fails,
+        the items are replayed through ``add_node``/``add_edge``, so the first
+        fault in input order raises its own error, ahead of an error that an
+        iterable raises after it."""
+        node_list: list = []
+        edge_list: list = []
+        try:
+            node_list.extend(nodes)
+            edge_list.extend(edges)
+        except Exception:
+            cls._replay(mode, node_list, edge_list)
+            raise
+        try:
+            weights = dict(node_list)
+            links = {(u, v): w for u, v, w in edge_list}
+            ids = list(weights)
+            valid = (
+                len(weights) == len(node_list)
+                and len(links) == len(edge_list)
+                and " ".join(ids).split() == ids  # every id a non-empty token
+                and weights.keys() >= set(itertools.chain.from_iterable(links))
+                and _stored_as_given(mode, weights.values(), links.values())
+            )
+        except (TypeError, ValueError):  # a malformed item: the replay raises its error
+            valid = False
+        if not valid:
+            return cls._replay(mode, node_list, edge_list)
+        g = cls(mode)
+        g._weights, g._edges = weights, links
+        return g
+
+    @classmethod
+    def _replay(cls, mode: Mode, nodes: list, edges: list) -> "Graph":
         g = cls(mode)
         for v, w in nodes:
             g.add_node(v, w)
@@ -370,11 +408,18 @@ def _edge_index(g: Graph) -> _EdgeIndex:
         map(position.__getitem__, itertools.chain.from_iterable(g._edges)), np.int32, 2 * m
     ).reshape(m, 2)
     src, dst = ends[:, 0].copy(), ends[:, 1].copy()
-    weight = np.fromiter(g._edges.values(), np.float64, m) if g.mode is Mode.FLOAT else None
-    for array in (src, dst, weight):
-        if array is not None:
-            array.flags.writeable = False
-    return _EdgeIndex(position, src, dst, weight)
+    src.flags.writeable = dst.flags.writeable = False
+    return _EdgeIndex(position, src, dst, _weight_array(g))
+
+
+def _weight_array(g: Graph) -> np.ndarray | None:
+    """A float graph's edge weights as a read-only float64 array; None on a
+    rational one."""
+    if g.mode is not Mode.FLOAT:
+        return None
+    weight = np.fromiter(g._edges.values(), np.float64, len(g._edges))
+    weight.flags.writeable = False
+    return weight
 
 
 def _out_maps(g: Graph) -> dict[str, dict[str, Weight]]:
@@ -406,7 +451,47 @@ def _out_degrees(g: Graph) -> dict[str, Weight]:
     return degrees
 
 
+def _stored_as_given(mode: Mode, node_weights: Iterable, edge_weights: Iterable) -> bool:
+    """Whether ``add_node``/``add_edge`` would store every weight as it is:
+    in FLOAT mode a finite float, in RATIONAL mode a ``Fraction``; node
+    weights >= 0, edge weights > 0."""
+    if mode is Mode.FLOAT:
+        return all(type(w) is float and 0.0 <= w < math.inf for w in node_weights) and all(
+            type(w) is float and 0.0 < w < math.inf for w in edge_weights
+        )
+    return all(type(w) is Fraction and w.numerator >= 0 for w in node_weights) and all(
+        type(w) is Fraction and w.numerator > 0 for w in edge_weights
+    )
+
+
 # -- module-level operations ----------------------------------------------
+
+
+def _reweighted(
+    g: Graph, edge_weights: Iterable[Weight], node_weights: Iterable[Weight] | None = None
+) -> Graph:
+    """g with new edge weights (in edge order) and node weights (in node
+    order; g's own when None), every node and edge kept in its place: the
+    one constructor of the transforms that change only weights.
+
+    Only the weights are checked; a fault raises what ``Graph.build`` raises.
+    When g holds them, its SCC partition and its edge index's ``position``,
+    ``src`` and ``dst`` pass on, with a fresh weight array.  Nothing that
+    depends on a weight is shared.
+    """
+    h = Graph(g.mode)
+    h._weights = dict(g._weights) if node_weights is None else dict(zip(g._weights, node_weights))
+    h._edges = dict(zip(g._edges, edge_weights))
+    if not _stored_as_given(g.mode, h._weights.values(), h._edges.values()):
+        edges = ((u, v, w) for (u, v), w in h._edges.items())
+        return Graph.build(h._weights.items(), edges, g.mode)
+    partition = g._memo.get((_tarjan,))
+    if partition is not None:
+        h._memo[(_tarjan,)] = partition
+    idx = g._memo.get((_edge_index,))
+    if idx is not None:
+        h._memo[(_edge_index,)] = _EdgeIndex(idx.position, idx.src, idx.dst, _weight_array(h))
+    return h
 
 
 def graph_sum(g: Graph, h: Graph) -> Graph:

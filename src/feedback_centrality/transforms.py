@@ -26,6 +26,7 @@ from .graph import (
     Graph,
     Mode,
     Weight,
+    _reweighted,
     coerce,
     coerce_decay,
     format_weight,
@@ -127,11 +128,7 @@ def edge_multiplication(g: Graph, u: str, factor: Weight) -> Graph:
     factor = coerce(g.mode, factor, "factor")
     if factor <= 0:
         raise DomainError(f"edge multiplication needs a factor > 0, got {format_weight(factor)}")
-    return Graph.build(
-        g.node_weights().items(),
-        ((a, b, wt * factor if a == u else wt) for a, b, wt in g.edges()),
-        g.mode,
-    )
+    return _reweighted(g, [wt * factor if a == u else wt for a, _b, wt in g.edges()])
 
 
 def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
@@ -156,10 +153,10 @@ def edge_compensation(g: Graph, u: str, factor: Weight) -> Graph:
             return wt / factor
         return wt
 
-    return Graph.build(
-        ((n, wt / factor if n == u else wt) for n, wt in g.node_weights().items()),
-        ((a, b, compensated(a, b, wt)) for a, b, wt in g.edges()),
-        g.mode,
+    return _reweighted(
+        g,
+        [compensated(a, b, wt) for a, b, wt in g.edges()],
+        [wt / factor if n == u else wt for n, wt in g.node_weights().items()],
     )
 
 
@@ -174,11 +171,7 @@ def out_degree_normalize(g: Graph) -> Graph:
     measures are untouched: the transition matrix is unchanged entry by
     entry.
     """
-    return Graph.build(
-        g.node_weights().items(),
-        ((a, b, c) for (a, b), c in step_coefficients(g, True)),
-        g.mode,
-    )
+    return _reweighted(g, [c for _e, c in step_coefficients(g, True)])
 
 
 def ec_regularize(g: Graph) -> Graph:
@@ -197,10 +190,10 @@ def ec_regularize(g: Graph) -> Graph:
             "regularization needs positive reverse eigenvector values; "
             "some component has zero total node weight"
         )
-    return Graph.build(
-        ((n, wt * r[n]) for n, wt in g.node_weights().items()),
-        ((a, b, wt * r[b] / r[a]) for a, b, wt in g.edges()),
-        Mode.FLOAT,
+    return _reweighted(
+        g,
+        [wt * r[b] / r[a] for a, b, wt in g.edges()],
+        [wt * r[n] for n, wt in g.node_weights().items()],
     )
 
 

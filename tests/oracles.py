@@ -12,7 +12,9 @@ pass, the feedback term summed node by node over in-edges instead of in one
 pass over the edge table, float weight literals rounded from their exact
 value instead of read by ``float()``, matrices written edge by edge instead
 of from the edge index, Tarjan's algorithm over the neighbour maps instead
-of integer successor lists, a plain line loop for the `.dg` format, edge
+of integer successor lists, a plain line loop for the `.dg` format, graphs
+built by an ``add_node``/``add_edge`` loop instead of ``Graph.build``'s
+one-pass check, edge
 profits solved on their probe graph instead of taken in closed form, and
 networkx for component structure.  Tests compare the two routes; neither side borrows code from the
 other.
@@ -401,6 +403,18 @@ def exact_float_weight(token: str) -> float:
         return float(value)
     except OverflowError:
         raise GraphFormatError(f"weight literal {token!r} does not fit in a float") from None
+
+
+def item_by_item_build(nodes, edges=(), mode: Mode = Mode.RATIONAL) -> Graph:
+    """A graph built by ``add_node`` on each node, then ``add_edge`` on each
+    edge, in input order: the first fault raises, and an iterable's own
+    error surfaces where it is met."""
+    g = Graph(mode)
+    for v, w in nodes:
+        g.add_node(v, w)
+    for u, v, w in edges:
+        g.add_edge(u, v, w)
+    return g
 
 
 def dict_tarjan(g: Graph) -> list[list[str]]:

@@ -415,6 +415,23 @@ class TestGenerate:
             generate(GeneratorSpec(family, (1, 12), grid, seed))
             assert len(built) == 1
 
+    def test_no_edge_is_added_one_by_one(self, monkeypatch):
+        # generated graphs and the matrix's derived graphs are built whole
+        added = []
+        add_edge = Graph.add_edge
+
+        def counted(g, *args):
+            added.append(args)
+            add_edge(g, *args)
+
+        monkeypatch.setattr(Graph, "add_edge", counted)
+        for family in Family:
+            for grid in (None, (F(1, 2), F(1), F(3))):
+                for seed in range(5):
+                    generate(GeneratorSpec(family, (1, 12), grid, seed))
+        satisfaction_matrix(trials=2, seed=0)
+        assert added == []
+
     @pytest.mark.parametrize("mode", list(Mode))
     @pytest.mark.parametrize("seed", range(10))
     def test_rescale_divides_by_the_out_degree_graph_sums(self, mode, seed):

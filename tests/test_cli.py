@@ -206,6 +206,26 @@ class TestCentrality:
         assert err.startswith("error:") and "not finite" in err
         assert "Traceback" not in err
 
+    def test_non_finite_multiplied_edge_is_named(self, capsys, tmp_path):
+        # a -> b is the first edge the factor carries past the float range
+        big = tmp_path / "big.dg"
+        big.write_text("node a 1\nnode b 1\nedge a b 1e300\nedge b a 1e300\nedge a a 1e300\n")
+        code, out, err = run(
+            capsys, "transform", "em", "--input", str(big), "--mode", "float",
+            "--node", "a", "--factor", "1e10",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: weight of edge 'a' -> 'b' is not finite: inf\n"
+
+    def test_non_finite_compensated_edge_is_named(self, capsys):
+        # v2's one out-edge, of weight 2, is carried past the float range
+        code, out, err = run(
+            capsys, "transform", "ec", "--input", DEMO5, "--mode", "float",
+            "--node", "v2", "--factor", "1e308",
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: weight of edge 'v2' -> 'v3' is not finite: inf\n"
+
     def test_unsolvable_perron_block_is_an_error_line(self, capsys, tmp_path):
         # lambda = 1, but dense eig returns eigenvalues 0, 0 for this 2-cycle
         # and a Perron vector with a zero entry: a typed error, not a crash

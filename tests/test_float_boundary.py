@@ -234,6 +234,23 @@ def test_every_private_definition_is_named_outside_its_body():
     assert orphans == []
 
 
+def test_only_the_graph_module_touches_a_graphs_storage():
+    # a graph's weights, edges and memo, and what may be shared between two
+    # graphs, are graph.py's alone
+    storage = {"_weights", "_edges", "_memo", "_derived"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno} {node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in storage
+        ]
+    assert offenders == []
+
+
 def test_only_linalg_chooses_a_perron_route():
     # linalg.edge_perron_triple is the one entry of a component's Perron
     # pass and chooses its route there; graph hands it the component's

@@ -1,5 +1,6 @@
 """Graph container, file format, reachability, components, classification."""
 
+import math
 import struct
 import sys
 from fractions import Fraction as F
@@ -47,6 +48,7 @@ from .oracles import (
     dict_tarjan,
     distributed_coefficients,
     exact_float_weight,
+    item_by_item_build as build,
     nx_components,
     per_node_in_flow,
     reference_parse,
@@ -66,15 +68,6 @@ BOTH_MODES = st.one_of(
     rational_graphs(max_nodes=7).map(Graph.to_float),
     strongly_connected_graphs(),
 )
-
-
-def build(nodes, edges, mode=Mode.RATIONAL):
-    g = Graph(mode)
-    for v, b in nodes:
-        g.add_node(v, b)
-    for u, v, w in edges:
-        g.add_edge(u, v, w)
-    return g
 
 
 class TestWeights:
@@ -347,6 +340,102 @@ PLAIN_ROUTE_EDGES = {
     "cached-literal-on-a-duplicate": f"{_TWO_NODES}edge a b 2\nedge a b 2\n",
     "cached-literal-on-an-undeclared-id": f"{_TWO_NODES}edge a b 2\nedge a zz 2\n",
 }
+
+
+#: Valid weights of each mode; an int is valid in both, stored converted.
+BULK_WEIGHTS = {
+    Mode.FLOAT: (0.25, 1.0, 3.0, 1e-300, 2),
+    Mode.RATIONAL: (F(1, 3), F(1), F(2), 2),
+}
+#: Weights some check refuses, in one mode or both: 0 (an edge), signs,
+#: NaN, infinities, non-numbers, floats in rational mode, and values
+#: beyond the float range.
+BULK_FAULTS = (
+    0, 0.0, -0.0, F(0), -1, -0.5, F(-1, 2), math.nan, math.inf, -math.inf,
+    "x", None, 0.5, 10**400, F(10) ** 400,
+)
+#: Node ids: valid tokens, an empty one and one holding a space; "z" is
+#: never declared when it only ends an edge.
+BULK_IDS = ("a", "b", "c", "d", "", "d e")
+
+
+def _raising_after(items: list, k: int | None):
+    """``items`` one by one, then ``RuntimeError`` in place of item k."""
+    for i, item in enumerate(items):
+        if i == k:
+            raise RuntimeError(f"item {k} unreadable")
+        yield item
+    if k == len(items):
+        raise RuntimeError(f"item {k} unreadable")
+
+
+def _build_outcome(build_graph, mode, nodes, edges, node_k, edge_k):
+    """The graph's mode, nodes and edges with each weight's type and repr,
+    or the type and message of the error raised."""
+    try:
+        g = build_graph(_raising_after(nodes, node_k), _raising_after(edges, edge_k), mode)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return (
+        g.mode,
+        [(v, type(w), repr(w)) for v, w in g.node_weights().items()],
+        [(u, v, type(w), repr(w)) for u, v, w in g.edges()],
+    )
+
+
+class TestBulkBuild:
+    """``Graph.build`` checks its input in one pass and replays it item by
+    item only when that pass fails: either way it builds the graph, or
+    raises the error, of an ``add_node``/``add_edge`` loop."""
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_build_matches_the_item_by_item_loop(self, mode, data):
+        clean = data.draw(st.booleans(), label="clean")
+        weight = st.sampled_from(BULK_WEIGHTS[mode])
+        node_id = st.sampled_from(BULK_IDS[:4])
+        if not clean:
+            weight = weight | st.sampled_from(BULK_FAULTS)
+            node_id = st.sampled_from(BULK_IDS)
+        nodes = data.draw(
+            st.lists(st.tuples(node_id, weight), min_size=clean, max_size=5), label="nodes"
+        )
+        if clean:
+            nodes = list(dict(nodes).items())
+        end = st.sampled_from([v for v, _w in nodes] + ([] if clean else ["z"]))
+        edges = data.draw(st.lists(st.tuples(end, end, weight), max_size=8), label="edges")
+        if clean:
+            edges = [(u, v, w) for (u, v), w in {(u, v): w for u, v, w in edges}.items()]
+        position = st.none() | st.integers(0, 8)
+        node_k = None if clean else data.draw(position, label="node iterator fails at")
+        edge_k = None if clean else data.draw(position, label="edge iterator fails at")
+        expected = _build_outcome(build, mode, nodes, edges, node_k, edge_k)
+        assert _build_outcome(Graph.build, mode, nodes, edges, node_k, edge_k) == expected
+        if clean:
+            assert expected[0] is mode
+
+    def test_the_first_fault_in_input_order_is_raised(self):
+        nodes = [("a", 1.0), ("b", math.nan), ("a", 1.0)]
+        with pytest.raises(GraphFormatError, match="^weight of node 'b' is not finite: nan$"):
+            Graph.build(nodes, [], Mode.FLOAT)
+        edges = [("a", "b", 1.0), ("a", "z", 1.0), ("a", "b", 0.0)]
+        with pytest.raises(GraphFormatError, match="^edge endpoint 'z' is not a declared node$"):
+            Graph.build([("a", 1.0), ("b", 1.0)], edges, Mode.FLOAT)
+        with pytest.raises(RuntimeError, match="item 1 unreadable"):
+            Graph.build([("a", 1.0), ("b", 1.0)], _raising_after(edges[:1], 1), Mode.FLOAT)
+
+    def test_non_finite_weight_names_its_node_or_edge(self):
+        for bad in (math.inf, -math.inf, math.nan):
+            node = f"^weight of node 'a' is not finite: {bad}$"
+            with pytest.raises(GraphFormatError, match=node):
+                Graph.build([("a", bad)], (), Mode.FLOAT)
+            loop = f"^weight of edge 'a' -> 'a' is not finite: {bad}$"
+            with pytest.raises(GraphFormatError, match=loop):
+                Graph.build([("a", 1.0)], [("a", "a", bad)], Mode.FLOAT)
+        beyond = "^weight of edge 'a' -> 'b' does not fit in a float$"
+        with pytest.raises(GraphFormatError, match=beyond):
+            Graph.build([("a", 1.0), ("b", 1.0)], [("a", "b", 10**400)], Mode.FLOAT)
 
 
 class TestFileFormat:

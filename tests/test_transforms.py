@@ -23,6 +23,7 @@ from feedback_centrality import (
     ec_regularize,
     edge_compensation,
     edge_multiplication,
+    eigenvector_centrality,
     combine_groups,
     generate,
     is_constant_weight_cycle,
@@ -38,10 +39,14 @@ from feedback_centrality import (
     recombine,
     serialize_graph,
     SingularMatrixError,
+    spectral_data,
+    strongly_connected_components,
     synthesize_cycle_graph,
 )
+from feedback_centrality import axioms
+from feedback_centrality.graph import _edge_index
 
-from .oracles import pairwise_combine, probe_profit, sequential_combine
+from .oracles import dict_tarjan, pairwise_combine, probe_profit, sequential_combine
 from .strategies import rational_graphs
 
 THIRTEENTHS = {"v1": F(2, 13), "v2": F(3, 13), "v3": F(3, 13), "v4": F(4, 13), "v5": F(1, 13)}
@@ -56,6 +61,76 @@ def triangle():
     g.add_edge("w", "a", F(4))
     g.add_edge("u", "w", F(2))
     return g
+
+
+def _bits(values) -> list[tuple[type, str]]:
+    return [(type(x), x.hex() if isinstance(x, float) else repr(x)) for x in values]
+
+
+def _measure_outcomes(g: Graph) -> list:
+    """Each of the four measures' values, bit for bit, or its error."""
+    alpha = 0.05 if g.mode is Mode.FLOAT else F(1, 20)
+    outcomes = []
+    for measure in (
+        lambda: pagerank(g, alpha),
+        lambda: katz_centrality(g, alpha),
+        lambda: katz_prestige(g),
+        lambda: eigenvector_centrality(g),
+    ):
+        try:
+            outcomes.append(_bits(measure().values.values()))
+        except FeedbackCentralityError as exc:
+            outcomes.append((type(exc), str(exc)))
+    return outcomes
+
+
+def _spectral_bits(g: Graph) -> tuple:
+    data = spectral_data(g)
+    vectors = [v.tobytes() for v in (*data.right_vectors, *data.left_vectors)]
+    return data.components, _bits(data.values), _bits([data.lam]), vectors
+
+
+#: The transforms that change only weights, each as a function of a graph.
+REWEIGHTINGS = {
+    "edge_multiplication": lambda g: edge_multiplication(g, g.node_ids[0], 3),
+    "edge_compensation": lambda g: edge_compensation(g, g.node_ids[-1], F(1, 3)),
+    "out_degree_normalize": out_degree_normalize,
+    "ec_regularize": ec_regularize,
+    "scale_edges": lambda g: axioms._scale_edges(g, 0.5 if g.mode is Mode.FLOAT else F(1, 2)),
+}
+
+
+@pytest.mark.parametrize("grid", [None, (F(1, 2), F(1), F(3))], ids=["float", "rational"])
+@pytest.mark.parametrize("family", list(Family), ids=lambda f: f.value)
+@pytest.mark.parametrize("name", REWEIGHTINGS)
+def test_a_reweighted_graph_shares_structure_and_matches_a_fresh_copy(name, family, grid):
+    # the parent's partition and edge index are filled first, so that the
+    # transform has them to pass on
+    built = 0
+    for seed in range(4):
+        g = generate(GeneratorSpec(family, (1, 9), grid, seed))
+        spectral_data(g)
+        try:
+            h = REWEIGHTINGS[name](g)
+        except FeedbackCentralityError:
+            continue  # ec_regularize's refusals: rational mode, or not in EV
+        built += 1
+        fresh = Graph.build(h.node_weights().items(), h.edges(), h.mode)
+        assert h == fresh and h.node_ids == fresh.node_ids
+        assert list(h.edges()) == list(fresh.edges())
+        partition = strongly_connected_components(h)
+        assert partition is strongly_connected_components(g)
+        assert partition.components == dict_tarjan(fresh)
+        assert partition == strongly_connected_components(fresh)
+        index, fresh_index = h._derived(_edge_index), fresh._derived(_edge_index)
+        assert index.src is g._derived(_edge_index).src
+        assert index.position == fresh_index.position
+        for field in ("src", "dst", "weight"):
+            array, fresh_array = getattr(index, field), getattr(fresh_index, field)
+            assert array is fresh_array is None or array.tobytes() == fresh_array.tobytes()
+        assert _spectral_bits(h) == _spectral_bits(fresh)
+        assert _measure_outcomes(h) == _measure_outcomes(fresh)
+    assert built or (name == "ec_regularize" and (grid or family is not Family.STRONGLY_CONNECTED))
 
 
 GROUP_VALUES = (F(0), F(1, 3), F(1, 2), F(1), F(2))

@@ -35,10 +35,10 @@ class PreconditionError(FeedbackCentralityError, ValueError):
 
 
 class ConvergenceError(FeedbackCentralityError, RuntimeError):
-    """An iterative solver hit its iteration cap.
-
-    ``residual`` reports the best achieved relative change.
-    """
+    """A float Perron pass failed: power iteration hit its iteration cap
+    (``residual``, the best relative change reached, is set only then), the
+    dense bordered solve failed in LAPACK or gave a zero or non-finite vector
+    entry, or the eigenvalue came out non-finite."""
 
     def __init__(self, message: str, residual: float | None = None):
         self.residual = residual
@@ -48,4 +48,7 @@ class ConvergenceError(FeedbackCentralityError, RuntimeError):
 
 
 class SingularMatrixError(FeedbackCentralityError, ArithmeticError):
-    """Exact elimination met a structurally singular system."""
+    """A linear solve has no usable answer: exact elimination met a singular
+    system, or ``linalg.solve_refined``'s LU failed or gave a non-finite
+    solution.  ``transforms.profit_value`` raises it for a float profit
+    value beyond the float range."""

@@ -187,7 +187,9 @@ class Graph:
     Nodes and edges are each stored once and remember insertion order; all
     iteration, serialization and matrix layouts follow it, which keeps every
     downstream computation deterministic.  Treat instances as immutable once
-    built — transforms return new graphs.
+    built — transforms return new graphs.  Outside this module a graph is
+    made only by ``Graph.build``; ``add_node``/``add_edge`` are the per-item
+    check of ``parse_graph``'s non-plain lines and of ``build``'s replay.
 
     Derived structure (the edge index, out- and in-neighbour maps,
     out-degrees, step coefficients, integer walk tables, SCC partition,
@@ -212,14 +214,11 @@ class Graph:
             raise GraphFormatError(f"node id must be a non-empty token: {v!r}")
         if v in self._weights:
             raise GraphFormatError(f"duplicate node {v!r}")
-        # a finite non-negative float, as parse_weight gives, is already valid
-        if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 <= weight < math.inf):
-            weight = self._coerce(weight, f"weight of node {v!r}")
-            if weight < 0:
-                raise GraphFormatError(f"negative weight for node {v!r}")
+        weight = self._coerce(weight, f"weight of node {v!r}")
+        if weight < 0:
+            raise GraphFormatError(f"negative weight for node {v!r}")
         self._weights[v] = weight
-        if self._memo:
-            self._memo.clear()
+        self._memo.clear()
 
     def add_edge(self, u: str, v: str, weight: Weight) -> None:
         if u not in self._weights or v not in self._weights:
@@ -227,14 +226,11 @@ class Graph:
             raise GraphFormatError(f"edge endpoint {missing!r} is not a declared node")
         if (u, v) in self._edges:
             raise GraphFormatError(f"duplicate edge {u!r} -> {v!r}")
-        # a finite positive float, as parse_weight gives, is already valid
-        if not (self.mode is Mode.FLOAT and type(weight) is float and 0.0 < weight < math.inf):
-            weight = self._coerce(weight, f"weight of edge {u!r} -> {v!r}")
-            if weight <= 0:
-                raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
+        weight = self._coerce(weight, f"weight of edge {u!r} -> {v!r}")
+        if weight <= 0:
+            raise GraphFormatError(f"non-positive weight for edge {u!r} -> {v!r}")
         self._edges[(u, v)] = weight
-        if self._memo:
-            self._memo.clear()
+        self._memo.clear()
 
     def _derived(self, compute, *args):
         """``compute(self, *args)``, computed once and shared after that."""
@@ -247,8 +243,7 @@ class Graph:
 
     def _coerce(self, weight: Weight, what: str) -> Weight:
         if self.mode is Mode.RATIONAL:
-            # a Fraction, as parse_weight gives, is stored as it is
-            return weight if type(weight) is Fraction else coerce(Mode.RATIONAL, weight, "weight")
+            return coerce(Mode.RATIONAL, weight, "weight")
         weight = _to_float(weight, what, GraphFormatError)
         if not math.isfinite(weight):
             raise GraphFormatError(f"{what} is not finite: {weight!r}")

@@ -2,10 +2,10 @@
 
 Every measure here scores a node by the weighted scores of its in-neighbors:
 
-* ``pagerank(a)``      x_v = a * sum over edges (u,v) of c(u,v)/outdeg(u) * x_u + b(v)
-* ``katz(a)``          x_v = a * sum of c(u,v) * x_u + b(v)
-* ``katz-prestige``    x_v =     sum of c(u,v)/outdeg(u) * x_u
-* ``eigenvector``      x_v = 1/lambda * sum of c(u,v) * x_u
+* ``pagerank(a)``      x_v = a * sum over edges (u,v) of w(u,v)/outdeg(u) * x_u + b(v)
+* ``katz(a)``          x_v = a * sum of w(u,v) * x_u + b(v)
+* ``katz-prestige``    x_v =     sum of w(u,v)/outdeg(u) * x_u
+* ``eigenvector``      x_v = 1/lambda * sum of w(u,v) * x_u
 
 The first pair are linear systems with a unique solution on their class; the
 second pair are eigenproblems whose scale is pinned down by node weights:

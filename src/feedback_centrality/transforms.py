@@ -327,14 +327,16 @@ def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
     for u, v, _wt in g.edges():
         targets[u].extend([v] * mg.multiplicity[(u, v)])
 
-    cycle = Graph(Mode.RATIONAL)
     groups: dict[str, list[str]] = {v: [] for v in g.node_ids}
-    used: set[str] = set()
+    used = set(g.node_ids)  # a copy's name never shadows a source id
+    weight = Fraction(x)
+    nodes: list[tuple[str, Fraction]] = []
+    edges: list[tuple[str, str, Fraction]] = []
 
     def occurrence_name(orig: str) -> str:
-        if not groups[orig] and orig not in used:
+        if not groups[orig]:
             return orig
-        k = max(len(groups[orig]) + 1, 2)
+        k = len(groups[orig]) + 1
         while f"{orig}#{k}" in used:
             k += 1
         return f"{orig}#{k}"
@@ -347,11 +349,10 @@ def synthesize_cycle_graph(g: Graph) -> CycleSynthesis:
             used.add(name)
             groups[orig].append(name)
             names.append(name)
-            cycle.add_node(name, Fraction(g.node_weight(orig), 1) / len(targets[orig]))
-        for i, name in enumerate(names):
-            cycle.add_edge(name, names[(i + 1) % len(names)], Fraction(x))
+            nodes.append((name, Fraction(g.node_weight(orig), 1) / len(targets[orig])))
+        edges.extend((a, b, weight) for a, b in zip(names, names[1:] + names[:1]))
 
-    return CycleSynthesis(cycle, groups, mg.scale, Fraction(x))
+    return CycleSynthesis(Graph.build(nodes, edges, Mode.RATIONAL), groups, mg.scale, weight)
 
 
 def recombine(synth: CycleSynthesis) -> tuple[Graph, dict[str, Weight]]:
@@ -404,16 +405,13 @@ def profit_graph(spec: ProfitSpec, mode: Mode) -> Graph:
     """
     args = (spec.source_value, spec.edge_weight, spec.out_degree)
     x, y, z = (coerce(mode, t, what) for t, what in zip(args, _PROFIT_ARGUMENTS))
-    g = Graph(mode)
-    g.add_node("src", x)
-    g.add_node("tgt", zero(mode))
+    nodes = [("src", x), ("tgt", zero(mode))]
+    edges = [("src", "tgt", y)]
     rest = z - y
     if rest > 0:
-        g.add_node("rest", zero(mode))
-    g.add_edge("src", "tgt", y)
-    if rest > 0:
-        g.add_edge("src", "rest", rest)
-    return g
+        nodes.append(("rest", zero(mode)))
+        edges.append(("src", "rest", rest))
+    return Graph.build(nodes, edges, mode)
 
 
 def profit_value(measure: Measure, spec: ProfitSpec) -> Weight:

@@ -750,6 +750,22 @@ class TestEulerRoundTrip:
         source = parse_graph(Path(demo).read_text(), Mode.RATIONAL)
         assert out == serialize_graph(source, canonical=True)
 
+    def test_round_trip_keeps_a_source_id_shaped_like_a_copy(self, capsys, tmp_path):
+        source = tmp_path / "shadow.dg"
+        source.write_text(
+            "node a 1/3\nnode a#2 1/3\nnode b 1/3\n"
+            "edge a b 1\nedge a a#2 1\nedge a#2 a 2\nedge b a 2\n"
+        )
+        cycle_path = tmp_path / "cycle.dg"
+        run_json(capsys, "euler-construct", "--input", str(source), "--output", str(cycle_path))
+        code, out, _err = run(
+            capsys, "transform", "combine-groups", "--input", str(cycle_path),
+            "--groups", str(tmp_path / "cycle.dg.groups"),
+        )
+        assert code == 0
+        expected = parse_graph(source.read_text(), Mode.RATIONAL)
+        assert out == serialize_graph(expected, canonical=True)
+
     def test_repeat_runs_are_byte_identical(self, capsys, tmp_path):
         first, second = tmp_path / "a.dg", tmp_path / "b.dg"
         run_json(capsys, "euler-construct", "--input", DEMO5, "--output", str(first))

@@ -251,6 +251,26 @@ def test_only_the_graph_module_touches_a_graphs_storage():
     assert offenders == []
 
 
+def test_only_the_graph_module_builds_a_graph_item_by_item():
+    # Graph.build is the one door to a new graph outside graph.py; the
+    # per-item add_node/add_edge and the bare constructor stay behind it
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "graph.py":
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        offenders += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and (
+                isinstance(node.func, ast.Attribute) and node.func.attr in {"add_node", "add_edge"}
+                or isinstance(node.func, ast.Name) and node.func.id == "Graph"
+            )
+        ]
+    assert offenders == []
+
+
 def test_only_linalg_chooses_a_perron_route():
     # linalg.edge_perron_triple is the one entry of a component's Perron
     # pass and chooses its route there; graph hands it the component's

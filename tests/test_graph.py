@@ -415,6 +415,24 @@ class TestBulkBuild:
         if clean:
             assert expected[0] is mode
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    @pytest.mark.parametrize(
+        "nodes, edges",
+        [
+            ([("a", 1), ("b",)], []),
+            ([("a", 1)], [("a", "z", 1), ("a", "a")]),
+            ([("a", 1), (5, 1)], []),
+            ([("a", 1)], [("a", "z", 1), (["a"], "a", 1)]),
+        ],
+        ids=["one-tuple-node", "two-tuple-edge", "int-node-id", "list-endpoint"],
+    )
+    def test_a_malformed_item_raises_the_loops_error(self, mode, nodes, edges):
+        # the one-pass check fails on the shape; the replay raises the first
+        # fault in input order, the undeclared "z" ahead of a bad edge
+        expected = _build_outcome(build, mode, nodes, edges, None, None)
+        assert issubclass(expected[0], (TypeError, ValueError, AttributeError))
+        assert _build_outcome(Graph.build, mode, nodes, edges, None, None) == expected
+
     def test_the_first_fault_in_input_order_is_raised(self):
         nodes = [("a", 1.0), ("b", math.nan), ("a", 1.0)]
         with pytest.raises(GraphFormatError, match="^weight of node 'b' is not finite: nan$"):

@@ -487,6 +487,19 @@ class TestCycleSynthesis:
         combined, _values = recombine(synth)
         assert combined == out_degree_normalize(g)
 
+    def test_copy_names_never_shadow_a_source_id(self):
+        # the second copy of "a" would be "a#2", which is a source id
+        g = Graph.build(
+            [("a", F(1, 3)), ("a#2", F(1, 3)), ("b", F(1, 3))],
+            [("a", "b", F(1)), ("a", "a#2", F(1)), ("a#2", "a", F(2)), ("b", "a", F(2))],
+        )
+        synth = synthesize_cycle_graph(g)
+        assert [grp[0] for grp in synth.groups.values()] == g.node_ids
+        assert len(synth.cycle_graph) == sum(map(len, synth.groups.values()))
+        combined, values = recombine(synth)
+        assert combined == g
+        assert values == katz_prestige(g).values
+
 
 class TestProfit:
     def test_spec_validation(self):
